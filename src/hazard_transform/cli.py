@@ -31,7 +31,7 @@ from pathlib import Path
 from .errors import ConfigError, HazardTransformError
 from .events import parse_dataset, write_dataset
 from .hazards import estimate_driver
-from .paths import restrict_path
+from .paths import _fmt, restrict_path
 from .plugin import ConfidenceBand, confidence_band, fit_plugin, write_fit
 from .simlab import (
     Scenario,
@@ -223,9 +223,9 @@ def _write_band_csv(band: ConfidenceBand, n_states: int, path: Path):
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in range(band.times.size):
-            row = [repr(float(band.times[r]))]
+            row = [_fmt(band.times[r])]
             for i in range(n_states):
-                row += [repr(float(band.lower[r, i])), repr(float(band.upper[r, i]))]
+                row += [_fmt(band.lower[r, i]), _fmt(band.upper[r, i])]
             writer.writerow(row)
 
 

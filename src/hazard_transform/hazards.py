@@ -9,7 +9,6 @@ into one jump.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DataError
 from .events import EventDataset
@@ -141,7 +140,7 @@ def aalen_additive(
             truncation = float(t)
             break
         q, r = np.linalg.qr(u)
-        increments[i] = solve_triangular(r, q.T @ d, lower=False)
+        increments[i] = np.linalg.solve(r, q.T @ d)
         n_used = i + 1
     times = times[:n_used]
     increments = increments[:n_used]

@@ -73,6 +73,26 @@ class StepPath:
         object.__setattr__(self, "origin_value", origin)
         object.__setattr__(self, "horizon", float(self.horizon))
 
+    @classmethod
+    def from_values(cls, times, values, horizon: float) -> "StepPath":
+        """Path taking ``values[0]`` at ``t = 0`` and ``values[i]`` from
+        ``times[i - 1]`` on; ``values`` has shape (m + 1, k) or (m + 1,).
+
+        Evaluation returns ``values`` exactly: they seed the cumulative cache
+        instead of being rebuilt from the increments.
+        """
+        values = np.array(values, dtype=float)
+        if values.ndim == 1:
+            values = values.reshape(-1, 1)
+        path = cls(
+            times=times,
+            increments=np.diff(values, axis=0),
+            origin_value=values[0],
+            horizon=horizon,
+        )
+        path.__dict__["_cumulative"] = values
+        return path
+
     @property
     def dimension(self) -> int:
         return self.origin_value.size
@@ -99,16 +119,6 @@ class StepPath:
     def values_at_jumps(self) -> np.ndarray:
         """Path values at each jump time, shape (m, k)."""
         return self._cumulative[1:]
-
-    def project(self, indices) -> "StepPath":
-        """Sub-path keeping the given component columns."""
-        idx = np.atleast_1d(np.asarray(indices, dtype=int))
-        return StepPath(
-            times=self.times.copy(),
-            increments=self.increments[:, idx],
-            origin_value=self.origin_value[idx],
-            horizon=self.horizon,
-        )
 
 
 @dataclass(frozen=True)

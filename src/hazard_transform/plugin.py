@@ -13,8 +13,22 @@ companion recursion
               + n * F dA dA' F'
 
 with G_j the Jacobian of the j-th integrand column at the left limit and n
-the driver's sample-size scale.  Pointwise confidence intervals divide the
+the driver's sample-size scale; the transport sum is applied one component
+at a time, in column order.  Pointwise confidence intervals divide the
 diagonal by n and apply a normal quantile.
+
+Two solvers implement these recursions.  Nonlinear systems (``ler``,
+``screening``) step through the jumps one by one.  Linear systems carry a
+constant Jacobian tensor (``ParameterSystem.jacobians``, F(x)[:, j] = G_j x),
+and for them the state is the product integral
+
+    X_{tau_k} = (I + B_k) ... (I + B_1) X_0,    B_k = sum_j G_j dA^j_{tau_k},
+
+of which Kaplan-Meier as the product integral of Nelson-Aalen is the
+one-dimensional case; the covariance step is likewise an affine map of
+vech(V).  Both are solved by an associative scan (prefix compositions), one
+block of ``SCAN_CHUNK`` jumps at a time, and agree with the per-jump loop to
+rounding.  The solver is chosen by whether ``jacobians`` is set.
 """
 
 from __future__ import annotations
@@ -23,12 +37,12 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
-from .errors import GuardViolation, NegativeVarianceError
-from .paths import DriverMeta, StepPath
+from .errors import NegativeVarianceError
+from .paths import DriverMeta, StepPath, _fmt
 from .systems import ParameterSystem
 
 __all__ = [
@@ -41,6 +55,49 @@ __all__ = [
     "write_fit",
     "read_fit",
 ]
+
+
+#: Jumps per block of the product-integral scan.  Blocks are scanned one at a
+#: time, each starting from the previous block's last value, so the scan's
+#: working memory is a few (SCAN_CHUNK, p, p) arrays whatever the path length.
+SCAN_CHUNK = 1024
+
+
+def _prefix(elems, combine):
+    """Inclusive prefix compositions ``a_i o ... o a_0`` along axis 0.
+
+    ``elems`` is a tuple of arrays (one element per row) and
+    ``combine(later, earlier)`` composes two such tuples row-wise.  Pairs are
+    composed, their prefixes found recursively, and the even rows filled in
+    from those: about two compositions per row, in log-depth array passes.
+    """
+    m = elems[0].shape[0]
+    if m < 2:
+        return elems
+    pairs = combine(
+        tuple(e[1::2] for e in elems), tuple(e[0 : m - 1 : 2] for e in elems)
+    )
+    sub = _prefix(pairs, combine)
+    out = tuple(np.empty_like(e) for e in elems)
+    for o, e, p in zip(out, elems, sub):
+        o[0] = e[0]
+        o[1::2] = p
+    if m > 2:
+        evens = combine(
+            tuple(e[2::2] for e in elems), tuple(p[: (m - 1) // 2] for p in sub)
+        )
+        for o, ev in zip(out, evens):
+            o[2::2] = ev
+    return out
+
+
+def _compose_linear(later, earlier):
+    return (later[0] @ earlier[0],)
+
+
+def _compose_affine(later, earlier):
+    (a2, c2), (a1, c1) = later, earlier
+    return a2 @ a1, (a2 @ c1[..., None])[..., 0] + c2
 
 
 def solve_plugin(
@@ -64,7 +121,33 @@ def solve_plugin(
     if x.shape != (system.state_dim,):
         raise ValueError(f"initial state must have shape ({system.state_dim},)")
     system.check_guards(x, time=0.0)
+    if system.jacobians is not None:
+        return _scan_plugin(system, driver, x)
+    return _loop_plugin(system, driver, x)
 
+
+def _scan_plugin(system: ParameterSystem, driver: StepPath, x) -> StepPath:
+    # X_k = (I + B_k) X_{k-1} with B_k = sum_j G_j dA^j_k: the state is the
+    # product integral, computed block by block as prefix matrix products.
+    jac = system.jacobians
+    k, n = jac.shape[0], jac.shape[1]
+    m = driver.n_jumps
+    values = np.empty((m + 1, n))
+    values[0] = x
+    eye = np.eye(n)
+    for lo in range(0, m, SCAN_CHUNK):
+        hi = min(lo + SCAN_CHUNK, m)
+        steps = (driver.increments[lo:hi] @ jac.reshape(k, n * n)).reshape(-1, n, n)
+        steps += eye
+        (products,) = _prefix((steps,), _compose_linear)
+        block = products @ values[lo]
+        system.check_guard_path(driver.times[lo:hi], block)
+        values[lo + 1 : hi + 1] = block
+    return StepPath.from_values(driver.times.copy(), values, driver.horizon)
+
+
+def _loop_plugin(system: ParameterSystem, driver: StepPath, x) -> StepPath:
+    x0 = x
     m = driver.n_jumps
     increments = np.empty((m, system.state_dim))
     d_incr = driver.increments
@@ -78,9 +161,7 @@ def solve_plugin(
     return StepPath(
         times=times.copy(),
         increments=increments,
-        origin_value=np.array(
-            system.initial_value if x0_override is None else x0_override, dtype=float
-        ),
+        origin_value=x0,
         horizon=driver.horizon,
     )
 
@@ -124,6 +205,52 @@ def solve_variance(
 
     scale = float(meta.scale_n)
     stochastic = np.where(np.asarray(meta.deterministic_mask, dtype=bool), 0.0, 1.0)
+    if system.jacobians is not None:
+        return _scan_variance(system, driver, scale, stochastic, state, v)
+    return _loop_variance(system, driver, scale, stochastic, state, v)
+
+
+def _scan_variance(system, driver, scale, stochastic, state, v) -> np.ndarray:
+    # The loop's update for component j is V -> V + (G_j V + V G_j') dA^j, a
+    # linear map of vech(V) (upper triangle, p = n(n+1)/2 entries).  Each jump
+    # composes those maps over j, then adds n * vech(f f'): an affine map
+    # V_k = L_k V_{k-1} + c_k, scanned block by block.
+    jac = system.jacobians
+    k, n = jac.shape[0], jac.shape[1]
+    iu, ju = np.triu_indices(n)
+    p = iu.size
+    basis = np.zeros((p, n, n))
+    basis[np.arange(p), iu, ju] = 1.0
+    basis[np.arange(p), ju, iu] = 1.0
+    image = jac[:, None] @ basis + basis @ jac[:, None].transpose(0, 1, 3, 2)
+    # (k, p, p); column s is the vech of the image of the basis matrix E_s
+    ops = image[:, :, iu, ju].transpose(0, 2, 1)
+
+    m = driver.n_jumps
+    lefts = np.vstack([state.origin_value, state.values_at_jumps()[:-1]])[:m]
+    d_incr = driver.increments
+    out = np.empty((m, n, n))
+    carry = v[iu, ju]
+    eye = np.eye(p)
+    for lo in range(0, m, SCAN_CHUNK):
+        hi = min(lo + SCAN_CHUNK, m)
+        da = d_incr[lo:hi]
+        maps = eye + da[:, 0, None, None] * ops[0]
+        for j in range(1, k):
+            maps = maps + da[:, j, None, None] * (ops[j] @ maps)
+        noise = ((da * stochastic) @ jac.reshape(k, n * n)).reshape(-1, n, n)
+        fda = (noise @ lefts[lo:hi, :, None])[..., 0]
+        shifts = scale * (fda[:, iu] * fda[:, ju])
+        maps, shifts = _prefix((maps, shifts), _compose_affine)
+        block = (maps @ carry) + shifts
+        out[lo:hi, iu, ju] = block
+        out[lo:hi, ju, iu] = block
+        carry = block[-1]
+    return out
+
+
+def _loop_variance(system, driver, scale, stochastic, state, v) -> np.ndarray:
+    n = system.state_dim
     gradients = system.gradients
     integrand = system.integrand
     x_prev = state.origin_value
@@ -214,16 +341,12 @@ def confidence_band(fit: PluginFit, level: float) -> ConfidenceBand:
         bad = diag[:, i] < 0
         if bad.any():
             raise NegativeVarianceError(times[bad], label)
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     half = z * np.sqrt(diag / fit.scale_n)
     point = np.vstack([fit.state_path.origin_value, fit.state_path.values_at_jumps()])
     return ConfidenceBand(
         times=times, point=point, lower=point - half, upper=point + half, level=level
     )
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _triu_pairs(n: int):
@@ -293,15 +416,8 @@ def read_fit(base) -> tuple[PluginFit, ConfidenceBand]:
     for c, (i, j) in enumerate(pairs):
         cov[:, i, j] = tri[:, c]
         cov[:, j, i] = tri[:, c]
-    state = StepPath(
-        times=times[1:],
-        increments=np.diff(point, axis=0),
-        origin_value=point[0],
-        horizon=float(metadata["horizon"]),
-    )
-    # The CSV stores values, not increments; seed the cumulative cache with the
-    # parsed values so evaluation round-trips exactly.
-    object.__setattr__(state, "_cumulative", np.ascontiguousarray(point))
+    # The CSV stores values, not increments, so evaluation round-trips exactly.
+    state = StepPath.from_values(times[1:], point, float(metadata["horizon"]))
     fit = PluginFit(
         state_path=state,
         cov_path=cov[1:],

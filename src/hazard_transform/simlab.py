@@ -508,37 +508,18 @@ def l2_distance(
     return float(np.sum((va - vb) ** 2 * np.diff(knots)))
 
 
-def _step_from_values(times, values, origin, horizon) -> StepPath:
-    """One-dimensional step path from values at jump times (exact lookup)."""
-    values = np.asarray(values, dtype=float)
-    cum = np.concatenate([[float(origin)], values])
-    path = StepPath(
-        times=np.asarray(times, dtype=float),
-        increments=np.diff(cum).reshape(-1, 1),
-        origin_value=np.array([float(origin)]),
-        horizon=horizon,
-    )
-    object.__setattr__(path, "_cumulative", cum.reshape(-1, 1))
-    return path
-
-
 def _variance_step_path(fit, component: int) -> StepPath:
     # Estimator-variance scale (the square of the band half-width): the
     # covariance recursion output divided by the sample size, so paths fitted
     # at different n live in comparable units and a large-sample reference is
     # close to the common limit of all of them.
-    diag = fit.cov_path[:, component, component] / fit.scale_n
-    return _step_from_values(
-        fit.times,
-        diag,
-        fit.v0[component, component] / fit.scale_n,
-        fit.state_path.horizon,
-    )
+    diag = fit.cov_diag()[:, component] / fit.scale_n
+    return StepPath.from_values(fit.times, diag, fit.state_path.horizon)
 
 
 @dataclass
 class StudyResult:
-    """Tabular outcome of a study plus run metadata (seeds, failures, time)."""
+    """Tabular outcome of a study plus run metadata (seeds, failures)."""
 
     kind: str
     columns: tuple[str, ...]
@@ -693,7 +674,9 @@ def l2_convergence(
         # returns the covariance of sqrt(n) * (X* - X_hat), so dividing by the
         # reference sample size yields the variance of the reference estimator
         # itself -- the same units as each replication's V_hat / n.
-        target_path = _step_from_values(grid, cov[:, comp, comp] / ref_n, 0.0, horizon)
+        target_path = StepPath.from_values(
+            grid, np.concatenate([[0.0], cov[:, comp, comp] / ref_n]), horizon
+        )
         target_component = 0
 
     ctx = {

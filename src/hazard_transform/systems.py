@@ -9,7 +9,9 @@ with a leading time component).  ``F`` maps the n-dimensional state to an
 ``n x k`` integrand matrix; its per-column Jacobians feed the covariance
 recursion.  The catalog covers survival, relative survival, restricted mean
 survival time, life expectancy difference and ratio, cumulative incidence,
-mean frequency of recurrent events, and screening-test accuracy.
+mean frequency of recurrent events, and screening-test accuracy.  Six of them
+are linear, ``F(x)[:, j] = G_j x`` with constant ``G_j``, and are given as
+data: the tensor of the ``G_j``.
 
 States that appear in denominators carry guard bounds; evaluating or solving
 below a guard raises :class:`~hazard_transform.errors.GuardViolation` rather
@@ -39,18 +41,6 @@ __all__ = [
 #: Lower bound for guarded state components (denominators).
 GUARD_EPS = 1e-8
 
-_KIND_NAMES = (
-    "survival",
-    "relative_survival",
-    "rmst",
-    "led",
-    "ler",
-    "cumulative_incidence",
-    "mean_frequency",
-    "screening",
-)
-
-
 @dataclass(frozen=True)
 class SystemKind:
     """Declarative, picklable selection of a parameter system.
@@ -67,7 +57,7 @@ class SystemKind:
     initial_value: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.name not in _KIND_NAMES:
+        if self.name not in _CATALOG:
             raise ConfigError(f"unknown system name: {self.name!r}")
         if self.initial_value is not None:
             object.__setattr__(
@@ -97,7 +87,12 @@ class SystemKind:
 
 @dataclass(frozen=True)
 class ParameterSystem:
-    """Concrete system: integrand, per-driver Jacobians, guards, labels."""
+    """Concrete system: integrand, per-driver Jacobians, guards, labels.
+
+    ``jacobians`` is set, with shape ``(k, n, n)``, exactly when the system is
+    linear with constant Jacobians (``F(x)[:, j] = jacobians[j] @ x``); the
+    plugin solver then uses the product-integral scan.
+    """
 
     name: str
     state_labels: tuple[str, ...]
@@ -106,6 +101,7 @@ class ParameterSystem:
     integrand: Callable[[np.ndarray], np.ndarray]
     gradients: tuple[Callable[[np.ndarray], np.ndarray], ...]
     guards: tuple[tuple[int, float], ...] = ()
+    jacobians: np.ndarray | None = None
 
     @property
     def state_dim(self) -> int:
@@ -119,6 +115,16 @@ class ParameterSystem:
         for idx, lower in self.guards:
             if x[idx] <= lower:
                 raise GuardViolation(self.state_labels[idx], float(x[idx]), time)
+
+    def check_guard_path(self, times: np.ndarray, values: np.ndarray) -> None:
+        """:meth:`check_guards` on every row of ``values`` (the states at
+        ``times``) in one pass; raises for the earliest failing row."""
+        if not self.guards:
+            return
+        idx, lower = zip(*self.guards)
+        bad = np.flatnonzero((values[:, list(idx)] <= np.array(lower)).any(axis=1))
+        if bad.size:
+            self.check_guards(values[bad[0]], time=float(times[bad[0]]))
 
 
 @dataclass(frozen=True)
@@ -137,91 +143,85 @@ class DriverSlot:
     group: int | None = None
 
 
-def _e(n: int, i: int, j: int, value: float = 1.0) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[i, j] = value
-    return m
+def _linear(
+    name: str,
+    state_labels: tuple[str, ...],
+    driver_labels: tuple[str, ...],
+    initial_value,
+    *columns: dict[tuple[int, int], float],
+) -> ParameterSystem:
+    """Linear system ``F(x)[:, j] = G_j x`` from the nonzero entries of each G_j.
 
-
-def _survival() -> ParameterSystem:
-    g1 = -np.eye(1)
+    The Jacobians are constant, so the integrand and the per-column gradients
+    are read off the tensor and the plugin solver may use the product-integral
+    scan instead of the per-jump loop.
+    """
+    n = len(state_labels)
+    jacobians = np.zeros((len(columns), n, n))
+    for j, entries in enumerate(columns):
+        for (a, b), value in entries.items():
+            jacobians[j, a, b] = value
+    jacobians.setflags(write=False)
     return ParameterSystem(
-        name="survival",
-        state_labels=("survival",),
-        driver_labels=("hazard",),
-        initial_value=np.ones(1),
-        integrand=lambda x: np.array([[-x[0]]]),
-        gradients=(lambda x: g1,),
+        name=name,
+        state_labels=state_labels,
+        driver_labels=driver_labels,
+        initial_value=np.asarray(initial_value, dtype=float),
+        integrand=lambda x: (jacobians @ x).T,
+        gradients=tuple((lambda x, g=g: g) for g in jacobians),
+        jacobians=jacobians,
     )
 
 
-def _relative_survival() -> ParameterSystem:
+def _survival(kind: SystemKind) -> ParameterSystem:
+    return _linear("survival", ("survival",), ("hazard",), [1.0], {(0, 0): -1.0})
+
+
+def _relative_survival(kind: SystemKind) -> ParameterSystem:
     # state (S1, S0, RS); drivers (A1, A0)
-    g1 = -(_e(3, 0, 0) + _e(3, 2, 2))
-    g2 = _e(3, 2, 2) - _e(3, 1, 1)
-
-    def integrand(x):
-        return np.array([[-x[0], 0.0], [0.0, -x[1]], [-x[2], x[2]]])
-
-    return ParameterSystem(
-        name="relative_survival",
-        state_labels=("survival_exposed", "survival_reference", "relative_survival"),
-        driver_labels=("hazard_exposed", "hazard_reference"),
-        initial_value=np.ones(3),
-        integrand=integrand,
-        gradients=(lambda x: g1, lambda x: g2),
+    return _linear(
+        "relative_survival",
+        ("survival_exposed", "survival_reference", "relative_survival"),
+        ("hazard_exposed", "hazard_reference"),
+        [1.0, 1.0, 1.0],
+        {(0, 0): -1.0, (2, 2): -1.0},
+        {(1, 1): -1.0, (2, 2): 1.0},
     )
 
 
-def _rmst() -> ParameterSystem:
+def _rmst(kind: SystemKind) -> ParameterSystem:
     # state (R, S); drivers (time, A)
-    g1 = _e(2, 0, 1)
-    g2 = -_e(2, 1, 1)
-
-    def integrand(x):
-        return np.array([[x[1], 0.0], [0.0, -x[1]]])
-
-    return ParameterSystem(
-        name="rmst",
-        state_labels=("rmst", "survival"),
-        driver_labels=("time", "hazard"),
-        initial_value=np.array([0.0, 1.0]),
-        integrand=integrand,
-        gradients=(lambda x: g1, lambda x: g2),
+    return _linear(
+        "rmst",
+        ("rmst", "survival"),
+        ("time", "hazard"),
+        [0.0, 1.0],
+        {(0, 1): 1.0},
+        {(1, 1): -1.0},
     )
 
 
-def _led() -> ParameterSystem:
+def _led(kind: SystemKind) -> ParameterSystem:
     # state (LED, S1, S2); drivers (time, A1, A2)
-    g1 = _e(3, 0, 1) - _e(3, 0, 2)
-    g2 = -_e(3, 1, 1)
-    g3 = -_e(3, 2, 2)
-
-    def integrand(x):
-        return np.array(
-            [
-                [x[1] - x[2], 0.0, 0.0],
-                [0.0, -x[1], 0.0],
-                [0.0, 0.0, -x[2]],
-            ]
-        )
-
-    return ParameterSystem(
-        name="led",
-        state_labels=("led", "survival_1", "survival_2"),
-        driver_labels=("time", "hazard_1", "hazard_2"),
-        initial_value=np.array([0.0, 1.0, 1.0]),
-        integrand=integrand,
-        gradients=(lambda x: g1, lambda x: g2, lambda x: g3),
+    return _linear(
+        "led",
+        ("led", "survival_1", "survival_2"),
+        ("time", "hazard_1", "hazard_2"),
+        [0.0, 1.0, 1.0],
+        {(0, 1): 1.0, (0, 2): -1.0},
+        {(1, 1): -1.0},
+        {(2, 2): -1.0},
     )
 
 
-def _ler() -> ParameterSystem:
+def _ler(kind: SystemKind) -> ParameterSystem:
     # state (LER, S1, S2, R1, R2); drivers (time, A1, A2).  The ratio row
     # divides by R2, hence the guard; the natural baseline R1 = R2 = 0 sits on
     # it, so solving needs a start strictly inside the domain (x0 override).
-    g2 = -_e(5, 1, 1)
-    g3 = -_e(5, 2, 2)
+    g2 = np.zeros((5, 5))
+    g2[1, 1] = -1.0
+    g3 = np.zeros((5, 5))
+    g3[2, 2] = -1.0
 
     def integrand(x):
         _, s1, s2, r1, r2 = x
@@ -257,51 +257,36 @@ def _ler() -> ParameterSystem:
     )
 
 
-def _cumulative_incidence(m: int) -> ParameterSystem:
+def _cumulative_incidence(kind: SystemKind) -> ParameterSystem:
     # state (S, C1..Cm); drivers (A1..Am)
+    m = kind.n_causes
     if m < 1:
         raise ConfigError("cumulative_incidence needs n_causes >= 1")
-    n = m + 1
-    grads = tuple(_e(n, j + 1, 0) - _e(n, 0, 0) for j in range(m))
-
-    def integrand(x):
-        s = x[0]
-        out = np.zeros((n, m))
-        out[0, :] = -s
-        out[np.arange(1, n), np.arange(m)] = s
-        return out
-
-    return ParameterSystem(
-        name="cumulative_incidence",
-        state_labels=("survival",) + tuple(f"incidence_{j + 1}" for j in range(m)),
-        driver_labels=tuple(f"hazard_{j + 1}" for j in range(m)),
-        initial_value=np.array([1.0] + [0.0] * m),
-        integrand=integrand,
-        gradients=tuple((lambda g: (lambda x: g))(g) for g in grads),
+    return _linear(
+        "cumulative_incidence",
+        ("survival",) + tuple(f"incidence_{j + 1}" for j in range(m)),
+        tuple(f"hazard_{j + 1}" for j in range(m)),
+        [1.0] + [0.0] * m,
+        *({(0, 0): -1.0, (j + 1, 0): 1.0} for j in range(m)),
     )
 
 
-def _mean_frequency() -> ParameterSystem:
+def _mean_frequency(kind: SystemKind) -> ParameterSystem:
     # state (K, S); drivers (A_recurrent, A_terminal)
-    g1 = _e(2, 0, 1)
-    g2 = -_e(2, 1, 1)
-
-    def integrand(x):
-        return np.array([[x[1], 0.0], [0.0, -x[1]]])
-
-    return ParameterSystem(
-        name="mean_frequency",
-        state_labels=("mean_frequency", "survival"),
-        driver_labels=("hazard_recurrent", "hazard_terminal"),
-        initial_value=np.array([0.0, 1.0]),
-        integrand=integrand,
-        gradients=(lambda x: g1, lambda x: g2),
+    return _linear(
+        "mean_frequency",
+        ("mean_frequency", "survival"),
+        ("hazard_recurrent", "hazard_terminal"),
+        [0.0, 1.0],
+        {(0, 1): 1.0},
+        {(1, 1): -1.0},
     )
 
 
-def _screening(prevalence: float, initial_value) -> ParameterSystem:
+def _screening(kind: SystemKind) -> ParameterSystem:
     # state (U, V, W, X) = cumulative (PPV, NPV, sensitivity, specificity);
     # drivers (A1, A0) = hazards among test-positives / test-negatives.
+    prevalence, initial_value = kind.prevalence, kind.initial_value
     if prevalence is None or not 0.0 < prevalence < 1.0:
         raise ConfigError("screening needs a prevalence strictly between 0 and 1")
     if initial_value is None:
@@ -363,62 +348,60 @@ def _screening(prevalence: float, initial_value) -> ParameterSystem:
     return system
 
 
+def _cause_slots(kind: SystemKind) -> tuple[DriverSlot, ...]:
+    return tuple(DriverSlot(f"cause{j + 1}", cause=j + 1) for j in range(kind.n_causes))
+
+
+_TIME = DriverSlot("time", deterministic=True)
+_GROUP1 = DriverSlot("group1", cause=1, group=1)
+_TWO_GROUPS = (_TIME, _GROUP1, DriverSlot("group2", cause=1, group=2))
+
+#: The catalog: system name -> (builder, driver slots).  Slots are a tuple, or
+#: a function of the kind when they depend on its parameters.  Default group
+#: labels: relative_survival and screening pair 1 (exposed / test-positive)
+#: with 0 (reference / test-negative); led and ler use 1 and 2.
+#: mean_frequency reads event code 1 as recurrent, 2 as terminal.
+_CATALOG = {
+    "survival": (_survival, (DriverSlot("event", cause=1),)),
+    "relative_survival": (
+        _relative_survival,
+        (_GROUP1, DriverSlot("group0", cause=1, group=0)),
+    ),
+    "rmst": (_rmst, (_TIME, DriverSlot("event", cause=1))),
+    "led": (_led, _TWO_GROUPS),
+    "ler": (_ler, _TWO_GROUPS),
+    "cumulative_incidence": (_cumulative_incidence, _cause_slots),
+    "mean_frequency": (
+        _mean_frequency,
+        (DriverSlot("recurrent", cause=1), DriverSlot("terminal", cause=2)),
+    ),
+    "screening": (
+        _screening,
+        (
+            DriverSlot("positive", cause=1, group=1),
+            DriverSlot("negative", cause=1, group=0),
+        ),
+    ),
+}
+
+
+def _as_kind(kind: SystemKind | str) -> SystemKind:
+    return SystemKind(name=kind) if isinstance(kind, str) else kind
+
+
 def make_system(kind: SystemKind | str) -> ParameterSystem:
     """Instantiate the :class:`ParameterSystem` described by ``kind``."""
-    if isinstance(kind, str):
-        kind = SystemKind(name=kind)
-    if kind.name == "survival":
-        return _survival()
-    if kind.name == "relative_survival":
-        return _relative_survival()
-    if kind.name == "rmst":
-        return _rmst()
-    if kind.name == "led":
-        return _led()
-    if kind.name == "ler":
-        return _ler()
-    if kind.name == "cumulative_incidence":
-        return _cumulative_incidence(kind.n_causes)
-    if kind.name == "mean_frequency":
-        return _mean_frequency()
-    return _screening(kind.prevalence, kind.initial_value)
+    kind = _as_kind(kind)
+    build, _ = _CATALOG[kind.name]
+    return build(kind)
 
 
 def driver_slots(kind: SystemKind | str) -> tuple[DriverSlot, ...]:
-    """Driver components the system consumes, in column order.
-
-    Default group labels: relative_survival and screening pair 1 (exposed /
-    test-positive) with 0 (reference / test-negative); led and ler use 1 and
-    2.  mean_frequency reads event code 1 as recurrent, 2 as terminal.
-    """
-    if isinstance(kind, str):
-        kind = SystemKind(name=kind)
-    name = kind.name
-    if name == "survival":
-        return (DriverSlot("event", cause=1),)
-    if name == "relative_survival":
-        return (
-            DriverSlot("group1", cause=1, group=1),
-            DriverSlot("group0", cause=1, group=0),
-        )
-    if name == "rmst":
-        return (DriverSlot("time", deterministic=True), DriverSlot("event", cause=1))
-    if name in ("led", "ler"):
-        return (
-            DriverSlot("time", deterministic=True),
-            DriverSlot("group1", cause=1, group=1),
-            DriverSlot("group2", cause=1, group=2),
-        )
-    if name == "cumulative_incidence":
-        return tuple(
-            DriverSlot(f"cause{j + 1}", cause=j + 1) for j in range(kind.n_causes)
-        )
-    if name == "mean_frequency":
-        return (DriverSlot("recurrent", cause=1), DriverSlot("terminal", cause=2))
-    return (
-        DriverSlot("positive", cause=1, group=1),
-        DriverSlot("negative", cause=1, group=0),
-    )
+    """Driver components the system consumes, in column order (see ``_CATALOG``
+    for the default cause and group codes)."""
+    kind = _as_kind(kind)
+    _, slots = _CATALOG[kind.name]
+    return slots(kind) if callable(slots) else slots
 
 
 def eval_integrand(system: ParameterSystem, x) -> np.ndarray:

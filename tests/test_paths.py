@@ -33,6 +33,24 @@ def test_value_at_is_right_continuous_with_origin_before_first_jump():
     )
 
 
+def test_from_values_returns_the_given_values_exactly():
+    # Rebuilding these values from their differences by a cumulative sum
+    # misses the last 0.1 by one unit in the last place.
+    values = np.array([[0.1, 1.0], [0.3, 0.7], [0.6, 0.1]])
+    path = StepPath.from_values([0.5, 1.0], values, horizon=2.0)
+    np.testing.assert_array_equal(
+        path.value_at([0.0, 0.5, 0.9, 1.0, 2.0]), values[[0, 1, 1, 2, 2]]
+    )
+    np.testing.assert_array_equal(path.values_at_jumps(), values[1:])
+    np.testing.assert_array_equal(path.origin_value, values[0])
+    np.testing.assert_array_equal(path.increments, np.diff(values, axis=0))
+    flat = StepPath.from_values([1.0], [0.0, 0.25], horizon=1.0)
+    assert flat.dimension == 1
+    np.testing.assert_array_equal(flat.value_at([0.5, 1.0]), [[0.0], [0.25]])
+    with pytest.raises(ValueError):
+        StepPath.from_values([0.5, 1.0], values[:2], horizon=2.0)
+
+
 def test_jump_times_must_be_strictly_increasing_and_inside_window():
     with pytest.raises(ValueError):
         StepPath(times=[0.5, 0.5], increments=[[1.0], [1.0]], origin_value=[0.0], horizon=1.0)

@@ -1,0 +1,167 @@
+"""Product-integral scan against the per-jump loop it replaces for linear systems.
+
+The loop stays the reference: a system with ``jacobians=None`` is solved by
+the loop, so the same system is solved both ways and compared on random
+drivers that have ties across components, zero increments and time grids.
+"""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hazard_transform
+from hazard_transform import (
+    DriverMeta,
+    GuardViolation,
+    StepPath,
+    SystemKind,
+    driver_slots,
+    make_system,
+    solve_plugin,
+    solve_variance,
+)
+from hazard_transform.plugin import SCAN_CHUNK
+
+#: Largest deviation allowed between scan and loop, relative to the largest
+#: magnitude in the loop's output.
+RTOL = 1e-12
+
+LINEAR_KINDS = [
+    SystemKind("survival"),
+    SystemKind("relative_survival"),
+    SystemKind("rmst"),
+    SystemKind("led"),
+    SystemKind("cumulative_incidence", n_causes=3),
+    SystemKind("mean_frequency"),
+]
+
+JUMP_COUNTS = [0, 1, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 3 * SCAN_CHUNK + 5]
+
+
+def random_driver(kind, m, rng):
+    """Driver with m jumps: hazard increments in [0, 0.01) of which about 40%
+    are zero (so some rows are all zero and others tie several components),
+    and an exact Lebesgue column for each deterministic slot."""
+    slots = driver_slots(kind)
+    times = np.cumsum(rng.uniform(0.5, 1.5, size=m)) / max(m, 1)
+    horizon = float(times[-1]) if m else 1.0
+    increments = rng.uniform(0.0, 0.01, size=(m, len(slots)))
+    increments *= rng.uniform(size=increments.shape) < 0.6
+    mask = tuple(slot.deterministic for slot in slots)
+    for c, deterministic in enumerate(mask):
+        if deterministic:
+            increments[:, c] = np.diff(times, prepend=0.0)
+    driver = StepPath(
+        times=times,
+        increments=increments,
+        origin_value=np.zeros(len(slots)),
+        horizon=horizon,
+    )
+    meta = DriverMeta(
+        scale_n=250,
+        component_labels=tuple(slot.role for slot in slots),
+        deterministic_mask=mask,
+    )
+    return driver, meta
+
+
+def assert_close(scan, loop):
+    scale = np.abs(loop).max(initial=1.0)
+    np.testing.assert_allclose(scan, loop, rtol=0.0, atol=RTOL * scale)
+
+
+@pytest.mark.parametrize("m", JUMP_COUNTS)
+@pytest.mark.parametrize("kind", LINEAR_KINDS, ids=lambda k: k.name)
+def test_scan_matches_loop(kind, m):
+    rng = np.random.default_rng([m, len(kind.name)])
+    scan_system = make_system(kind)
+    loop_system = replace(scan_system, jacobians=None)
+    driver, meta = random_driver(kind, m, rng)
+    n = scan_system.state_dim
+    x0 = scan_system.initial_value + rng.uniform(0.0, 0.2, size=n)
+    half = rng.normal(size=(n, n))
+    v0 = half @ half.T
+
+    scan_state = solve_plugin(scan_system, driver, x0_override=x0)
+    loop_state = solve_plugin(loop_system, driver, x0_override=x0)
+    np.testing.assert_array_equal(scan_state.times, driver.times)
+    np.testing.assert_array_equal(scan_state.origin_value, x0)
+    assert_close(scan_state.values_at_jumps(), loop_state.values_at_jumps())
+    probe = np.linspace(0.0, driver.horizon, 17)
+    assert_close(scan_state.value_at(probe), loop_state.value_at(probe))
+
+    scan_cov = solve_variance(scan_system, driver, meta, scan_state, v0=v0)
+    loop_cov = solve_variance(loop_system, driver, meta, loop_state, v0=v0)
+    assert scan_cov.shape == (m, n, n)
+    np.testing.assert_array_equal(scan_cov, scan_cov.transpose(0, 2, 1))
+    assert_close(scan_cov, loop_cov)
+
+
+def test_solver_choice_follows_the_jacobian_tensor():
+    for kind in LINEAR_KINDS:
+        system = make_system(kind)
+        k, n = system.driver_dim, system.state_dim
+        assert system.jacobians.shape == (k, n, n)
+        assert not system.jacobians.flags.writeable
+    assert make_system("ler").jacobians is None
+    screening = SystemKind(
+        "screening", prevalence=0.4, initial_value=[0.8, 0.7, 0.6, 0.5]
+    )
+    assert make_system(screening).jacobians is None
+
+
+def test_integrand_columns_are_the_jacobians_applied_to_the_state():
+    rng = np.random.default_rng(5)
+    for kind in LINEAR_KINDS:
+        system = make_system(kind)
+        x = rng.uniform(0.1, 1.0, size=system.state_dim)
+        f = system.integrand(x)
+        for j, g in enumerate(system.jacobians):
+            np.testing.assert_array_equal(f[:, j], g @ x)
+            np.testing.assert_array_equal(system.gradients[j](x), g)
+
+
+@pytest.mark.parametrize("m", [5, 3 * SCAN_CHUNK + 5])
+def test_guard_violation_is_raised_at_the_first_failing_time(m):
+    # A guarded linear system: survival may not fall to 0.5.  Both solvers
+    # must stop at the same jump with the same component.
+    scan_system = replace(make_system("survival"), guards=((0, 0.5),))
+    loop_system = replace(scan_system, jacobians=None)
+    times = np.arange(1, m + 1) / m
+    increments = np.full((m, 1), 1.5 / m)
+    driver = StepPath(times, increments, np.zeros(1), horizon=1.0)
+    with pytest.raises(GuardViolation) as scan_err:
+        solve_plugin(scan_system, driver)
+    with pytest.raises(GuardViolation) as loop_err:
+        solve_plugin(loop_system, driver)
+    assert scan_err.value.time == loop_err.value.time
+    assert scan_err.value.component == loop_err.value.component == "survival"
+    assert scan_err.value.value <= 0.5
+
+
+def test_guard_is_checked_at_the_initial_state():
+    system = replace(make_system("survival"), guards=((0, 0.5),))
+    driver = StepPath([0.5], [[0.1]], np.zeros(1), horizon=1.0)
+    with pytest.raises(GuardViolation) as err:
+        solve_plugin(system, driver, x0_override=[0.4])
+    assert err.value.time == 0.0
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(hazard_transform.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, hazard_transform; "
+        "assert hazard_transform.__file__.startswith(sys.argv[1]); "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "assert not loaded, loaded"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, src], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
