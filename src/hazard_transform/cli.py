@@ -23,16 +23,23 @@ single JSON error object on stderr and exits nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, HazardTransformError
 from .events import parse_dataset, write_dataset
 from .hazards import estimate_driver
-from .paths import _fmt, restrict_path
-from .plugin import ConfidenceBand, confidence_band, fit_plugin, write_fit
+from .paths import _write_table, restrict_path
+from .plugin import (
+    ConfidenceBand,
+    _band_bounds,
+    confidence_band,
+    fit_plugin,
+    write_fit,
+)
 from .simlab import (
     Scenario,
     coverage_study,
@@ -219,14 +226,7 @@ def _scenario(cfg: dict, args, command: str, n: int | None = None) -> Scenario:
 
 def _write_band_csv(band: ConfidenceBand, n_states: int, path: Path):
     header = ["time"] + [c for i in range(n_states) for c in (f"lo_{i + 1}", f"hi_{i + 1}")]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in range(band.times.size):
-            row = [_fmt(band.times[r])]
-            for i in range(n_states):
-                row += [_fmt(band.lower[r, i]), _fmt(band.upper[r, i])]
-            writer.writerow(row)
+    _write_table(path, header, np.column_stack([band.times, _band_bounds(band)]))
 
 
 def cmd_estimate(args):

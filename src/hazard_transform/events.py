@@ -5,6 +5,9 @@ an event (positive code) or censoring (code 0).  Subjects may contribute
 several consecutive spells (recurrent events).  The at-risk convention is
 left-continuous: a subject is at risk at time ``t`` when ``entry < t <= exit``,
 so it counts as at risk at its own event time.
+
+A dataset keeps its spells as NumPy columns; the tuple of :class:`EventRecord`
+objects is a view built from them on first access.
 """
 
 from __future__ import annotations
@@ -42,80 +45,181 @@ class EventRecord:
     covariates: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
 class EventDataset:
-    """Validated collection of event records over a window ``[0, horizon]``."""
+    """Validated event records over a window ``[0, horizon]``, held as columns.
 
-    records: tuple[EventRecord, ...]
-    horizon: float
+    One array entry per spell: ``_subject`` (subjects numbered ``0, 1, ...``
+    in order of first appearance, labelled by :attr:`subject_ids`),
+    ``_entry``, ``_exit``, ``_code``, ``_group`` (``_NO_GROUP`` where a spell
+    has none) and the ``(spells, p)`` matrix ``_covariates``.  The columns are
+    read-only.  ``EventDataset(records, horizon)`` builds them from
+    :class:`EventRecord` objects and :meth:`from_columns` from arrays.
+    :attr:`records` is a derived view: the records given, or records rebuilt
+    from the columns on first access.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "horizon", float(self.horizon))
+    def __init__(self, records, horizon):
+        records = tuple(records)
+        index: dict = {}
+        subject = [index.setdefault(r.subject_id, len(index)) for r in records]
+        widths = [len(r.covariates) for r in records]
+        mismatch = next((i for i, w in enumerate(widths) if w != widths[0]), None)
+        self._assign(
+            horizon,
+            subject,
+            [r.entry_time for r in records],
+            [r.exit_time for r in records],
+            [r.event_code for r in records],
+            [_NO_GROUP if r.group is None else r.group for r in records],
+            tuple(index),
+            covariate_mismatch=mismatch,
+        )
+        covariates = [v for r in records for v in r.covariates]
+        self._covariates = _frozen(
+            np.array(covariates, dtype=float).reshape(
+                len(records), widths[0] if records else 0
+            )
+        )
+        self.__dict__["records"] = records
+
+    @classmethod
+    def from_columns(
+        cls,
+        subject,
+        entry,
+        exit,
+        code,
+        horizon,
+        group=None,
+        covariates=None,
+        subject_ids=None,
+    ) -> "EventDataset":
+        """Dataset from per-spell columns, validated like the record form.
+
+        ``subject`` holds integer subject indices numbered ``0, 1, ...`` in
+        order of first appearance; ``subject_ids`` labels them (default
+        ``s1, s2, ...``).  ``group`` and ``covariates`` default to no group
+        and no covariates.
+        """
+        subject = np.asarray(subject, dtype=np.int64)
+        # First-appearance numbering: starts at 0, and each new index is one
+        # above the largest seen so far.
+        if subject.size and (
+            subject[0] != 0
+            or subject.min() < 0
+            or np.diff(np.maximum.accumulate(subject)).max(initial=0) > 1
+        ):
+            raise ValueError(
+                "subject indices must be numbered in order of first appearance"
+            )
+        if group is None:
+            group = np.full(subject.size, _NO_GROUP)
+        self = cls.__new__(cls)
+        self._assign(horizon, subject, entry, exit, code, group, subject_ids)
+        if covariates is None:
+            covariates = np.empty((subject.size, 0))
+        self._covariates = _frozen(np.asarray(covariates, dtype=float))
+        if self._covariates.shape[0] != subject.size or self._covariates.ndim != 2:
+            raise ValueError("covariates must have one row per spell")
+        return self
+
+    def _assign(
+        self, horizon, subject, entry, exit, code, group, subject_ids,
+        covariate_mismatch=None,
+    ):
+        self.horizon = float(horizon)
+        self._subject = _frozen(np.asarray(subject, dtype=np.int64))
+        self._entry = _frozen(np.asarray(entry, dtype=float))
+        self._exit = _frozen(np.asarray(exit, dtype=float))
+        self._code = _frozen(np.asarray(code, dtype=np.int64))
+        self._group = _frozen(np.asarray(group, dtype=np.int64))
+        size = self._subject.size
+        if any(
+            col.shape != (size,)
+            for col in (self._entry, self._exit, self._code, self._group)
+        ):
+            raise ValueError("columns must be one-dimensional and of equal length")
+        self.n_subjects = int(self._subject.max()) + 1 if size else 0
+        if subject_ids is not None:
+            if len(subject_ids) != self.n_subjects:
+                raise ValueError("need one subject id per subject")
+            self.__dict__["subject_ids"] = tuple(subject_ids)
+        self._validate(covariate_mismatch)
+
+    def _validate(self, covariate_mismatch):
         if not self.horizon > 0:
             raise DataError("horizon must be positive")
-        bad_order = []
-        cov_dim = None
-        for rec in self.records:
-            if rec.entry_time < 0:
-                raise DataError(f"subject {rec.subject_id!r}: negative entry_time")
-            if not rec.entry_time < rec.exit_time:
-                bad_order.append(rec.subject_id)
-            if rec.event_code < 0:
-                raise DataError(f"subject {rec.subject_id!r}: negative event code")
-            if cov_dim is None:
-                cov_dim = len(rec.covariates)
-            elif len(rec.covariates) != cov_dim:
-                raise DataError(
-                    f"subject {rec.subject_id!r}: inconsistent covariate count"
-                )
-        if bad_order:
+        # Row checks in record order: the first offending spell raises, with
+        # its checks in this order; entry >= exit is reported after a full
+        # pass, listing every offending subject.
+        checks = [
+            (self._entry < 0, "negative entry_time"),
+            (self._code < 0, "negative event code"),
+        ]
+        if covariate_mismatch is not None:
+            flag = np.zeros(len(self), dtype=bool)
+            flag[covariate_mismatch] = True
+            checks.append((flag, "inconsistent covariate count"))
+        hit = np.zeros(len(self), dtype=bool)
+        for flag, _ in checks:
+            hit |= flag
+        if hit.any():
+            row = int(np.argmax(hit))
+            message = next(msg for flag, msg in checks if flag[row])
+            sid = self.subject_ids[self._subject[row]]
+            raise DataError(f"subject {sid!r}: {message}")
+        bad_order = ~(self._entry < self._exit)
+        if bad_order.any():
+            ids = self.subject_ids
+            bad = np.unique(self._subject[bad_order]).tolist()
             raise DataError(
                 "entry_time >= exit_time for subject(s): "
-                + ", ".join(sorted(set(bad_order)))
+                + ", ".join(sorted({ids[s] for s in bad}))
             )
 
-    @property
-    def n_subjects(self) -> int:
-        return len({rec.subject_id for rec in self.records})
+    def __len__(self) -> int:
+        """Number of spells (records)."""
+        return self._subject.size
+
+    def __repr__(self) -> str:
+        return (
+            f"EventDataset({len(self)} records, {self.n_subjects} subjects, "
+            f"horizon={self.horizon!r})"
+        )
+
+    @cached_property
+    def subject_ids(self) -> tuple:
+        """Subject labels in order of first appearance."""
+        return tuple(f"s{i + 1}" for i in range(self.n_subjects))
+
+    @cached_property
+    def records(self) -> tuple[EventRecord, ...]:
+        """The spells as :class:`EventRecord` objects with plain Python fields."""
+        ids = self.subject_ids
+        groups = [None if g == _NO_GROUP else g for g in self._group.tolist()]
+        return tuple(
+            EventRecord(ids[s], entry, exit_, code, group, tuple(covs))
+            for s, entry, exit_, code, group, covs in zip(
+                self._subject.tolist(),
+                self._entry.tolist(),
+                self._exit.tolist(),
+                self._code.tolist(),
+                groups,
+                self._covariates.tolist(),
+            )
+        )
 
     @property
     def covariate_dim(self) -> int:
-        return len(self.records[0].covariates) if self.records else 0
+        return self._covariates.shape[1]
 
     @cached_property
     def group_labels(self) -> tuple[int, ...]:
-        return tuple(sorted({r.group for r in self.records if r.group is not None}))
-
-    # Cached column arrays for vectorized risk-set and counting queries.
-    @cached_property
-    def _entry(self) -> np.ndarray:
-        return np.array([r.entry_time for r in self.records], dtype=float)
-
-    @cached_property
-    def _exit(self) -> np.ndarray:
-        return np.array([r.exit_time for r in self.records], dtype=float)
-
-    @cached_property
-    def _code(self) -> np.ndarray:
-        return np.array([r.event_code for r in self.records], dtype=np.int64)
-
-    @cached_property
-    def _group(self) -> np.ndarray:
-        return np.array(
-            [_NO_GROUP if r.group is None else r.group for r in self.records],
-            dtype=np.int64,
-        )
-
-    @cached_property
-    def _covariates(self) -> np.ndarray:
-        return np.array([r.covariates for r in self.records], dtype=float).reshape(
-            len(self.records), self.covariate_dim
-        )
+        return tuple(np.unique(self._group[self._group != _NO_GROUP]).tolist())
 
     def _group_mask(self, group: int | None) -> np.ndarray:
         if group is None:
-            return np.ones(len(self.records), dtype=bool)
+            return np.ones(len(self), dtype=bool)
         if group not in self.group_labels:
             raise ValueError(f"unknown group label: {group!r}")
         return self._group == group
@@ -124,8 +228,40 @@ class EventDataset:
         """Distinct subjects contributing records to the given group."""
         if group is None:
             return self.n_subjects
-        mask = self._group_mask(group)
-        return len({self.records[i].subject_id for i in np.flatnonzero(mask)})
+        return int(np.unique(self._subject[self._group_mask(group)]).size)
+
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Subject i's spells, in record order, are rows[start[i] : start[i] + size[i]].
+        rows = np.argsort(self._subject, kind="stable")
+        size = np.bincount(self._subject, minlength=self.n_subjects)
+        return rows, np.cumsum(size) - size, size
+
+    def _take_subjects(self, idx) -> "EventDataset":
+        """Dataset of the subjects ``idx`` (indices, repeats allowed), with
+        their spells gathered from the columns; each draw is a new subject
+        (labelled ``s1, s2, ...`` in draw order)."""
+        rows, start, size = self._blocks
+        idx = np.asarray(idx, dtype=np.int64)
+        drawn = size[idx]
+        offset = np.cumsum(drawn) - drawn
+        take = rows[np.arange(drawn.sum()) + np.repeat(start[idx] - offset, drawn)]
+        return EventDataset.from_columns(
+            np.repeat(np.arange(idx.size), drawn),
+            self._entry[take],
+            self._exit[take],
+            self._code[take],
+            self.horizon,
+            group=self._group[take],
+            covariates=self._covariates[take],
+        )
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    """Read-only view of a column (the caller's array stays writeable)."""
+    view = column.view()
+    view.flags.writeable = False
+    return view
 
 
 def at_risk(dataset: EventDataset, t: float, group: int | None = None) -> int:
@@ -225,45 +361,66 @@ def parse_dataset(source, schema: dict | None = None, horizon: float | None = No
             group_col = header.index(schema["group"])
         cov_cols = [header.index(c) for c in schema.get("covariates", [])]
 
-        records = []
+        ids, entry, exit_, code, group, covariates = [], [], [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
-                rec = EventRecord(
-                    subject_id=row[col["id"]].strip(),
-                    entry_time=float(row[col["entry"]]),
-                    exit_time=float(row[col["exit"]]),
-                    event_code=int(row[col["event"]]),
-                    group=int(row[group_col]) if group_col is not None else None,
-                    covariates=tuple(float(row[c]) for c in cov_cols),
-                )
+                sid = row[col["id"]].strip()
+                t0 = float(row[col["entry"]])
+                t1 = float(row[col["exit"]])
+                event = int(row[col["event"]])
+                g = int(row[group_col]) if group_col is not None else _NO_GROUP
+                covs = [float(row[c]) for c in cov_cols]
             except (ValueError, IndexError) as exc:
                 raise DataError(f"line {lineno}: malformed row ({exc})") from None
-            records.append(rec)
+            ids.append(sid)
+            entry.append(t0)
+            exit_.append(t1)
+            code.append(event)
+            group.append(g)
+            covariates.extend(covs)
     finally:
         if close:
             fh.close()
 
     if horizon is None:
-        horizon = max((r.exit_time for r in records), default=1.0)
-    return EventDataset(records=tuple(records), horizon=horizon)
+        horizon = max(exit_, default=1.0)
+    index: dict[str, int] = {}
+    subject = [index.setdefault(sid, len(index)) for sid in ids]
+    return EventDataset.from_columns(
+        subject,
+        entry,
+        exit_,
+        code,
+        horizon,
+        group=group,
+        covariates=np.array(covariates, dtype=float).reshape(len(ids), len(cov_cols)),
+        subject_ids=tuple(index),
+    )
 
 
 def write_dataset(dataset: EventDataset, path) -> None:
     """Write a dataset as CSV with columns id, entry, exit, event[, group][, x1..]."""
-    has_group = any(r.group is not None for r in dataset.records)
+    has_group = bool((dataset._group != _NO_GROUP).any())
     p = dataset.covariate_dim
     header = ["id", "entry", "exit", "event"]
     if has_group:
         header.append("group")
     header += [f"x{j + 1}" for j in range(p)]
+    ids = dataset.subject_ids
+    columns = [
+        [ids[s] for s in dataset._subject.tolist()],
+        map(repr, dataset._entry.tolist()),
+        map(repr, dataset._exit.tolist()),
+        map(str, dataset._code.tolist()),
+    ]
+    if has_group:
+        columns.append(
+            ["" if g == _NO_GROUP else str(g) for g in dataset._group.tolist()]
+        )
+    columns += [map(repr, dataset._covariates[:, j].tolist()) for j in range(p)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in dataset.records:
-            row = [r.subject_id, repr(r.entry_time), repr(r.exit_time), str(r.event_code)]
-            if has_group:
-                row.append("" if r.group is None else str(r.group))
-            row += [repr(v) for v in r.covariates]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

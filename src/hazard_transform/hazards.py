@@ -53,7 +53,7 @@ def nelson_aalen(
     is frozen at the first time the risk set empties: later events (possible
     under delayed entry) are dropped and reported via ``truncation_time``.
     """
-    if not dataset.records:
+    if len(dataset) == 0:
         raise DataError("dataset has no subjects")
     if cause < 1:
         raise ValueError("cause must be a positive event code")
@@ -108,14 +108,14 @@ def aalen_additive(
     normal matrix under ``RANK_RCOND``) the path freezes there; a design that
     is singular already at the first event is an error.
     """
-    if not dataset.records:
+    if len(dataset) == 0:
         raise DataError("dataset has no subjects")
     p = dataset.covariate_dim
     k = p + (1 if with_intercept else 0)
     if k == 0:
         raise ValueError("additive regression needs covariates or an intercept")
 
-    design = np.empty((len(dataset.records), k))
+    design = np.empty((len(dataset), k))
     if with_intercept:
         design[:, 0] = 1.0
         design[:, 1:] = dataset._covariates
@@ -163,6 +163,18 @@ def aalen_additive(
     return path, meta
 
 
+def _grid_times(horizon: float, step: float, start: float = 0.0) -> np.ndarray:
+    """Grid ``start + step, start + 2*step, ...`` ending exactly at ``horizon``
+    (a last point past it is moved onto it, a short last step is added)."""
+    count = int(np.floor((horizon - start) / step + 1e-12))
+    times = start + np.arange(1, count + 1) * step
+    if times.size and times[-1] > horizon:
+        times[-1] = horizon
+    if not times.size or times[-1] < horizon:
+        times = np.append(times, horizon)
+    return times
+
+
 def time_grid_driver(horizon: float, step: float) -> tuple[StepPath, DriverMeta]:
     """Deterministic Lebesgue driver: the identity discretized on a grid.
 
@@ -172,12 +184,7 @@ def time_grid_driver(horizon: float, step: float) -> tuple[StepPath, DriverMeta]
     """
     if not 0 < step <= horizon:
         raise ValueError("step must satisfy 0 < step <= horizon")
-    count = int(np.floor(horizon / step + 1e-12))
-    times = np.arange(1, count + 1) * step
-    if times.size and times[-1] > horizon:
-        times[-1] = horizon
-    if not times.size or times[-1] < horizon:
-        times = np.append(times, horizon)
+    times = _grid_times(horizon, step)
     increments = np.diff(times, prepend=0.0).reshape(-1, 1)
     path = StepPath(
         times=times, increments=increments, origin_value=np.zeros(1), horizon=horizon

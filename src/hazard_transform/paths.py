@@ -230,9 +230,22 @@ def merge_drivers(parts):
     return path, meta
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal for a float (byte-stable serialization)."""
-    return repr(float(x))
+#: Rows formatted per write in :func:`_write_table`.
+_WRITE_BLOCK = 4096
+
+
+def _write_table(path, header, table: np.ndarray) -> None:
+    """Write a header and the rows of a float matrix as CSV.
+
+    Each float is its shortest round-trip decimal (``repr``), so files are
+    byte-stable and parse back exactly; lines end in ``\r\n``.  The bytes
+    are those ``csv.writer`` writes for the same cells.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(table), _WRITE_BLOCK):
+            rows = table[lo : lo + _WRITE_BLOCK].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
 
 
 def write_path(path: StepPath, meta: DriverMeta, base) -> None:
@@ -242,12 +255,11 @@ def write_path(path: StepPath, meta: DriverMeta, base) -> None:
     value and horizon travel in the sidecar so parsing round-trips exactly.
     """
     base = Path(base)
-    k = path.dimension
-    with open(base.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + [f"d{j + 1}" for j in range(k)])
-        for i in range(path.n_jumps):
-            writer.writerow([_fmt(path.times[i])] + [_fmt(v) for v in path.increments[i]])
+    _write_table(
+        base.with_suffix(".csv"),
+        ["time"] + [f"d{j + 1}" for j in range(path.dimension)],
+        np.column_stack([path.times, path.increments]),
+    )
     sidecar = {
         "scale_n": meta.scale_n,
         "labels": list(meta.component_labels),

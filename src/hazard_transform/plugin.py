@@ -42,7 +42,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import NegativeVarianceError
-from .paths import DriverMeta, StepPath, _fmt
+from .paths import DriverMeta, StepPath, _write_table
 from .systems import ParameterSystem
 
 __all__ = [
@@ -349,6 +349,14 @@ def confidence_band(fit: PluginFit, level: float) -> ConfidenceBand:
     )
 
 
+def _band_bounds(band: ConfidenceBand) -> np.ndarray:
+    """Band limits as columns ``lo_1, hi_1, lo_2, hi_2, ...``."""
+    bounds = np.empty((band.times.size, 2 * band.lower.shape[1]))
+    bounds[:, 0::2] = band.lower
+    bounds[:, 1::2] = band.upper
+    return bounds
+
+
 def _triu_pairs(n: int):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
@@ -370,16 +378,11 @@ def write_fit(fit: PluginFit, band: ConfidenceBand, base) -> None:
         + [c for i in range(n) for c in (f"lo_{i + 1}", f"hi_{i + 1}")]
     )
     cov_all = np.concatenate([fit.v0[None, :, :], fit.cov_path], axis=0)
-    with open(base.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in range(band.times.size):
-            row = [_fmt(band.times[r])]
-            row += [_fmt(v) for v in band.point[r]]
-            row += [_fmt(cov_all[r, i, j]) for i, j in pairs]
-            for i in range(n):
-                row += [_fmt(band.lower[r, i]), _fmt(band.upper[r, i])]
-            writer.writerow(row)
+    rows, cols = np.triu_indices(n)
+    table = np.column_stack(
+        [band.times, band.point, cov_all[:, rows, cols], _band_bounds(band)]
+    )
+    _write_table(base.with_suffix(".csv"), header, table)
     metadata = {
         "scale_n": fit.scale_n,
         "state_labels": list(fit.state_labels),

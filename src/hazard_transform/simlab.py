@@ -18,8 +18,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, DataError, HazardTransformError
-from .events import EventDataset, EventRecord
-from .hazards import estimate_driver
+from .events import EventDataset
+from .hazards import _grid_times, estimate_driver
 from .paths import StepPath
 from .plugin import confidence_band, fit_plugin, solve_plugin
 from .systems import SystemKind, driver_slots, make_system
@@ -299,9 +299,11 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence((seed, *key)).generate_state(1, np.uint64)[0])
 
 
-def _single_spell_records(rng, hazard, censor, horizon, ids, group):
-    """Draw one spell per subject: event vs censoring vs horizon."""
-    n = len(ids)
+def _single_spell(rng, hazard, censor, horizon, n):
+    """Draw one spell per subject: event vs censoring vs horizon.
+
+    Returns the exit times and the event codes (1 event, 0 censored).
+    """
     t_event = hazard.invert(rng.exponential(size=n))
     t_cens = (
         censor.invert(rng.exponential(size=n))
@@ -309,19 +311,83 @@ def _single_spell_records(rng, hazard, censor, horizon, ids, group):
         else np.full(n, np.inf)
     )
     exit_time = np.minimum(np.minimum(t_event, t_cens), horizon)
-    records = []
-    for i, sid in enumerate(ids):
-        code = 1 if t_event[i] == exit_time[i] else 0
-        records.append(
-            EventRecord(
-                subject_id=sid,
-                entry_time=0.0,
-                exit_time=float(exit_time[i]),
-                event_code=code,
-                group=group,
-            )
-        )
-    return records
+    return exit_time, (t_event == exit_time).astype(np.int64)
+
+
+def _recurrent_times(rng, recurrent, follow):
+    """Recurrent event times before each subject's follow-up end.
+
+    Subject ``i`` accumulates unit-exponential gap exposures on the recurrent
+    hazard's clock and has an event at ``recurrent.invert(clock)`` for as long
+    as that time is ``< follow[i]``; the first exposure that lands at or past
+    ``follow[i]`` ends the subject, and the next subject starts on the next
+    draw.  The exposures are drawn in bulk and split per subject in clock
+    space against ``recurrent.cumulative(follow)``, then every clock is
+    inverted in one call.  A subject whose inverted times disagree with the
+    clock-space split (a clock within the bisection tolerance of its bound)
+    is redone one inversion at a time, and the split restarts after it, so
+    the result equals the one-draw-at-a-time loop.  (A vector inversion gives
+    each element what a scalar call gives: all intervals start at
+    ``[0, horizon]`` and are halved together.)
+
+    Returns ``(counts, times)``: events per subject and all event times,
+    subject by subject.
+    """
+    n = follow.size
+    cap = recurrent.cumulative(follow)
+    bound = cap.tolist()
+    limit = follow.tolist()
+    # About n + sum(cap) draws are used.  Bulk draws continue the stream of
+    # scalar draws, and nothing draws from ``rng`` afterwards, so drawing too
+    # many changes nothing.
+    gaps = rng.exponential(size=n + int(2 * cap.sum()) + 16).tolist()
+    counts: list[int] = []
+    times: list[float] = []
+    pos = 0
+
+    def gap():
+        nonlocal pos
+        if pos == len(gaps):
+            gaps.extend(rng.exponential(size=n).tolist())
+        pos += 1
+        return gaps[pos - 1]
+
+    first = 0
+    while first < n:
+        starts, clocks, owner = [], [], []
+        for i in range(first, n):
+            starts.append(pos)
+            clock = 0.0
+            while True:
+                clock += gap()
+                clocks.append(clock)
+                owner.append(i)
+                if not clock < bound[i]:
+                    break
+        owner = np.array(owner)
+        clocks = np.array(clocks)
+        inv = recurrent.invert(clocks)
+        event = inv < follow[owner]
+        misfit = np.flatnonzero(event != (clocks < cap[owner]))
+        done = int(owner[misfit[0]]) if misfit.size else n
+        keep = owner < done
+        spells = np.bincount(owner[keep] - first, minlength=done - first)
+        counts += (spells - 1).tolist()
+        times += inv[keep & event].tolist()
+        if done < n:
+            pos = starts[done - first]
+            count, clock = 0, 0.0
+            while True:
+                clock += gap()
+                t_next = float(recurrent.invert(clock)[0])
+                if not t_next < limit[done]:
+                    break
+                times.append(t_next)
+                count += 1
+            counts.append(count)
+            done += 1
+        first = done
+    return counts, times
 
 
 def simulate_dataset(sc: Scenario) -> EventDataset:
@@ -336,26 +402,24 @@ def simulate_dataset(sc: Scenario) -> EventDataset:
     rng = np.random.default_rng(np.random.SeedSequence((sc.seed,)))
     horizon = sc.horizon
     name = sc.system.name
-    records: list[EventRecord] = []
+    subject = np.arange(sc.n)
+    group = None
 
     if name in ("survival", "rmst"):
-        ids = [f"s{i + 1}" for i in range(sc.n)]
-        records = _single_spell_records(
-            rng, sc.hazards["event"], sc.censor, horizon, ids, None
+        exit_time, code = _single_spell(
+            rng, sc.hazards["event"], sc.censor, horizon, sc.n
         )
 
     elif name in ("relative_survival", "led", "ler", "screening"):
         slots = [s for s in driver_slots(sc.system) if not s.deterministic]
         sizes = [sc.n - sc.n // 2, sc.n // 2]
-        start = 0
-        for slot, size in zip(slots, sizes):
-            ids = [f"s{i + 1}" for i in range(start, start + size)]
-            start += size
-            records.extend(
-                _single_spell_records(
-                    rng, sc.hazards[slot.role], sc.censor, horizon, ids, slot.group
-                )
-            )
+        drawn = [
+            _single_spell(rng, sc.hazards[slot.role], sc.censor, horizon, size)
+            for slot, size in zip(slots, sizes)
+        ]
+        exit_time = np.concatenate([spell[0] for spell in drawn])
+        code = np.concatenate([spell[1] for spell in drawn])
+        group = np.repeat([slot.group for slot in slots], sizes)
 
     elif name == "cumulative_incidence":
         roles = [f"cause{j + 1}" for j in range(sc.system.n_causes)]
@@ -369,27 +433,15 @@ def simulate_dataset(sc: Scenario) -> EventDataset:
             else np.full(sc.n, np.inf)
         )
         exit_time = np.minimum(np.minimum(t_event, t_cens), horizon)
-        for i in range(sc.n):
-            if t_event[i] == exit_time[i]:
-                rates = np.array([p.rate(t_event[i]) for p in parts], dtype=float)
-                srate = rates.sum()
-                probs = (
-                    rates / srate
-                    if srate > 0
-                    else np.full(len(parts), 1.0 / len(parts))
-                )
-                code = 1 + int(np.searchsorted(np.cumsum(probs), u_cause[i]))
-                code = min(code, len(parts))
-            else:
-                code = 0
-            records.append(
-                EventRecord(
-                    subject_id=f"s{i + 1}",
-                    entry_time=0.0,
-                    exit_time=float(exit_time[i]),
-                    event_code=code,
-                )
-            )
+        # The cause is drawn from the cause rates at the event time.
+        hit = t_event == exit_time
+        rates = np.array([p.rate(t_event[hit]) for p in parts], dtype=float)
+        srate = rates.sum(axis=0)
+        probs = np.full(rates.shape, 1.0 / len(parts))
+        np.divide(rates, srate, out=probs, where=srate > 0)
+        below = np.cumsum(probs, axis=0) < u_cause[hit]
+        code = np.zeros(sc.n, dtype=np.int64)
+        code[hit] = np.minimum(1 + below.sum(axis=0), len(parts))
 
     else:  # mean_frequency
         recurrent = sc.hazards["recurrent"]
@@ -401,46 +453,29 @@ def simulate_dataset(sc: Scenario) -> EventDataset:
             else np.full(sc.n, np.inf)
         )
         follow = np.minimum(np.minimum(t_term, t_cens), horizon)
-        for i in range(sc.n):
-            sid = f"s{i + 1}"
-            prev = 0.0
-            clock = 0.0
-            while True:
-                clock += rng.exponential()
-                t_next = float(recurrent.invert(clock)[0])
-                if not t_next < follow[i]:
-                    break
-                records.append(
-                    EventRecord(
-                        subject_id=sid,
-                        entry_time=prev,
-                        exit_time=t_next,
-                        event_code=1,
-                    )
-                )
-                prev = t_next
-            final_code = 2 if t_term[i] == follow[i] else 0
-            records.append(
-                EventRecord(
-                    subject_id=sid,
-                    entry_time=prev,
-                    exit_time=float(follow[i]),
-                    event_code=final_code,
-                )
-            )
+        counts, times = _recurrent_times(rng, recurrent, follow)
+        # Each subject's spells run 0 -> t_1 -> ... -> t_k (code 1 each),
+        # then a last spell to its follow-up end (terminal 2, censored 0).
+        counts = np.asarray(counts)
+        times = np.asarray(times, dtype=float)
+        ends = np.cumsum(counts)
+        last_code = np.where(t_term == follow, 2, 0)
+        return EventDataset.from_columns(
+            np.repeat(subject, counts + 1),
+            np.insert(times, ends - counts, 0.0),
+            np.insert(times, ends, follow),
+            np.insert(np.ones(times.size, dtype=np.int64), ends, last_code),
+            horizon,
+        )
 
-    return EventDataset(records=tuple(records), horizon=horizon)
+    return EventDataset.from_columns(
+        subject, np.zeros(sc.n), exit_time, code, horizon, group=group
+    )
 
 
 def _oracle_driver(sc_hazards, kind, horizon, step, start=0.0):
     """Exact cumulative hazards discretized on a fine grid (with time slots)."""
-    span = horizon - start
-    count = int(np.floor(span / step + 1e-12))
-    times = start + np.arange(1, count + 1) * step
-    if times.size and times[-1] > horizon:
-        times[-1] = horizon
-    if not times.size or times[-1] < horizon:
-        times = np.append(times, horizon)
+    times = _grid_times(horizon, step, start)
     slots = driver_slots(kind)
     increments = np.empty((times.size, len(slots)))
     prev = np.concatenate([[start], times[:-1]])
@@ -816,6 +851,13 @@ def bootstrap_covariance(
     (default: the original fit's jump times; right-continuous lookup).  A
     resample whose risk set is empty at time zero is redrawn (at most 10
     times).
+
+    Resample ``r`` (attempt ``a``) draws its ``n`` subject indices from
+    ``SeedSequence((seed, r, a))``.  It is built by gathering the drawn
+    subjects' spells from the dataset's columns through one index array;
+    each draw counts as a distinct subject, so the resample has ``n``
+    subjects.  Resamples are fitted one at a time, so memory stays at one
+    resample's size.
     """
     if b < 2:
         raise ValueError("bootstrap needs b >= 2 replicates")
@@ -831,19 +873,9 @@ def bootstrap_covariance(
     time_grid = np.asarray(time_grid, dtype=float)
     base_values = base.value_at(time_grid)
 
-    subjects: dict[str, list[EventRecord]] = {}
-    order: list[str] = []
-    for rec in ds.records:
-        if rec.subject_id not in subjects:
-            subjects[rec.subject_id] = []
-            order.append(rec.subject_id)
-        subjects[rec.subject_id].append(rec)
-    blocks = [subjects[sid] for sid in order]
-    n = len(blocks)
-
-    block_starts_at_zero = np.array(
-        [any(rec.entry_time == 0.0 for rec in blk) for blk in blocks]
-    )
+    n = ds.n_subjects
+    block_starts_at_zero = np.zeros(n, dtype=bool)
+    block_starts_at_zero[ds._subject[ds._entry == 0.0]] = True
     deltas = np.empty((b, time_grid.size, system.state_dim))
     root_n = np.sqrt(n)
     for r in range(b):
@@ -856,12 +888,7 @@ def bootstrap_covariance(
             raise DataError(
                 "bootstrap resample kept an empty risk set at t=0 after 10 retries"
             )
-        records = [
-            replace(rec, subject_id=f"b{i}")
-            for i, block_idx in enumerate(idx)
-            for rec in blocks[block_idx]
-        ]
-        star = EventDataset(records=tuple(records), horizon=ds.horizon)
+        star = ds._take_subjects(idx)
         star_driver, _ = estimate_driver(
             star, kind, grid_step=grid_step, group_map=group_map, cause_map=cause_map
         )
