@@ -27,19 +27,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, HazardTransformError
 from .events import parse_dataset, write_dataset
 from .hazards import estimate_driver
-from .paths import _write_table, restrict_path
-from .plugin import (
-    ConfidenceBand,
-    _band_bounds,
-    confidence_band,
-    fit_plugin,
-    write_fit,
-)
+from .paths import restrict_path
+from .plugin import _write_fit, confidence_band, fit_plugin
 from .simlab import (
     Scenario,
     coverage_study,
@@ -224,11 +216,6 @@ def _scenario(cfg: dict, args, command: str, n: int | None = None) -> Scenario:
     )
 
 
-def _write_band_csv(band: ConfidenceBand, n_states: int, path: Path):
-    header = ["time"] + [c for i in range(n_states) for c in (f"lo_{i + 1}", f"hi_{i + 1}")]
-    _write_table(path, header, np.column_stack([band.times, _band_bounds(band)]))
-
-
 def cmd_estimate(args):
     cfg = _load_config(args.config)
     _check_keys(
@@ -281,8 +268,7 @@ def cmd_estimate(args):
     band = confidence_band(fit, level)
 
     out = _out_dir(args)
-    write_fit(fit, band, out / "fit")
-    _write_band_csv(band, system.state_dim, out / "band.csv")
+    _write_fit(fit, band, out / "fit", band_path=out / "band.csv")
     print(f"wrote {out / 'fit.csv'}, {out / 'fit.json'}, {out / 'band.csv'}")
 
 

@@ -13,6 +13,9 @@ objects is a view built from them on first access.
 from __future__ import annotations
 
 import csv
+import io
+import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -320,6 +323,9 @@ def _default_schema(header: list[str]) -> dict:
 def parse_dataset(source, schema: dict | None = None, horizon: float | None = None):
     """Read an :class:`EventDataset` from delimited text.
 
+    The whole source is read into memory, then parsed as a file opened with
+    ``newline=""`` would be by :mod:`csv`.
+
     Parameters
     ----------
     source : path-like or readable text stream
@@ -338,56 +344,69 @@ def parse_dataset(source, schema: dict | None = None, horizon: float | None = No
         with ``entry >= exit`` (listing offending subject ids).
     """
     if hasattr(source, "read"):
-        fh = source
-        close = False
+        text = source.read()
     else:
-        fh = open(source, newline="")
-        close = True
-    try:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty input: no header row") from None
-        header = [h.strip() for h in header]
-        if schema is None:
-            schema = _default_schema(header)
-        missing = [c for c in _REQUIRED if schema.get(c) not in header]
-        if missing:
-            raise DataError(f"missing required column(s): {', '.join(missing)}")
-        col = {name: header.index(schema[name]) for name in _REQUIRED}
-        group_col = None
-        if schema.get("group") is not None and schema["group"] in header:
-            group_col = header.index(schema["group"])
-        cov_cols = [header.index(c) for c in schema.get("covariates", [])]
+        with open(source, newline="") as fh:
+            text = fh.read()
+    return _parse_text(text, schema, horizon)
 
-        ids, entry, exit_, code, group, covariates = [], [], [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                sid = row[col["id"]].strip()
-                t0 = float(row[col["entry"]])
-                t1 = float(row[col["exit"]])
-                event = int(row[col["event"]])
-                g = int(row[group_col]) if group_col is not None else _NO_GROUP
-                covs = [float(row[c]) for c in cov_cols]
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"line {lineno}: malformed row ({exc})") from None
-            ids.append(sid)
-            entry.append(t0)
-            exit_.append(t1)
-            code.append(event)
-            group.append(g)
-            covariates.extend(covs)
-    finally:
-        if close:
-            fh.close()
+
+#: Characters that keep a text off the NumPy reader: NUL, which its ``U``
+#: dtype drops from the end of an id, and the ASCII separators
+#: ``\x1c-\x1f``, which it strips from numbers as whitespace but ``float``
+#: and ``int`` reject.
+_NOT_BULK = "\x00\x1c\x1d\x1e\x1f"
+
+#: One line with its ending (``\r\n``, ``\r`` or ``\n``), or a last line
+#: without one.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _parse_text(text: str, schema, horizon, bulk: bool = True):
+    """:func:`parse_dataset` on the source text.
+
+    Rows are read by ``np.loadtxt`` when the text allows it (see
+    :func:`_read_bulk`) and otherwise by the per-row :mod:`csv` loop
+    :func:`_read_rows`, the reference, which alone raises the
+    ``line N: malformed row`` errors.  ``bulk=False`` forces the loop.
+    """
+    # Lines split as a file opened with newline="" splits them; a StringIO
+    # would copy the text at four bytes a character.
+    reader = csv.reader(m.group() for m in _LINE.finditer(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty input: no header row") from None
+    header = [h.strip() for h in header]
+    if schema is None:
+        schema = _default_schema(header)
+    missing = [c for c in _REQUIRED if schema.get(c) not in header]
+    if missing:
+        raise DataError(f"missing required column(s): {', '.join(missing)}")
+    cols = [header.index(schema[name]) for name in _REQUIRED]
+    group_col = None
+    if schema.get("group") is not None and schema["group"] in header:
+        group_col = header.index(schema["group"])
+    cov_cols = [header.index(c) for c in schema.get("covariates", [])]
+
+    parsed = None
+    # The bulk reader starts at the second physical line, so a header that
+    # spans lines (a quoted line break) goes to the loop, as does any text
+    # that is not plain ASCII: NumPy's number parsers disagree with Python's
+    # on non-ASCII characters.
+    if (
+        bulk
+        and reader.line_num == 1
+        and text.isascii()
+        and not any(c in text for c in _NOT_BULK)
+    ):
+        parsed = _read_bulk(text, _LINE.match(text).end(), cols, group_col, cov_cols)
+    if parsed is None:
+        parsed = _read_rows(reader, cols, group_col, cov_cols)
+    subject, subject_ids, entry, exit_, code, group, covariates = parsed
 
     if horizon is None:
-        horizon = max(exit_, default=1.0)
-    index: dict[str, int] = {}
-    subject = [index.setdefault(sid, len(index)) for sid in ids]
+        horizon = _largest_exit(exit_)
     return EventDataset.from_columns(
         subject,
         entry,
@@ -395,8 +414,120 @@ def parse_dataset(source, schema: dict | None = None, horizon: float | None = No
         code,
         horizon,
         group=group,
-        covariates=np.array(covariates, dtype=float).reshape(len(ids), len(cov_cols)),
-        subject_ids=tuple(index),
+        covariates=covariates,
+        subject_ids=subject_ids,
+    )
+
+
+def _largest_exit(exit_: np.ndarray) -> float:
+    """``max(exit_.tolist(), default=1.0)``: a NaN wins only in first place."""
+    if not exit_.size:
+        return 1.0
+    if np.isnan(exit_[0]):
+        return float(exit_[0])
+    return float(np.nanmax(exit_))
+
+
+def _read_bulk(text: str, start: int, cols, group_col, cov_cols):
+    """Rows of an ASCII text from ``text[start]`` on, by two ``np.loadtxt``
+    passes (numbers, then ids).
+
+    NumPy reads the text's bytes: a ``StringIO`` would hold the text again at
+    four bytes a character.
+
+    Returns None when NumPy rejects the text or warns about it (a short,
+    blank or ``,,,`` row, a cell it cannot convert, no rows at all): the
+    row loop then reads it and raises the reference error, if any.
+    """
+    names = ["entry", "exit", "event"]
+    formats = ["f8", "f8", "i8"]
+    usecols = cols[1:]
+    if group_col is not None:
+        names.append("group")
+        formats.append("i8")
+        usecols.append(group_col)
+    names += [f"x{j}" for j in range(len(cov_cols))]
+    formats += ["f8"] * len(cov_cols)
+    usecols += cov_cols
+    data = text.encode("ascii")
+
+    def load(dtype, columns):
+        body = io.BytesIO(data)
+        body.seek(start)
+        return np.loadtxt(
+            body,
+            dtype=dtype,
+            usecols=columns,
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            ndmin=1,
+            encoding="ascii",
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Unsized strings are read in blocks of rows, and a blank line makes
+        # NumPy note that it does not count towards the block.
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
+        try:
+            numbers = load({"names": names, "formats": formats}, usecols)
+            ids = load(str, cols[0])
+        except (ValueError, Warning):
+            return None
+    del data  # freed before the id sort, where the parse peaks in memory
+    # Subjects numbered in order of first appearance.
+    ids = np.char.strip(ids)
+    labels, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    covariates = np.empty((numbers.size, len(cov_cols)))
+    for j in range(len(cov_cols)):
+        covariates[:, j] = numbers[f"x{j}"]
+    return (
+        rank[inverse],
+        tuple(labels[order].tolist()),
+        numbers["entry"].copy(),
+        numbers["exit"].copy(),
+        numbers["event"].copy(),
+        numbers["group"].copy() if group_col is not None else None,
+        covariates,
+    )
+
+
+def _read_rows(reader, cols, group_col, cov_cols):
+    """Rows after the header, one :mod:`csv` row at a time (the reference)."""
+    id_col, entry_col, exit_col, event_col = cols
+    ids, entry, exit_, code, group, covariates = [], [], [], [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            sid = row[id_col].strip()
+            t0 = float(row[entry_col])
+            t1 = float(row[exit_col])
+            event = int(row[event_col])
+            g = int(row[group_col]) if group_col is not None else _NO_GROUP
+            covs = [float(row[c]) for c in cov_cols]
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"line {lineno}: malformed row ({exc})") from None
+        ids.append(sid)
+        entry.append(t0)
+        exit_.append(t1)
+        code.append(event)
+        group.append(g)
+        covariates.extend(covs)
+    index: dict[str, int] = {}
+    subject = [index.setdefault(sid, len(index)) for sid in ids]
+    return (
+        subject,
+        tuple(index),
+        np.array(entry, dtype=float),
+        np.array(exit_, dtype=float),
+        code,
+        group,
+        np.array(covariates, dtype=float).reshape(len(ids), len(cov_cols)),
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -234,18 +235,52 @@ def merge_drivers(parts):
 _WRITE_BLOCK = 4096
 
 
-def _write_table(path, header, table: np.ndarray) -> None:
+def _write_table(path, header, table: np.ndarray, tail=None) -> None:
     """Write a header and the rows of a float matrix as CSV.
 
     Each float is its shortest round-trip decimal (``repr``), so files are
     byte-stable and parse back exactly; lines end in ``\r\n``.  The bytes
     are those ``csv.writer`` writes for the same cells.
+
+    ``tail=(path, header)`` writes a second CSV in the same pass: each row's
+    first cell followed by its last ``len(header) - 1`` cells, taken from
+    the cells already formatted for the first file.
     """
-    with open(path, "w", newline="") as fh:
+    with ExitStack() as files:
+        fh = files.enter_context(open(path, "w", newline=""))
         fh.write(",".join(header) + "\r\n")
+        if tail is not None:
+            th = files.enter_context(open(tail[0], "w", newline=""))
+            th.write(",".join(tail[1]) + "\r\n")
+            first = table.shape[1] - (len(tail[1]) - 1)
         for lo in range(0, len(table), _WRITE_BLOCK):
-            rows = table[lo : lo + _WRITE_BLOCK].tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
+            lines, tails = [], []
+            # Format row by row: a block of cell strings would raise the
+            # peak memory for little gain.
+            for row in table[lo : lo + _WRITE_BLOCK].tolist():
+                cells = list(map(repr, row))
+                lines.append(",".join(cells))
+                if tail is not None:
+                    tails.append(",".join([cells[0], *cells[first:]]))
+            lines.append("")
+            fh.write("\r\n".join(lines))
+            if tail is not None:
+                tails.append("")
+                th.write("\r\n".join(tails))
+
+
+def _read_table(path) -> tuple[list[str], np.ndarray]:
+    """Header and float rows of a CSV written by :func:`_write_table`.
+
+    The rows come back as a ``(rows, columns)`` matrix, empty when the file
+    holds only its header.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader([fh.readline()]))
+        if not fh.read(1):
+            return header, np.empty((0, len(header)))
+        fh.seek(0)
+        return header, np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
 
 
 def write_path(path: StepPath, meta: DriverMeta, base) -> None:
@@ -279,19 +314,12 @@ def read_path(base):
     with open(base.with_suffix(".json")) as fh:
         sidecar = json.load(fh)
     k = len(sidecar["labels"])
-    times = []
-    increments = []
-    with open(base.with_suffix(".csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["time"] + [f"d{j + 1}" for j in range(k)]:
-            raise ValueError(f"unexpected path CSV header: {header}")
-        for row in reader:
-            times.append(float(row[0]))
-            increments.append([float(v) for v in row[1:]])
+    header, data = _read_table(base.with_suffix(".csv"))
+    if header != ["time"] + [f"d{j + 1}" for j in range(k)]:
+        raise ValueError(f"unexpected path CSV header: {header}")
     path = StepPath(
-        times=np.array(times, dtype=float),
-        increments=np.array(increments, dtype=float).reshape(len(times), k),
+        times=data[:, 0],
+        increments=data[:, 1:],
         origin_value=np.array(sidecar["origin_value"], dtype=float),
         horizon=float(sidecar["horizon"]),
     )

@@ -33,7 +33,6 @@ rounding.  The solver is chosen by whether ``jacobians`` is set.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +41,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import NegativeVarianceError
-from .paths import DriverMeta, StepPath, _write_table
+from .paths import DriverMeta, StepPath, _read_table, _write_table
 from .systems import ParameterSystem
 
 __all__ = [
@@ -349,18 +348,6 @@ def confidence_band(fit: PluginFit, level: float) -> ConfidenceBand:
     )
 
 
-def _band_bounds(band: ConfidenceBand) -> np.ndarray:
-    """Band limits as columns ``lo_1, hi_1, lo_2, hi_2, ...``."""
-    bounds = np.empty((band.times.size, 2 * band.lower.shape[1]))
-    bounds[:, 0::2] = band.lower
-    bounds[:, 1::2] = band.upper
-    return bounds
-
-
-def _triu_pairs(n: int):
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 def write_fit(fit: PluginFit, band: ConfidenceBand, base) -> None:
     """Write a fit as ``<base>.csv`` + ``<base>.json`` metadata.
 
@@ -368,21 +355,32 @@ def write_fit(fit: PluginFit, band: ConfidenceBand, base) -> None:
     covariance matrix, then ``lo_i, hi_i`` per component at the band's level.
     The ``t = 0`` row carries the initial state and covariance.
     """
+    _write_fit(fit, band, base)
+
+
+def _write_fit(fit: PluginFit, band: ConfidenceBand, base, band_path=None) -> None:
+    """:func:`write_fit`; with ``band_path``, also write the band CSV there
+    (columns ``time, lo_1, hi_1, ...``: the first and last ``2n`` columns of
+    the fit CSV) in the same pass, from the same formatted cells."""
     base = Path(base)
     n = len(fit.state_labels)
-    pairs = _triu_pairs(n)
+    rows, cols = np.triu_indices(n)
     header = (
         ["time"]
         + [f"X_{i + 1}" for i in range(n)]
-        + [f"V_{i + 1}{j + 1}" for i, j in pairs]
+        + [f"V_{i + 1}{j + 1}" for i, j in zip(rows, cols)]
         + [c for i in range(n) for c in (f"lo_{i + 1}", f"hi_{i + 1}")]
     )
-    cov_all = np.concatenate([fit.v0[None, :, :], fit.cov_path], axis=0)
-    rows, cols = np.triu_indices(n)
     table = np.column_stack(
-        [band.times, band.point, cov_all[:, rows, cols], _band_bounds(band)]
+        [
+            band.times,
+            band.point,
+            np.concatenate([fit.v0[None, :, :], fit.cov_path])[:, rows, cols],
+            np.stack([band.lower, band.upper], axis=2).reshape(-1, 2 * n),
+        ]
     )
-    _write_table(base.with_suffix(".csv"), header, table)
+    tail = None if band_path is None else (band_path, header[:1] + header[-2 * n :])
+    _write_table(base.with_suffix(".csv"), header, table, tail=tail)
     metadata = {
         "scale_n": fit.scale_n,
         "state_labels": list(fit.state_labels),
@@ -403,22 +401,15 @@ def read_fit(base) -> tuple[PluginFit, ConfidenceBand]:
         metadata = json.load(fh)
     labels = tuple(metadata["state_labels"])
     n = len(labels)
-    pairs = _triu_pairs(n)
-    rows = []
-    with open(base.with_suffix(".csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            rows.append([float(v) for v in row])
-    data = np.array(rows)
+    _, data = _read_table(base.with_suffix(".csv"))
+    rows, cols = np.triu_indices(n)
     times = data[:, 0]
     point = data[:, 1 : 1 + n]
-    tri = data[:, 1 + n : 1 + n + len(pairs)]
-    lohi = data[:, 1 + n + len(pairs) :]
+    tri = data[:, 1 + n : 1 + n + rows.size]
+    lohi = data[:, 1 + n + rows.size :]
     cov = np.empty((data.shape[0], n, n))
-    for c, (i, j) in enumerate(pairs):
-        cov[:, i, j] = tri[:, c]
-        cov[:, j, i] = tri[:, c]
+    cov[:, rows, cols] = tri
+    cov[:, cols, rows] = tri
     # The CSV stores values, not increments, so evaluation round-trips exactly.
     state = StepPath.from_values(times[1:], point, float(metadata["horizon"]))
     fit = PluginFit(

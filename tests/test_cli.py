@@ -80,6 +80,26 @@ class TestEstimate:
         assert meta["level"] == 0.95
         assert meta["state_labels"] == ["survival"]
 
+    def test_band_lines_are_fit_time_and_bound_fields(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text(
+            "id,entry,exit,event\n"
+            + "".join(f"s{i},0,{0.1 * (i % 7 + 1)!r},{i % 4}\n" for i in range(40))
+        )
+        out = tmp_path / "est"
+        run_cli(
+            "estimate", "--system", "cumulative_incidence", "--n-causes", 3,
+            "--data", data, "--out", out,
+        )
+        fit_lines = (out / "fit.csv").read_bytes().split(b"\r\n")
+        band_lines = (out / "band.csv").read_bytes().split(b"\r\n")
+        assert len(band_lines) == len(fit_lines) > 3
+        assert fit_lines[-1] == band_lines[-1] == b""  # every line ends in \r\n
+        n = 4  # survival and three cumulative incidences
+        for fit_line, band_line in zip(fit_lines[:-1], band_lines[:-1]):
+            fields = fit_line.split(b",")
+            assert band_line.split(b",") == fields[:1] + fields[-2 * n :]
+
     def test_empty_dataset_is_an_error(self, tmp_path):
         data = tmp_path / "empty.csv"
         data.write_text("id,entry,exit,event\n")

@@ -37,7 +37,7 @@ from hazard_transform import (
     write_fit,
     write_path,
 )
-from hazard_transform.cli import _write_band_csv
+from hazard_transform.plugin import _write_fit
 from hazard_transform.simlab import _SumHazard, _oracle_driver
 
 H = 2.0
@@ -440,7 +440,9 @@ def test_fit_and_band_writers_keep_their_bytes(name, tmp_path):
     reference_write_fit_csv(fit, band, tmp_path / "ref_fit.csv")
     assert same_bytes(tmp_path / "fit.csv", tmp_path / "ref_fit.csv")
     assert n == 1 or b",-0.0," in (tmp_path / "fit.csv").read_bytes()
-    _write_band_csv(band, n, tmp_path / "band.csv")
+    # The estimate command writes both files in one pass.
+    _write_fit(fit, band, tmp_path / "both", band_path=tmp_path / "band.csv")
+    assert same_bytes(tmp_path / "both.csv", tmp_path / "ref_fit.csv")
     reference_write_band_csv(band, n, tmp_path / "ref_band.csv")
     assert same_bytes(tmp_path / "band.csv", tmp_path / "ref_band.csv")
     write_path(driver, meta, tmp_path / "driver")

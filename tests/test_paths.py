@@ -173,3 +173,30 @@ def test_nelson_aalen_round_trip_through_files(tmp_path):
     np.testing.assert_array_equal(path2.times, path.times)
     np.testing.assert_array_equal(path2.increments, path.increments)
     assert meta2 == meta
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_short_paths_round_trip(tmp_path, m):
+    # A zero-jump path writes a header-only CSV; it reads back without a
+    # warning (the suite turns warnings into errors).
+    path = StepPath(
+        times=[0.5][:m], increments=np.array([[-0.0, 2.5]])[:m],
+        origin_value=[1.0, -0.0], horizon=1.0,
+    )
+    meta = DriverMeta(3, ("a", "b"), (False, True))
+    write_path(path, meta, tmp_path / "p")
+    path2, meta2 = read_path(tmp_path / "p")
+    assert path2.increments.shape == (m, 2)
+    np.testing.assert_array_equal(path2.times, path.times)
+    np.testing.assert_array_equal(path2.increments, path.increments)
+    assert np.signbit(path2.increments).tolist() == np.signbit(path.increments).tolist()
+    assert meta2 == meta
+
+
+def test_read_path_checks_the_header(tmp_path):
+    path = StepPath(times=[0.5], increments=[[1.0]], origin_value=[0.0], horizon=1.0)
+    write_path(path, DriverMeta(3, ("a",), (False,)), tmp_path / "p")
+    csv_file = tmp_path / "p.csv"
+    csv_file.write_text(csv_file.read_text().replace("d1", "x1"))
+    with pytest.raises(ValueError, match="unexpected path CSV header"):
+        read_path(tmp_path / "p")

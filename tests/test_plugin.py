@@ -282,3 +282,32 @@ class TestFitSerialization:
         np.testing.assert_array_equal(band.lower, band2.lower)
         np.testing.assert_array_equal(band.upper, band2.upper)
         assert band.level == band2.level
+
+    def test_jump_free_and_multistate_fits_round_trip(self, tmp_path):
+        # A jump-free fit is one CSV row (t = 0); a three-cause fit has four
+        # states, so its covariance comes back from a ten-column triangle.
+        driver = hazard_path([], [], horizon=1.0)
+        meta = DriverMeta(
+            scale_n=50, component_labels=("hazard",), deterministic_mask=(False,)
+        )
+        fits = [fit_plugin(make_system("survival"), driver, meta)]
+        rng = np.random.default_rng(3)
+        records = [
+            EventRecord(str(i), 0.0, float(t), int(c))
+            for i, (t, c) in enumerate(
+                zip(rng.uniform(0.05, 1.0, 80).round(2), rng.integers(0, 4, 80))
+            )
+        ]
+        kind = SystemKind("cumulative_incidence", n_causes=3)
+        driver, meta = estimate_driver(EventDataset(records, horizon=1.0), kind)
+        fits.append(fit_plugin(make_system(kind), driver, meta))
+        for k, fit in enumerate(fits):
+            band = confidence_band(fit, 0.9)
+            write_fit(fit, band, tmp_path / f"fit{k}")
+            fit2, band2 = read_fit(tmp_path / f"fit{k}")
+            np.testing.assert_array_equal(fit2.times, fit.times)
+            np.testing.assert_array_equal(fit2.cov_path, fit.cov_path)
+            np.testing.assert_array_equal(fit2.v0, fit.v0)
+            np.testing.assert_array_equal(band2.point, band.point)
+            np.testing.assert_array_equal(band2.lower, band.lower)
+            np.testing.assert_array_equal(band2.upper, band.upper)

@@ -23,6 +23,7 @@ from hazard_transform import (
     parse_dataset,
     write_dataset,
 )
+from hazard_transform import events
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -127,6 +128,111 @@ def test_malformed_cell_raises_data_error_with_its_line(ds, data):
         return  # a blank row is skipped, not malformed
     with pytest.raises(DataError, match=rf"^line {row + 1}: malformed row"):
         parse_dataset(StringIO("\n".join(lines) + "\n"))
+
+
+#: Id spellings: quoted with a comma or a doubled quote, padded, ending in
+#: NUL (which NumPy's string dtype would drop).
+ID_FORMS = [
+    lambda s: s,
+    lambda s: f'"{s},x"',
+    lambda s: f'"{s}""x"',
+    lambda s: f" {s} ",
+    lambda s: f"{s}\x00",
+]
+#: Junk rows the loop skips (blank) or rejects (short).
+JUNK_ROWS = ["", "   ", ",,,", " , ,", "z"]
+#: Cells ``float``/``int`` and NumPy may read differently; "\u0663" is an
+#: Arabic-Indic three.
+ODD_CELLS = ["1_0", "\u0663", "nan", "inf", "-inf", " 1 ", "+1", "1.0", '"0.5"']
+
+
+@st.composite
+def rendered_datasets(draw):
+    """CSV text of a random dataset, with edge-case spellings drawn in."""
+    ds = draw(datasets())
+    id_form = draw(st.sampled_from(ID_FORMS))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    extra = draw(st.booleans())
+    has_group = bool(ds.group_labels)
+    header = ["id", "entry", "exit", "event"] + ["group"] * has_group
+    header += [f"x{j + 1}" for j in range(ds.covariate_dim)] + ["extra"] * extra
+    rows = []
+    for rec in ds.records:
+        cells = [id_form(rec.subject_id), repr(rec.entry_time), repr(rec.exit_time),
+                 str(rec.event_code)]
+        cells += [str(rec.group)] * has_group + [repr(v) for v in rec.covariates]
+        cells = [cells[0]] + [pad + c + pad for c in cells[1:]]
+        rows.append(cells + ['"q,r"'] * extra)
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(0, len(rows) - 1))
+        column = draw(st.integers(1, len(header) - 1))
+        rows[row][column] = draw(st.sampled_from(ODD_CELLS))
+    lines = [",".join(cells) for cells in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(JUNK_ROWS)))
+    return ",".join(header) + eol + eol.join(lines) + eol * draw(st.booleans())
+
+
+def parse_outcome(parse):
+    try:
+        ds = parse()
+    except DataError as exc:
+        return str(exc)
+    return (columns(ds), ds.subject_ids, repr(ds.horizon))
+
+
+@PROPERTY
+@given(rendered_datasets())
+def test_bulk_parse_equals_the_row_loop(text):
+    got = parse_outcome(lambda: parse_dataset(StringIO(text)))
+    want = parse_outcome(lambda: events._parse_text(text, None, None, bulk=False))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for a, b in zip(got[0], want[0], strict=True):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert got[1:] == want[1:]
+
+
+def test_bulk_reader_takes_plain_quoted_and_padded_rows(monkeypatch):
+    text = (
+        'id,entry,exit,event,group,x1\r\n'
+        '"a,1", 0.0 ,1.5,1,2,0.25\r\n'
+        '"b""2",0.5,inf,0,1, -1e-3\r\n'
+        '\r\n'
+        '"a,1",1.5,2.0, +2,2,nan\r\n'
+    )
+    loop = events._parse_text(text, None, None, bulk=False)
+
+    def no_loop(*args):
+        raise AssertionError("the row loop read a text NumPy can read")
+
+    monkeypatch.setattr(events, "_read_rows", no_loop)
+    bulk = events._parse_text(text, None, None)
+    for a, b in zip(columns(bulk), columns(loop), strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert bulk.subject_ids == loop.subject_ids == ("a,1", 'b"2')
+    assert repr(bulk.horizon) == repr(loop.horizon) == "inf"
+
+
+@pytest.mark.parametrize(
+    "exits, message",
+    [
+        # Python's max keeps a NaN only in first place.
+        (("nan", "1.0"), "horizon must be positive"),
+        (("1.0", "nan"), "entry_time >= exit_time for subject(s): b"),
+    ],
+    ids=["nan-first", "nan-later"],
+)
+def test_default_horizon_is_python_max(exits, message):
+    text = f"id,entry,exit,event\na,0.0,{exits[0]},1\nb,0.0,{exits[1]},0\n"
+    for bulk in (True, False):
+        with pytest.raises(DataError) as info:
+            events._parse_text(text, None, None, bulk=bulk)
+        assert str(info.value) == message
 
 
 def drivers(ds):
