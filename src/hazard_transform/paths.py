@@ -11,6 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
+import signal
+import sys
+import tempfile
+import threading
+import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
@@ -234,6 +241,35 @@ def merge_drivers(parts):
 #: Rows formatted per write in :func:`_write_table`.
 _WRITE_BLOCK = 4096
 
+#: Smallest table, in cells, that :func:`_write_table` splits over processes:
+#: about twice the size at which a fork and the copy back start to pay for
+#: themselves (near 10k cells on a 2-CPU machine).
+_FORK_CELLS = 20_000
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _writer_count(table: np.ndarray) -> int:
+    """Processes :func:`_write_table` formats ``table`` on; 1 means serial.
+
+    The table is split only when it is large and a fork is safe: never with
+    other Python threads alive, and never on Python 3.12+, where ``os.fork``
+    warns about the OS threads NumPy's BLAS pool keeps.
+    """
+    if (
+        table.size < _FORK_CELLS
+        or not hasattr(os, "fork")
+        or sys.version_info >= (3, 12)
+        or threading.active_count() > 1
+    ):
+        return 1
+    return max(1, min(_usable_cpus(), len(table)))
+
 
 def _write_table(path, header, table: np.ndarray, tail=None) -> None:
     """Write a header and the rows of a float matrix as CSV.
@@ -245,28 +281,104 @@ def _write_table(path, header, table: np.ndarray, tail=None) -> None:
     ``tail=(path, header)`` writes a second CSV in the same pass: each row's
     first cell followed by its last ``len(header) - 1`` cells, taken from
     the cells already formatted for the first file.
+
+    Large tables are split into contiguous row ranges, one per usable CPU
+    (:func:`_writer_count`).  Forked children format ranges 1, 2, ... into
+    unnamed temporary files while this process formats range 0; their bytes
+    are then appended in order, so the files do not depend on the split.  A
+    failed child raises ``OSError``.  On any failure every child is reaped
+    and the output files are removed.
     """
-    with ExitStack() as files:
-        fh = files.enter_context(open(path, "w", newline=""))
-        fh.write(",".join(header) + "\r\n")
-        if tail is not None:
-            th = files.enter_context(open(tail[0], "w", newline=""))
-            th.write(",".join(tail[1]) + "\r\n")
-            first = table.shape[1] - (len(tail[1]) - 1)
-        for lo in range(0, len(table), _WRITE_BLOCK):
-            lines, tails = [], []
-            # Format row by row: a block of cell strings would raise the
-            # peak memory for little gain.
-            for row in table[lo : lo + _WRITE_BLOCK].tolist():
-                cells = list(map(repr, row))
-                lines.append(",".join(cells))
-                if tail is not None:
-                    tails.append(",".join([cells[0], *cells[first:]]))
-            lines.append("")
-            fh.write("\r\n".join(lines))
-            if tail is not None:
-                tails.append("")
-                th.write("\r\n".join(tails))
+    outputs = [(Path(path), header)]
+    first = None
+    if tail is not None:
+        outputs.append((Path(tail[0]), tail[1]))
+        first = table.shape[1] - (len(tail[1]) - 1)
+    w = _writer_count(table)
+    bounds = [len(table) * i // w for i in range(w + 1)]
+    children = []  # (pid, lo, hi, temporary files), in row order
+    files = []
+    try:
+        with ExitStack() as stack:
+            for p, _ in outputs:
+                files.append(stack.enter_context(open(p, "w", newline="")))
+            stack.callback(_reap, children)
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                parts = [
+                    stack.enter_context(
+                        tempfile.TemporaryFile("w+", newline="", dir=p.parent)
+                    )
+                    for p, _ in outputs
+                ]
+                pid = os.fork()
+                if pid == 0:
+                    _format_in_child(table[lo:hi], parts, first)
+                children.append((pid, lo, hi, parts))
+            for fh, (_, head) in zip(files, outputs):
+                fh.write(",".join(head) + "\r\n")
+            _format_rows(table[: bounds[1]], files, first)
+            while children:
+                pid, lo, hi, parts = children[0]
+                status = os.waitpid(pid, 0)[1]
+                del children[0]
+                if status:
+                    raise OSError(
+                        f"writing rows {lo}-{hi - 1} of {path} failed in process "
+                        f"{pid} (exit code {os.waitstatus_to_exitcode(status)})"
+                    )
+                for fh, part in zip(files, parts):
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh)
+    except BaseException:
+        for fh in files:
+            Path(fh.name).unlink(missing_ok=True)
+        raise
+
+
+def _format_rows(rows: np.ndarray, files, first) -> None:
+    """Write ``rows`` to ``files[0]`` and, with a tail, to ``files[1]``."""
+    for lo in range(0, len(rows), _WRITE_BLOCK):
+        lines, tails = [], []
+        # Format row by row: a block of cell strings would raise the peak
+        # memory for little gain.
+        for row in rows[lo : lo + _WRITE_BLOCK].tolist():
+            cells = list(map(repr, row))
+            lines.append(",".join(cells))
+            if first is not None:
+                tails.append(",".join([cells[0], *cells[first:]]))
+        lines.append("")
+        files[0].write("\r\n".join(lines))
+        if first is not None:
+            tails.append("")
+            files[1].write("\r\n".join(tails))
+
+
+def _format_in_child(rows: np.ndarray, parts, first) -> None:
+    """Body of a forked writer: format ``rows`` into ``parts``, then leave
+    through ``os._exit`` whatever happens, so that no cleanup or buffer of
+    the parent runs twice."""
+    code = 1
+    try:
+        _format_rows(rows, parts, first)
+        for part in parts:
+            part.flush()
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _reap(children) -> None:
+    """Kill and wait for the writer processes a failure left running."""
+    for pid, *_ in children:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        os.waitpid(pid, 0)
+    children.clear()
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:

@@ -199,7 +199,7 @@ def solve_variance(
         v = np.zeros((n, n))
     else:
         v = np.array(v0, dtype=float)
-        if v.shape != (n, n) or not np.allclose(v, v.T, atol=0.0):
+        if v.shape != (n, n) or not np.array_equal(v, v.T):
             raise ValueError("v0 must be a symmetric n x n matrix")
 
     scale = float(meta.scale_n)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
@@ -607,6 +606,10 @@ def _run_tasks(worker, tasks, ctx, n_jobs: int):
     if n_jobs <= 1:
         _init_worker(ctx)
         return [worker(t) for t in tasks]
+    # Imported here: it pulls in multiprocessing, socket and logging, which
+    # a serial run (and every CLI call) would otherwise load for nothing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=n_jobs, initializer=_init_worker, initargs=(ctx,)
     ) as pool:

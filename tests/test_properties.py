@@ -6,6 +6,7 @@ Hypothesis runs derandomized, so the examples are the same on every run.
 """
 
 import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from io import StringIO
 from pathlib import Path
@@ -16,14 +17,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hazard_transform import (
+    ConfidenceBand,
     DataError,
+    DriverMeta,
     EventDataset,
     EventRecord,
+    PluginFit,
+    StepPath,
     nelson_aalen,
     parse_dataset,
+    read_fit,
+    read_path,
     write_dataset,
+    write_fit,
+    write_path,
 )
-from hazard_transform import events
+from hazard_transform import events, paths
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -324,3 +333,133 @@ def test_validation_raises_the_record_loop_message(records):
         with pytest.raises(DataError) as info:
             EventDataset(records=records, horizon=2.0)
         assert str(info.value) == want
+
+
+# ---------------------------------------------------------------------------
+# Path and fit files round-trip bit for bit, written by one process or split
+# over two.
+
+#: Any float but NaN (whose sign ``repr`` drops): signed zeros, subnormals,
+#: huge values and infinities.
+CELLS = st.floats(allow_nan=False)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def jump_times(draw):
+    times = draw(
+        st.lists(st.floats(0.0, 1e6, exclude_min=True), max_size=40, unique=True)
+    )
+    times = np.sort(np.array(times, dtype=float))
+    horizon = float(times[-1]) if times.size else 1.0
+    return times, horizon + draw(st.sampled_from([0.0, 0.5]))
+
+
+def matrix(draw, rows, cols):
+    return np.array(
+        draw(st.lists(CELLS, min_size=rows * cols, max_size=rows * cols)), dtype=float
+    ).reshape(rows, cols)
+
+
+@st.composite
+def driver_files(draw):
+    times, horizon = draw(jump_times())
+    k = draw(st.integers(1, 3))
+    path = StepPath(
+        times=times,
+        increments=matrix(draw, times.size, k),
+        origin_value=matrix(draw, 1, k)[0],
+        horizon=horizon,
+    )
+    meta = DriverMeta(
+        scale_n=draw(st.integers(1, 10**6)),
+        component_labels=tuple(f"c{j}" for j in range(k)),
+        deterministic_mask=tuple(draw(st.lists(st.booleans(), min_size=k, max_size=k))),
+        truncation_time=draw(st.none() | st.floats(0.0, 1.0)),
+    )
+    return path, meta
+
+
+def symmetric(draw, count, n):
+    upper = matrix(draw, count, n * (n + 1) // 2)
+    rows, cols = np.triu_indices(n)
+    out = np.empty((count, n, n))
+    out[:, rows, cols] = upper
+    out[:, cols, rows] = upper
+    return out
+
+
+@st.composite
+def fit_files(draw):
+    times, horizon = draw(jump_times())
+    n = draw(st.integers(1, 3))
+    values = matrix(draw, times.size + 1, n)
+    cov = symmetric(draw, times.size + 1, n)
+    fit = PluginFit(
+        state_path=StepPath.from_values(times, values, horizon),
+        cov_path=cov[1:],
+        v0=cov[0],
+        scale_n=draw(st.integers(1, 10**6)),
+        state_labels=tuple(f"x{i}" for i in range(n)),
+    )
+    band = ConfidenceBand(
+        times=np.concatenate([[0.0], times]),
+        point=values,
+        lower=matrix(draw, times.size + 1, n),
+        upper=matrix(draw, times.size + 1, n),
+        level=draw(st.floats(0.5, 0.999)),
+    )
+    return fit, band
+
+
+@contextmanager
+def written_by(workers):
+    """A scratch directory in which every table written is split over
+    ``workers`` processes."""
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(paths, "_FORK_CELLS", 0)
+        mp.setattr(paths, "_usable_cpus", lambda: workers)
+        yield Path(tmp)
+
+
+WORKERS = pytest.mark.parametrize("workers", [1, 2])
+
+
+@WORKERS
+@PROPERTY
+@given(case=driver_files())
+def test_write_path_then_read_path_is_bitwise(workers, case):
+    path, meta = case
+    with written_by(workers) as tmp:
+        write_path(path, meta, tmp / "driver")
+        back, back_meta = read_path(tmp / "driver")
+    assert back_meta == meta
+    assert same_bits(back.times, path.times)
+    assert same_bits(back.increments, path.increments)
+    assert same_bits(back.origin_value, path.origin_value)
+    assert back.horizon == path.horizon
+
+
+@WORKERS
+@PROPERTY
+@given(case=fit_files())
+def test_write_fit_then_read_fit_is_bitwise(workers, case):
+    fit, band = case
+    with written_by(workers) as tmp:
+        write_fit(fit, band, tmp / "fit")
+        back, back_band = read_fit(tmp / "fit")
+    assert back.state_labels == fit.state_labels
+    assert back.scale_n == fit.scale_n
+    assert back.state_path.horizon == fit.state_path.horizon
+    assert same_bits(back.times, fit.times)
+    assert same_bits(back.state_path.origin_value, fit.state_path.origin_value)
+    assert same_bits(back.state_path.values_at_jumps(), fit.state_path.values_at_jumps())
+    assert same_bits(back.cov_path, fit.cov_path)
+    assert same_bits(back.v0, fit.v0)
+    for name in ("times", "point", "lower", "upper"):
+        assert same_bits(getattr(back_band, name), getattr(band, name))
+    assert back_band.level == band.level

@@ -21,6 +21,7 @@ from hazard_transform import (
     StepPath,
     SystemKind,
     driver_slots,
+    fit_plugin,
     make_system,
     solve_plugin,
     solve_variance,
@@ -102,6 +103,24 @@ def test_scan_matches_loop(kind, m):
     assert_close(scan_cov, loop_cov)
 
 
+def test_nearly_symmetric_v0_is_rejected_by_both_solvers():
+    # A 4e-6 asymmetry passes np.allclose's default rtol; the scan reads only
+    # the upper triangle while the loop carries the asymmetry, so the two
+    # solvers would disagree.  Symmetry is required exactly.
+    kind = SystemKind("rmst")
+    driver, meta = random_driver(kind, 10, np.random.default_rng(3))
+    v0 = [[1.0, 0.5], [0.5 + 4e-6, 1.0]]
+    scan_system = make_system(kind)
+    for system in (scan_system, replace(scan_system, jacobians=None)):
+        state = solve_plugin(system, driver)
+        with pytest.raises(ValueError, match="v0 must be a symmetric n x n matrix"):
+            solve_variance(system, driver, meta, state, v0=v0)
+        with pytest.raises(ValueError, match="v0 must be a symmetric n x n matrix"):
+            fit_plugin(system, driver, meta, v0=v0)
+    symmetric = [[1.0, 0.5], [0.5, 1.0]]
+    assert fit_plugin(scan_system, driver, meta, v0=symmetric).cov_path.shape == (10, 2, 2)
+
+
 def test_solver_choice_follows_the_jacobian_tensor():
     for kind in LINEAR_KINDS:
         system = make_system(kind)
@@ -152,16 +171,28 @@ def test_guard_is_checked_at_the_initial_state():
     assert err.value.time == 0.0
 
 
-def test_import_does_not_load_scipy():
+def assert_import_does_not_load(*packages):
     src = str(Path(hazard_transform.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, hazard_transform; "
         "assert hazard_transform.__file__.startswith(sys.argv[1]); "
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in sys.argv[2:]); "
         "assert not loaded, loaded"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, src], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, src, *packages],
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_scipy():
+    assert_import_does_not_load("scipy")
+
+
+def test_import_does_not_load_process_pools():
+    # Only a study run with n_jobs > 1 needs them.
+    assert_import_does_not_load("concurrent", "multiprocessing")
