@@ -241,34 +241,47 @@ def merge_drivers(parts):
 #: Rows formatted per write in :func:`_write_table`.
 _WRITE_BLOCK = 4096
 
-#: Smallest table, in cells, that :func:`_write_table` splits over processes:
-#: about twice the size at which a fork and the copy back start to pay for
-#: themselves (near 10k cells on a 2-CPU machine).
-_FORK_CELLS = 20_000
+#: Fewest cells :func:`_write_table` gives each process.  A fork costs this
+#: process about 2.5 ms and formatting 10k cells about 21 ms (2 CPUs, Python
+#: 3.11), so each process added on a free CPU saves more than its fork costs.
+_FORK_CELLS = 10_000
+
+#: The cgroup v2 CPU quota of this process's cgroup, as ``"<quota> <period>"``
+#: or ``"max <period>"``; absent under cgroup v1 or outside Linux.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 
 def _usable_cpus() -> int:
+    """CPUs this process may run on, capped by its cgroup v2 CPU quota
+    (rounded up), which the affinity mask does not show."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    try:
+        quota, period = Path(_CPU_MAX).read_text().split()
+        return max(1, min(cpus, -(-int(quota) // int(period))))
+    except (OSError, ValueError):
+        return cpus
 
 
 def _writer_count(table: np.ndarray) -> int:
     """Processes :func:`_write_table` formats ``table`` on; 1 means serial.
 
-    The table is split only when it is large and a fork is safe: never with
-    other Python threads alive, and never on Python 3.12+, where ``os.fork``
-    warns about the OS threads NumPy's BLAS pool keeps.
+    One process per usable CPU, each with at least ``_FORK_CELLS`` cells.
+    The table is split only when a fork is safe: never with other Python
+    threads alive, never on Python 3.12+, where ``os.fork`` warns about the
+    OS threads NumPy's BLAS pool keeps, and never unless ``SIGCHLD`` has its
+    default action, without which a child's exit status may be lost.
     """
     if (
-        table.size < _FORK_CELLS
-        or not hasattr(os, "fork")
+        not hasattr(os, "fork")
         or sys.version_info >= (3, 12)
         or threading.active_count() > 1
+        or signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL
     ):
         return 1
-    return max(1, min(_usable_cpus(), len(table)))
+    return max(1, min(_usable_cpus(), len(table), table.size // _FORK_CELLS))
 
 
 def _write_table(path, header, table: np.ndarray, tail=None) -> None:
@@ -285,7 +298,8 @@ def _write_table(path, header, table: np.ndarray, tail=None) -> None:
     Large tables are split into contiguous row ranges, one per usable CPU
     (:func:`_writer_count`).  Forked children format ranges 1, 2, ... into
     unnamed temporary files while this process formats range 0; their bytes
-    are then appended in order, so the files do not depend on the split.  A
+    are then appended in order, so the files do not depend on the split.
+    Rows whose fork fails are formatted here after the children's.  A
     failed child raises ``OSError``.  On any failure every child is reaped
     and the output files are removed.
     """
@@ -303,6 +317,7 @@ def _write_table(path, header, table: np.ndarray, tail=None) -> None:
             for p, _ in outputs:
                 files.append(stack.enter_context(open(p, "w", newline="")))
             stack.callback(_reap, children)
+            rest = bounds[1]  # the rows from here on are formatted here
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 parts = [
                     stack.enter_context(
@@ -310,10 +325,14 @@ def _write_table(path, header, table: np.ndarray, tail=None) -> None:
                     )
                     for p, _ in outputs
                 ]
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    break  # e.g. no process or memory left: go on serially
                 if pid == 0:
                     _format_in_child(table[lo:hi], parts, first)
                 children.append((pid, lo, hi, parts))
+                rest = hi
             for fh, (_, head) in zip(files, outputs):
                 fh.write(",".join(head) + "\r\n")
             _format_rows(table[: bounds[1]], files, first)
@@ -329,6 +348,7 @@ def _write_table(path, header, table: np.ndarray, tail=None) -> None:
                 for fh, part in zip(files, parts):
                     part.seek(0)
                     shutil.copyfileobj(part, fh)
+            _format_rows(table[rest:], files, first)
     except BaseException:
         for fh in files:
             Path(fh.name).unlink(missing_ok=True)

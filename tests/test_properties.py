@@ -421,7 +421,7 @@ def written_by(workers):
     """A scratch directory in which every table written is split over
     ``workers`` processes."""
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(paths, "_FORK_CELLS", 0)
+        mp.setattr(paths, "_FORK_CELLS", 1)
         mp.setattr(paths, "_usable_cpus", lambda: workers)
         yield Path(tmp)
 

@@ -7,6 +7,7 @@ and compare every split against the serial writer and ``csv.writer``.
 
 import csv
 import os
+import signal
 import sys
 import threading
 import time
@@ -37,7 +38,7 @@ SPECIAL = [-0.0, float("nan"), float("inf"), -float("inf"), 1e16, 5e-324]
 def force_writers(monkeypatch, workers):
     """Make ``_write_table`` split any table over ``workers`` processes;
     returns the list that records each ``os.fork`` call."""
-    monkeypatch.setattr(paths, "_FORK_CELLS", 0)
+    monkeypatch.setattr(paths, "_FORK_CELLS", 1)
     monkeypatch.setattr(paths, "_usable_cpus", lambda: workers)
     forks = []
     real_fork = os.fork
@@ -122,12 +123,37 @@ def test_fit_and_band_are_the_same_on_one_and_two_processes(tmp_path, monkeypatc
     assert files[1] == files[2]
 
 
-def test_small_tables_and_single_cpus_stay_serial(monkeypatch):
+def test_each_process_gets_at_least_the_cell_floor(monkeypatch):
     monkeypatch.setattr(paths, "_usable_cpus", lambda: 4)
-    small = np.zeros((paths._FORK_CELLS // 4 - 1, 4))
-    assert paths._writer_count(small) == 1
-    large = np.zeros((paths._FORK_CELLS // 4 + 1, 4))
-    assert paths._writer_count(large) == (4 if FORKS else 1)
+    cells = paths._FORK_CELLS
+
+    def count(rows, cols=4):
+        return paths._writer_count(np.zeros((rows, cols)))
+
+    assert count(2 * cells // 4 - 1) == 1
+    assert count(2 * cells // 4) == (2 if FORKS else 1)
+    assert count(3 * cells // 4) == (3 if FORKS else 1)
+    assert count(100 * cells // 4) == (4 if FORKS else 1)
+    assert count(3, cols=100 * cells) == (3 if FORKS else 1)
+
+
+@pytest.mark.parametrize(
+    "cpu_max,cpus",
+    [(None, 8), ("max 100000\n", 8), ("150000 100000\n", 2), ("50000 100000\n", 1),
+     ("1600000 100000\n", 8), ("garbled\n", 8)],
+)
+def test_a_cgroup_cpu_quota_caps_the_usable_cpus(tmp_path, monkeypatch, cpu_max, cpus):
+    # A container may see every CPU of its host but be allowed only a few.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    quota_file = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        quota_file.write_text(cpu_max)
+    monkeypatch.setattr(paths, "_CPU_MAX", str(quota_file))
+    assert paths._usable_cpus() == cpus
+
+
+def test_single_cpus_and_unsafe_forks_stay_serial(monkeypatch):
+    large = np.zeros((paths._FORK_CELLS, 4))
     monkeypatch.setattr(paths, "_usable_cpus", lambda: 1)
     assert paths._writer_count(large) == 1
     monkeypatch.setattr(paths, "_usable_cpus", lambda: 4)
@@ -138,15 +164,18 @@ def test_small_tables_and_single_cpus_stay_serial(monkeypatch):
     assert paths._writer_count(large) == 1
 
 
+def forbid_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called where the writer must stay serial")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
 def test_a_live_thread_keeps_the_writer_serial(tmp_path, monkeypatch):
     table = table_with_specials(40)
     serial = write(tmp_path, table, True, name="serial")
     force_writers(monkeypatch, 2)
-
-    def no_fork():
-        raise AssertionError("os.fork called with a second thread alive")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+    forbid_fork(monkeypatch)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -155,6 +184,51 @@ def test_a_live_thread_keeps_the_writer_serial(tmp_path, monkeypatch):
     finally:
         stop.set()
         thread.join()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD here")
+@pytest.mark.parametrize("handler", ["ignored", "handled"])
+def test_a_sigchld_not_at_its_default_keeps_the_writer_serial(
+    tmp_path, monkeypatch, handler
+):
+    # An ignored SIGCHLD makes the kernel reap children itself, and a handler
+    # may reap them, so their exit status would be lost to the writer.
+    table = table_with_specials(40)
+    serial = write(tmp_path, table, True, name="serial")
+    force_writers(monkeypatch, 2)
+    forbid_fork(monkeypatch)
+    action = signal.SIG_IGN if handler == "ignored" else (lambda *_: None)
+    previous = signal.signal(signal.SIGCHLD, action)
+    try:
+        assert write(tmp_path, table, True) == serial
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+@needs_fork
+@pytest.mark.parametrize("workers,forked", [(2, 0), (3, 0), (3, 1), (4, 2)])
+def test_rows_whose_fork_fails_are_formatted_here(
+    tmp_path, monkeypatch, workers, forked
+):
+    # The first ``forked`` forks succeed, the next one finds no process left.
+    table = table_with_specials(50)
+    serial = write(tmp_path, table, True, name="serial")
+    forks = force_writers(monkeypatch, workers)
+    counting_fork = os.fork
+
+    def fork():
+        if len(forks) == forked:
+            forks.append(None)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert write(tmp_path, table, True) == serial
+    assert len(forks) == forked + 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["out.csv", "out_tail.csv", "serial.csv", "serial_tail.csv"]
+    )
+    assert_no_child_left()
 
 
 def fail_in(monkeypatch, where, action):
