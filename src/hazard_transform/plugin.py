@@ -34,6 +34,7 @@ rounding.  The solver is chosen by whether ``jacobians`` is set.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
@@ -126,23 +127,35 @@ def solve_plugin(
 
 
 def _scan_plugin(system: ParameterSystem, driver: StepPath, x) -> StepPath:
-    # X_k = (I + B_k) X_{k-1} with B_k = sum_j G_j dA^j_k: the state is the
-    # product integral, computed block by block as prefix matrix products.
-    jac = system.jacobians
+    values = _product_integral(system.jacobians, driver.increments, x)
+    system.check_guard_path(driver.times, values[1:])
+    return StepPath.from_values(driver.times.copy(), values, driver.horizon)
+
+
+def _product_integral(jac, increments, x, out=None) -> np.ndarray:
+    """States ``X_k = (I + B_k) X_{k-1}``, ``B_k = sum_j G_j dA^j_k``, from
+    ``X_0 = x``, for the constant Jacobian tensor ``jac`` of shape (k, n, n).
+
+    ``increments`` has shape ``(m, *batch, k)`` and ``x`` shape
+    ``(*batch, n)``; the batch axes (bootstrap resamples) ride along while
+    time stays on axis 0.  Returns the ``(m + 1, *batch, n)`` values, the
+    first row ``x``, written into ``out`` when given.  The prefix matrix
+    products are taken one block of about ``SCAN_CHUNK`` matrices at a time.
+    """
     k, n = jac.shape[0], jac.shape[1]
-    m = driver.n_jumps
-    values = np.empty((m + 1, n))
+    m, batch = increments.shape[0], increments.shape[1:-1]
+    values = np.empty((m + 1, *batch, n)) if out is None else out
     values[0] = x
     eye = np.eye(n)
-    for lo in range(0, m, SCAN_CHUNK):
-        hi = min(lo + SCAN_CHUNK, m)
-        steps = (driver.increments[lo:hi] @ jac.reshape(k, n * n)).reshape(-1, n, n)
+    rows = max(1, SCAN_CHUNK // math.prod(batch))
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        steps = increments[lo:hi].reshape(-1, k) @ jac.reshape(k, n * n)
+        steps = steps.reshape(hi - lo, *batch, n, n)
         steps += eye
         (products,) = _prefix((steps,), _compose_linear)
-        block = products @ values[lo]
-        system.check_guard_path(driver.times[lo:hi], block)
-        values[lo + 1 : hi + 1] = block
-    return StepPath.from_values(driver.times.copy(), values, driver.horizon)
+        values[lo + 1 : hi + 1] = (products @ values[lo, ..., None])[..., 0]
+    return values
 
 
 def _loop_plugin(system: ParameterSystem, driver: StepPath, x) -> StepPath:

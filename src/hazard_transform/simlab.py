@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, HazardTransformError
 from .events import EventDataset
 from .hazards import _grid_times, estimate_driver
 from .paths import StepPath
-from .plugin import confidence_band, fit_plugin, solve_plugin
+from .plugin import _product_integral, confidence_band, fit_plugin, solve_plugin
 from .systems import SystemKind, driver_slots, make_system
 
 __all__ = [
@@ -836,6 +836,128 @@ def coverage_study(
     )
 
 
+#: Cap on the grid rows times resamples of one block of bootstrap resamples:
+#: a block's stacked driver and states take a few MB whatever ``b`` is.
+_BOOTSTRAP_ROWS = 1 << 16
+
+
+def _draws(ds: EventDataset, seed: int, b: int):
+    """Subject indices of bootstrap resamples ``0 .. b - 1``, in order.
+
+    Resample ``r`` (attempt ``a``) draws ``n`` indices from
+    ``SeedSequence((seed, r, a))`` and is redrawn, at most 10 times, while
+    none of its subjects is at risk from time zero.
+    """
+    n = ds.n_subjects
+    at_zero = np.zeros(n, dtype=bool)
+    at_zero[ds._subject[ds._entry == 0.0]] = True
+    for r in range(b):
+        for attempt in range(10):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, r, attempt)))
+            idx = rng.integers(0, n, size=n)
+            if at_zero[idx].any():
+                break
+        else:
+            raise DataError(
+                "bootstrap resample kept an empty risk set at t=0 after 10 retries"
+            )
+        yield idx
+
+
+class _ResampleDrivers:
+    """Drivers of bootstrap resamples on one jump grid, from subject counts.
+
+    A resample that draws subject ``s`` ``w[s]`` times has the driver that
+    :func:`estimate_driver` gives for the dataset repeating each of ``s``'s
+    spells ``w[s]`` times.  Its Nelson-Aalen increments ``dN / Y`` are sums
+    of ``w`` over the original spells, binned onto :attr:`times` by
+    ``np.bincount`` with bins found once: the base driver's jump times plus
+    any event times the base's freeze dropped (a resample without the
+    subjects behind the empty risk set keeps them).  Where a resample has
+    no jump the increment is 0, an identity step of the state recursion.
+    """
+
+    def __init__(self, ds, kind, driver, group_map=None, cause_map=None):
+        self._n = ds.n_subjects
+        slots = driver_slots(kind)
+        events = {}
+        for j, slot in enumerate(slots):
+            if not slot.deterministic:
+                cause = (cause_map or {}).get(slot.role, slot.cause)
+                group = (group_map or {}).get(slot.role, slot.group)
+                mask = ds._group_mask(group)
+                events[j] = group, mask & (ds._code == cause) & (ds._exit <= ds.horizon)
+        self.times = times = np.unique(
+            np.concatenate([driver.times] + [ds._exit[e] for _, e in events.values()])
+        )
+        # Deterministic columns (time grids) are the same in every resample.
+        self._fixed = np.zeros((times.size, len(slots)))
+        self._fixed[np.searchsorted(times, driver.times)] = driver.increments
+        self._fixed[:, list(events)] = 0.0
+        self._slots = [
+            (j, group, ds._subject[e], np.searchsorted(times, ds._exit[e]))
+            for j, (group, e) in events.items()
+        ]
+        self._groups = {}
+        for group, _ in events.values():
+            mask = ds._group_mask(group)
+            entry, exit_ = ds._entry[mask], ds._exit[mask]
+            members = np.zeros(ds.n_subjects, dtype=bool)
+            members[ds._subject[mask]] = True
+            # Spells at risk at times[i] (entry < t <= exit) have bins
+            # a <= i < b; spells at risk just after exit time ends[i]
+            # (entry <= t < exit) have bins c <= i < d.
+            ends = np.unique(exit_[exit_ < ds.horizon])
+            self._groups[group] = (
+                members,
+                ds._subject[mask],
+                np.searchsorted(times, entry, side="right"),
+                np.searchsorted(times, exit_, side="right"),
+                ends,
+                np.searchsorted(ends, entry),
+                np.searchsorted(ends, exit_),
+            )
+
+    def increments(self, draws, first: int, count: int) -> np.ndarray:
+        """Stacked driver increments ``(m, count, k)`` of resamples ``first``
+        to ``first + count - 1``, whose subject indices the iterator
+        ``draws`` yields.  Raises :class:`DataError` for a resample without
+        a subject of a group that a driver component reads."""
+        m = self.times.size
+        out = np.repeat(self._fixed[:, None, :], count, axis=1)
+        for r, idx in zip(range(count), draws):
+            w = np.bincount(idx, minlength=self._n)
+            risk = {}
+            for group, (members, subject, a, b, ends, c, d) in self._groups.items():
+                if group is not None and not members[idx].any():
+                    raise DataError(
+                        f"bootstrap resample {first + r} has no subject of group "
+                        f"{group!r}"
+                    )
+                ws = w[subject]
+                at_risk = np.cumsum(
+                    np.bincount(a, ws, m + 1) - np.bincount(b, ws, m + 1)
+                )[:m]
+                # The resample freezes at its first own exit time after which
+                # its risk set is empty; its later jumps are dropped.
+                exits = np.bincount(d, ws, ends.size + 1)
+                after = np.cumsum(np.bincount(c, ws, ends.size + 1) - exits)
+                frozen = np.flatnonzero((after[:-1] == 0) & (exits[:-1] > 0))
+                cut = (
+                    np.searchsorted(self.times, ends[frozen[0]], side="right")
+                    if frozen.size
+                    else m
+                )
+                # Where the resample has an event it is at risk, so a risk set
+                # of 0 only ever divides 0 events: the increment is 0 there.
+                risk[group] = np.maximum(at_risk, 1.0), cut
+            for j, group, subject, bins in self._slots:
+                at_risk, cut = risk[group]
+                out[:, r, j] = np.bincount(bins, w[subject], m) / at_risk
+                out[cut:, r, j] = 0.0
+        return out
+
+
 def bootstrap_covariance(
     ds: EventDataset,
     kind: SystemKind,
@@ -848,19 +970,25 @@ def bootstrap_covariance(
 ):
     """Nonparametric bootstrap covariance of the plugin estimator.
 
-    Resamples subjects with replacement ``b`` times, refits the full pipeline
-    per resample, and returns ``(times, cov)`` where ``cov[t]`` is the
-    empirical covariance of ``sqrt(n) * (X* - X_hat)`` on the time grid
+    Resamples subjects with replacement ``b`` times, refits the plugin
+    estimate per resample, and returns ``(times, cov)`` where ``cov[t]`` is
+    the empirical covariance of ``sqrt(n) * (X* - X_hat)`` on the time grid
     (default: the original fit's jump times; right-continuous lookup).  A
     resample whose risk set is empty at time zero is redrawn (at most 10
-    times).
+    times); one without a subject of a group its driver reads raises
+    :class:`DataError`.
 
     Resample ``r`` (attempt ``a``) draws its ``n`` subject indices from
-    ``SeedSequence((seed, r, a))``.  It is built by gathering the drawn
-    subjects' spells from the dataset's columns through one index array;
-    each draw counts as a distinct subject, so the resample has ``n``
-    subjects.  Resamples are fitted one at a time, so memory stays at one
-    resample's size.
+    ``SeedSequence((seed, r, a))`` and is held as a count vector over the
+    original subjects; each draw counts as a distinct subject, so the
+    resample has ``n`` subjects.  Every resample's driver is built from
+    those weights on the original fit's jump grid, with zero increments
+    where the resample has no jump.  Linear systems are then solved for a
+    block of resamples at once by one product-integral scan; nonlinear ones
+    step through each resample's jumps.  A block holds about
+    ``_BOOTSTRAP_ROWS`` grid rows, so memory stays near the
+    ``(len(times), state_dim, b)`` array of the deltas.  The results agree
+    with refitting each resample on its own jump times to rounding.
     """
     if b < 2:
         raise ValueError("bootstrap needs b >= 2 replicates")
@@ -876,28 +1004,37 @@ def bootstrap_covariance(
     time_grid = np.asarray(time_grid, dtype=float)
     base_values = base.value_at(time_grid)
 
-    n = ds.n_subjects
-    block_starts_at_zero = np.zeros(n, dtype=bool)
-    block_starts_at_zero[ds._subject[ds._entry == 0.0]] = True
-    deltas = np.empty((b, time_grid.size, system.state_dim))
-    root_n = np.sqrt(n)
-    for r in range(b):
-        for attempt in range(10):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, r, attempt)))
-            idx = rng.integers(0, n, size=n)
-            if block_starts_at_zero[idx].any():
-                break
-        else:
-            raise DataError(
-                "bootstrap resample kept an empty risk set at t=0 after 10 retries"
+    stack = _ResampleDrivers(ds, kind, driver, group_map, cause_map)
+    times = stack.times
+    m = times.size
+    # Resamples on the last axis: the reductions below then run along
+    # contiguous rows.
+    values = np.empty((m + 1, system.state_dim, b))
+    states = values.transpose(0, 2, 1)
+    draws = _draws(ds, seed, b)
+    block = max(1, _BOOTSTRAP_ROWS // (m + 1))
+    for lo in range(0, b, block):
+        hi = min(lo + block, b)
+        incr = stack.increments(draws, lo, hi - lo)
+        if system.jacobians is not None:
+            _product_integral(
+                system.jacobians, incr, system.initial_value, out=states[:, lo:hi]
             )
-        star = ds._take_subjects(idx)
-        star_driver, _ = estimate_driver(
-            star, kind, grid_step=grid_step, group_map=group_map, cause_map=cause_map
-        )
-        star_path = solve_plugin(system, star_driver)
-        deltas[r] = root_n * (star_path.value_at(time_grid) - base_values)
+            for r in range(lo, hi):
+                system.check_guard_path(times, states[1:, r])
+            continue
+        for r in range(lo, hi):
+            star = StepPath(times, incr[:, r - lo], np.zeros(incr.shape[2]), ds.horizon)
+            path = solve_plugin(system, star)
+            states[0, r] = path.origin_value
+            states[1:, r] = path.values_at_jumps()
 
-    centered = deltas - deltas.mean(axis=0, keepdims=True)
-    cov = np.einsum("rti,rtj->tij", centered, centered) / (b - 1)
+    pos = np.searchsorted(times, time_grid, side="right")
+    deltas = values[1:] if np.array_equal(pos, np.arange(1, m + 1)) else values[pos]
+    del values, states
+    deltas -= base_values[:, :, None]
+    deltas *= np.sqrt(ds.n_subjects)
+    deltas -= deltas.mean(axis=2, keepdims=True)
+    cov = deltas @ deltas.transpose(0, 2, 1)
+    cov /= b - 1
     return time_grid, cov

@@ -2,8 +2,10 @@
 
 The record-at-a-time simulation, the ``dataclasses.replace`` bootstrap, the
 two grid builders and the ``csv.writer`` writers are kept here as references;
-the column code must reproduce them exactly (equal records, ``array_equal``
-covariances, identical bytes).
+the column code must reproduce them exactly (equal records, identical
+bytes).  The stacked bootstrap must give every resample exactly the
+reference's driver; its covariance is bitwise the reference's for systems
+solved jump by jump and within the scan's rounding for linear ones.
 """
 
 import csv
@@ -38,7 +40,12 @@ from hazard_transform import (
     write_path,
 )
 from hazard_transform.plugin import _write_fit
-from hazard_transform.simlab import _SumHazard, _oracle_driver
+from hazard_transform.simlab import (
+    _draws,
+    _oracle_driver,
+    _ResampleDrivers,
+    _SumHazard,
+)
 
 H = 2.0
 TABLE = TableHazard((0.0, 0.5, 1.3, 2.0), (0.4, 1.1, 0.2, 0.9), H)
@@ -245,7 +252,7 @@ def reference_bootstrap(ds, kind, b, seed, time_grid=None, grid_step=None):
     blocks = [subjects[sid] for sid in order]
     n = len(blocks)
     starts_at_zero = np.array([any(r.entry_time == 0.0 for r in blk) for blk in blocks])
-    deltas = np.empty((b, time_grid.size, system.state_dim))
+    deltas = np.empty((time_grid.size, system.state_dim, b))
     for r in range(b):
         for attempt in range(10):
             rng = np.random.default_rng(np.random.SeedSequence((seed, r, attempt)))
@@ -262,20 +269,57 @@ def reference_bootstrap(ds, kind, b, seed, time_grid=None, grid_step=None):
         star = EventDataset(records=tuple(records), horizon=ds.horizon)
         star_driver, _ = estimate_driver(star, kind, grid_step=grid_step)
         star_path = solve_plugin(system, star_driver)
-        deltas[r] = np.sqrt(n) * (star_path.value_at(time_grid) - base_values)
-    centered = deltas - deltas.mean(axis=0, keepdims=True)
-    return time_grid, np.einsum("rti,rtj->tij", centered, centered) / (b - 1)
+        deltas[..., r] = np.sqrt(n) * (star_path.value_at(time_grid) - base_values)
+    deltas -= deltas.mean(axis=2, keepdims=True)
+    return time_grid, deltas @ deltas.transpose(0, 2, 1) / (b - 1)
 
 
-def assert_bootstrap_equal(ds, kind, **kwargs):
-    got = bootstrap_covariance(ds, kind, **kwargs)
-    want = reference_bootstrap(ds, kind, **kwargs)
+def assert_stacked_drivers_match(ds, kind, b, seed, grid_step=None):
+    """Each resample's row of the stacked driver is exactly the driver of
+    the gathered resample, scattered onto the stacked grid (zero elsewhere)."""
+    driver, _ = estimate_driver(ds, kind, grid_step=grid_step)
+    stack = _ResampleDrivers(ds, kind, driver)
+    incr = stack.increments(_draws(ds, seed, b), 0, b)
+    assert incr.shape == (stack.times.size, b, driver.dimension)
+    assert np.isin(driver.times, stack.times).all()
+    for r, idx in enumerate(_draws(ds, seed, b)):
+        star, _ = estimate_driver(ds._take_subjects(idx), kind, grid_step=grid_step)
+        pos = np.searchsorted(stack.times, star.times)
+        np.testing.assert_array_equal(stack.times[pos], star.times)
+        want = np.zeros((stack.times.size, star.dimension))
+        want[pos] = star.increments
+        np.testing.assert_array_equal(incr[:, r], want)
+
+
+def assert_bootstrap_equal(ds, kind, b, seed, time_grid=None, grid_step=None):
+    got = bootstrap_covariance(
+        ds, kind, b=b, seed=seed, time_grid=time_grid, grid_step=grid_step
+    )
+    want = reference_bootstrap(ds, kind, b, seed, time_grid, grid_step)
     np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
+    if make_system(kind).jacobians is None:
+        # Jump by jump, an identity step changes nothing: exact.
+        np.testing.assert_array_equal(got[1], want[1])
+        return
+    # The stacked scan composes identity steps where a resample has no
+    # jump, which moves the products at rounding level.
+    assert_stacked_drivers_match(ds, kind, b, seed, grid_step)
+    np.testing.assert_allclose(
+        got[1], want[1], rtol=0, atol=1e-12 * np.abs(want[1]).max()
+    )
 
 
 @pytest.mark.parametrize(
-    "name", ["survival", "rmst", "led", "cumulative_incidence", "mean_frequency"]
+    "name",
+    [
+        "survival",
+        "rmst",
+        "led",
+        "relative_survival",
+        "cumulative_incidence",
+        "mean_frequency",
+        "screening",
+    ],
 )
 def test_bootstrap_matches_the_record_rebuild(name):
     kind, hazards = SYSTEMS[name]
@@ -314,6 +358,24 @@ def test_bootstrap_retry_path_and_interleaved_subjects():
     )
     with pytest.raises(DataError, match="empty risk set"):
         bootstrap_covariance(late, kind, b=3, seed=1)
+
+
+def test_resample_without_a_group_is_a_data_error():
+    kind, hazards = SYSTEMS["relative_survival"]
+    ds = simulate_dataset(Scenario(system=kind, hazards=hazards, n=3, seed=5))
+    assert ds.group_labels == (0, 1)
+    groups = np.array([ds._group[ds._subject == s][0] for s in range(3)])
+    # The lowest resample that draws no subject of group 1 or of group 0.
+    for r in range(20):
+        rng = np.random.default_rng(np.random.SeedSequence((1, r, 0)))
+        drawn = set(groups[rng.integers(0, 3, size=3)].tolist())
+        if drawn != {0, 1}:
+            break
+    missing = ({0, 1} - drawn).pop()
+    with pytest.raises(
+        DataError, match=rf"^bootstrap resample {r} has no subject of group {missing}$"
+    ):
+        bootstrap_covariance(ds, kind, b=20, seed=1)
 
 
 def test_resample_is_a_gather_of_whole_subjects():

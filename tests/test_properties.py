@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hazard_transform import (
@@ -24,15 +24,23 @@ from hazard_transform import (
     EventRecord,
     PluginFit,
     StepPath,
+    SystemKind,
+    estimate_driver,
+    fit_plugin,
+    make_system,
+    merge_drivers,
     nelson_aalen,
     parse_dataset,
     read_fit,
     read_path,
+    restrict_path,
+    solve_plugin,
     write_dataset,
     write_fit,
     write_path,
 )
 from hazard_transform import events, paths
+from hazard_transform.simlab import _ResampleDrivers
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -285,6 +293,111 @@ def test_gathered_resample_gives_the_record_rebuild_driver(ds, data):
         assert got[2] == want[2]
 
 
+@st.composite
+def resampled_drivers(draw):
+    """A dataset, a system that reads it (groups and causes remapped onto
+    the dataset's own labels) and a few resamples of its subjects, which
+    may leave subjects out or draw them several times."""
+    ds = draw(datasets())
+    maps = {}
+    if ds.group_labels:
+        name = "led"
+        maps["group_map"] = {
+            role: draw(st.sampled_from(ds.group_labels))
+            for role in ("group1", "group2")
+        }
+        maps["cause_map"] = {"group1": draw(st.integers(1, 2))}
+    else:
+        name = draw(st.sampled_from(["survival", "rmst", "mean_frequency"]))
+    grid_step = ds.horizon / draw(st.sampled_from([1, 3, 7]))
+    resamples = draw(
+        st.lists(
+            st.lists(st.integers(0, ds.n_subjects - 1), min_size=1, max_size=8),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return ds, name, grid_step, maps, resamples
+
+
+def gap_dataset(covered):
+    """``a`` leaves at 0.2 and ``b`` enters at 0.3, so the risk set empties
+    at 0.2 unless ``c`` (at risk to 1.0) is there; ``b``'s event at 0.8
+    then falls after a freeze."""
+    records = [
+        EventRecord("a", 0.0, 0.2, 0),
+        EventRecord("b", 0.3, 0.8, 1),
+        EventRecord("c", 0.0, 1.0, 1),
+    ]
+    return EventDataset(records=records[: 2 + covered], horizon=1.5)
+
+
+@PROPERTY
+@given(case=resampled_drivers())
+# Resample (a, b) freezes where the dataset does not.
+@example(case=(gap_dataset(True), "survival", 0.5, {}, [[0, 1], [2]]))
+# The dataset freezes at 0.2; resample (b) keeps the jump at 0.8.
+@example(case=(gap_dataset(False), "rmst", 0.5, {}, [[1], [0, 1]]))
+def check_stacked_drivers(seen, case):
+    """Adds to ``seen`` the kinds of case met."""
+    ds, name, grid_step, maps, resamples = case
+    resamples = [np.array(idx) for idx in resamples]
+    kind = SystemKind(name)
+    driver, meta = estimate_driver(ds, kind, grid_step=grid_step, **maps)
+    stack = _ResampleDrivers(ds, kind, driver, **maps)
+    try:
+        incr = stack.increments(iter(resamples), 0, len(resamples))
+    except DataError as exc:
+        # A resample without a subject of a group the driver reads: the
+        # gathered dataset does not know the group.
+        r = int(str(exc).split()[2])
+        for idx in resamples[:r]:
+            estimate_driver(ds._take_subjects(idx), kind, grid_step=grid_step, **maps)
+        with pytest.raises(ValueError, match="unknown group label"):
+            estimate_driver(
+                ds._take_subjects(resamples[r]), kind, grid_step=grid_step, **maps
+            )
+        seen.add("missing group")
+        return
+    assert np.isin(driver.times, stack.times).all()
+    if meta.truncation_time is not None:
+        seen.add("base freeze")
+    for r, idx in enumerate(resamples):
+        star_ds = ds._take_subjects(idx)
+        star, star_meta = estimate_driver(star_ds, kind, grid_step=grid_step, **maps)
+        pos = np.searchsorted(stack.times, star.times)
+        np.testing.assert_array_equal(stack.times[pos], star.times)
+        want = np.zeros((stack.times.size, star.dimension))
+        want[pos] = star.increments
+        np.testing.assert_array_equal(incr[:, r], want)
+        events = star_ds._exit[star_ds._code > 0]
+        if np.unique(events).size < events.size:
+            seen.add("ties")
+        if star_meta.truncation_time is not None:
+            seen.add("resample freeze")
+    first_entry = np.full(ds.n_subjects, np.inf)
+    np.minimum.at(first_entry, ds._subject, ds._entry)
+    if (first_entry > 0).any():
+        seen.add("delayed entry")
+    if ds.group_labels:
+        seen.add("groups")
+
+
+def test_stacked_resample_drivers_equal_the_gathered_drivers():
+    """Each resample's row of the stacked driver is exactly the driver of
+    the gathered resample, scattered onto the stacked grid."""
+    seen = set()
+    check_stacked_drivers(seen)
+    assert seen >= {
+        "ties",
+        "delayed entry",
+        "groups",
+        "missing group",
+        "resample freeze",
+        "base freeze",
+    }, seen
+
+
 def reference_validation_error(records):
     """The message the record-at-a-time validation raised, or None."""
     bad_order = []
@@ -463,3 +576,136 @@ def test_write_fit_then_read_fit_is_bitwise(workers, case):
     for name in ("times", "point", "lower", "upper"):
         assert same_bits(getattr(back_band, name), getattr(band, name))
     assert back_band.level == band.level
+
+
+# ---------------------------------------------------------------------------
+# The paper's identities and the driver algebra on random inputs.
+
+
+@PROPERTY
+@given(datasets())
+def test_survival_of_nelson_aalen_is_the_product_limit_estimator(ds):
+    path, meta = nelson_aalen(ds, cause=1)
+    survival = solve_plugin(make_system("survival"), path)
+    # Product-limit estimator counted from the records, over the event
+    # times up to the freeze (the last time with a subject at risk).
+    records = ds.records
+    events = sorted({r.exit_time for r in records if r.event_code == 1})
+    events = [t for t in events if t <= ds.horizon]
+    if meta.truncation_time is not None:
+        events = [t for t in events if t <= meta.truncation_time]
+    np.testing.assert_array_equal(survival.times, events)
+    s = 1.0
+    for t, value in zip(events, survival.values_at_jumps()[:, 0]):
+        deaths = sum(r.event_code == 1 and r.exit_time == t for r in records)
+        at_risk = sum(r.entry_time < t <= r.exit_time for r in records)
+        s *= 1.0 - deaths / at_risk
+        assert abs(value - s) <= 1e-12
+
+
+@PROPERTY
+@given(datasets())
+def test_survival_plus_cumulative_incidences_is_one(ds):
+    kind = SystemKind("cumulative_incidence", n_causes=2)
+    driver, meta = estimate_driver(ds, kind)
+    fit = fit_plugin(make_system(kind), driver, meta)
+    values = fit.state_path.values_at_jumps()
+    np.testing.assert_allclose(values.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert (values >= -1e-12).all()
+
+
+#: Moderate increments, so that sums keep a relative precision.
+STEPS = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@st.composite
+def step_paths(draw, times=None):
+    if times is None:
+        times, horizon = draw(jump_times())
+    else:
+        horizon = float(times[-1]) if times.size else 1.0
+    k = draw(st.integers(1, 3))
+    steps = st.lists(STEPS, min_size=times.size * k, max_size=times.size * k)
+    return StepPath(
+        times=times,
+        increments=np.array(draw(steps)).reshape(times.size, k),
+        origin_value=draw(st.lists(STEPS, min_size=k, max_size=k)),
+        horizon=horizon,
+    )
+
+
+@PROPERTY
+@given(step_paths(), st.data())
+def test_restrict_path_agrees_on_the_restricted_window(path, data):
+    start = data.draw(
+        st.sampled_from([0.0, *path.times[path.times < path.horizon]])
+        | st.floats(0.0, path.horizon, exclude_max=True)
+    )
+    restricted = restrict_path(path, start)
+    assert restricted.horizon == path.horizon
+    assert (restricted.times > start).all()
+    np.testing.assert_array_equal(restricted.times, path.times[path.times > start])
+    probes = np.concatenate(
+        [[start, path.horizon], path.times, (path.times[1:] + path.times[:-1]) / 2]
+    )
+    after = probes[probes > start]
+    scale = 1e-12 * (
+        1.0 + np.abs(path.increments).sum() + np.abs(path.origin_value).sum()
+    )
+    np.testing.assert_allclose(
+        restricted.value_at(after), path.value_at(after), rtol=0, atol=scale
+    )
+    before = probes[probes <= start]
+    for value in restricted.value_at(before):
+        np.testing.assert_array_equal(value, path.value_at(start))
+
+
+@st.composite
+def driver_parts(draw):
+    """Drivers on one horizon whose jump times overlap: each part takes a
+    subset of a shared pool."""
+    pool, horizon = draw(jump_times())
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        keep = draw(st.lists(st.booleans(), min_size=pool.size, max_size=pool.size))
+        path = draw(step_paths(times=pool[np.array(keep, dtype=bool)]))
+        path = StepPath(path.times, path.increments, path.origin_value, horizon)
+        k = path.dimension
+        meta = DriverMeta(
+            scale_n=draw(st.integers(1, 1000)),
+            component_labels=tuple(f"c{len(parts)}_{j}" for j in range(k)),
+            deterministic_mask=tuple(
+                draw(st.lists(st.booleans(), min_size=k, max_size=k))
+            ),
+            truncation_time=draw(st.none() | st.floats(0.0, 1.0)),
+        )
+        parts.append((path, meta))
+    return parts
+
+
+@PROPERTY
+@given(driver_parts())
+def test_merge_drivers_stacks_the_parts_on_the_union_of_times(parts):
+    merged, meta = merge_drivers(parts)
+    times = np.unique(np.concatenate([path.times for path, _ in parts]))
+    np.testing.assert_array_equal(merged.times, times)
+    offset = 0
+    for path, part_meta in parts:
+        columns = merged.increments[:, offset : offset + path.dimension]
+        pos = np.searchsorted(times, path.times)
+        np.testing.assert_array_equal(columns[pos], path.increments)
+        others = np.ones(times.size, dtype=bool)
+        others[pos] = False
+        assert (columns[others] == 0.0).all()
+        np.testing.assert_array_equal(
+            merged.origin_value[offset : offset + path.dimension], path.origin_value
+        )
+        offset += path.dimension
+    assert offset == merged.dimension
+    stochastic = [m.scale_n for _, m in parts if not all(m.deterministic_mask)]
+    assert meta.scale_n == max(sum(stochastic), 1)
+    assert meta.component_labels == sum((m.component_labels for _, m in parts), ())
+    assert meta.deterministic_mask == sum((m.deterministic_mask for _, m in parts), ())
+    truncations = [m.truncation_time for _, m in parts]
+    truncations = [t for t in truncations if t is not None]
+    assert meta.truncation_time == (min(truncations) if truncations else None)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -491,6 +492,31 @@ class TestBootstrap:
         for k in range(cov.shape[0]):
             np.testing.assert_allclose(cov[k], cov[k].T, rtol=0, atol=1e-12)
             assert np.linalg.eigvalsh(cov[k]).min() >= -1e-10
+
+    def test_memory_stays_near_the_deltas_array(self):
+        # The variance-study reference: 2000 subjects with recurrent events,
+        # b = 100.  The deltas (grid times x components x resamples) must be
+        # held; all else together stays under 1.5 times their size.
+        sc = Scenario(
+            system=SystemKind("mean_frequency"),
+            hazards={
+                "recurrent": ConstantHazard(1.0, 1.0),
+                "terminal": ConstantHazard(0.5, 1.0),
+            },
+            censor=ConstantHazard(0.3, 1.0),
+            n=2000,
+            seed=3,
+        )
+        ds = simulate_dataset(sc)
+        tracemalloc.start()
+        try:
+            times, cov = bootstrap_covariance(ds, sc.system, b=100, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        deltas_bytes = times.size * 100 * cov.shape[1] * 8
+        assert times.size > 1000
+        assert peak <= 2.5 * deltas_bytes, peak / deltas_bytes
 
     def test_needs_at_least_two_resamples(self):
         ds = simulate_dataset(survival_scenario(10, 41))
