@@ -27,7 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, HazardTransformError
+from .errors import ConfigError, HazardTransformError, _number, _numbers
 from .events import parse_dataset, write_dataset
 from .hazards import estimate_driver
 from .paths import restrict_path
@@ -83,6 +83,17 @@ def _require(cfg: dict, key: str, command: str):
     if key not in cfg:
         raise ConfigError(f"{command} needs a {key!r} setting (flag or config)")
     return cfg[key]
+
+
+def _setting(cfg: dict, key: str, flag=None, default=None, integer=False, many=False):
+    """``flag`` if it was given, else config ``key`` unless it is unset or
+    null, else ``default``.  A config value must be a number: an integer
+    when ``integer``, a list of them when ``many``."""
+    if flag is not None:
+        return flag
+    if cfg.get(key) is None:
+        return default
+    return (_numbers if many else _number)(cfg[key], repr(key), integer)
 
 
 def _float_list(text: str, what: str) -> list[float]:
@@ -144,16 +155,20 @@ def _system_cfg(cfg: dict, args) -> dict:
     return sys_cfg
 
 
+def _flag_horizon(args) -> float:
+    """Horizon of the hazards built from flags: ``--horizon``, default 1."""
+    return args.horizon if getattr(args, "horizon", None) is not None else 1.0
+
+
 def _hazards_cfg(cfg: dict, args, kind: SystemKind) -> dict:
     """Merge hazard configs from file and ``--hazard`` flags, filling roles."""
-    hazards = dict(cfg.get("hazards") or {})
     if not isinstance(cfg.get("hazards", {}), dict):
         raise ConfigError("'hazards' must map driver roles to hazard configs")
+    hazards = dict(cfg.get("hazards") or {})
     flags = getattr(args, "hazard", None) or []
-    horizon = args.horizon if getattr(args, "horizon", None) is not None else 1.0
     stochastic_roles = [s.role for s in driver_slots(kind) if not s.deterministic]
     for text in flags:
-        role, hcfg = _parse_hazard_flag(text, horizon)
+        role, hcfg = _parse_hazard_flag(text, _flag_horizon(args))
         if role is None:
             if len(stochastic_roles) != 1:
                 raise ConfigError(
@@ -165,13 +180,9 @@ def _hazards_cfg(cfg: dict, args, kind: SystemKind) -> dict:
     return hazards
 
 
-def _censor_cfg(cfg: dict, args, horizon_default: float = 1.0):
+def _censor_cfg(cfg: dict, args):
     if getattr(args, "censor", None):
-        horizon = (
-            args.horizon if getattr(args, "horizon", None) is not None else
-            horizon_default
-        )
-        _, hcfg = _parse_hazard_flag(args.censor, horizon)
+        _, hcfg = _parse_hazard_flag(args.censor, _flag_horizon(args))
         return hcfg
     return cfg.get("censor")
 
@@ -182,11 +193,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _level(cfg, args, default=0.95) -> float:
-    if getattr(args, "level", None) is not None:
-        level = float(args.level)
-    else:
-        level = float(cfg.get("level", default))
+def _level(cfg, args) -> float:
+    level = float(_setting(cfg, "level", args.level, 0.95))
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be strictly between 0 and 1")
     return level
@@ -202,14 +210,10 @@ def _scenario(cfg: dict, args, command: str, n: int | None = None) -> Scenario:
     censor_cfg = _censor_cfg(cfg, args)
     censor = hazard_from_config(censor_cfg) if censor_cfg else None
     if n is None:
-        if getattr(args, "n", None) is not None:
-            n = args.n
-        else:
-            n = int(_require(cfg, "n", command))
-    if getattr(args, "k", None) is not None:
-        k = args.k
-    else:
-        k = int(cfg.get("k_replications", 1))
+        n = getattr(args, "n", None)
+    if n is None:
+        n = _number(_require(cfg, "n", command), "'n'", integer=True)
+    k = _setting(cfg, "k_replications", getattr(args, "k", None), 1, integer=True)
     return Scenario(
         system=kind, hazards=hazards, n=n, seed=args.seed,
         k_replications=k, censor=censor,
@@ -224,14 +228,17 @@ def cmd_estimate(args):
         "estimate",
     )
     sys_cfg = _system_cfg(cfg, args)
-    x0 = cfg.get("x0")
-    if getattr(args, "x0", None):
+    if args.x0:
         x0 = _float_list(args.x0, "--x0")
+    else:
+        x0 = _setting(cfg, "x0", many=True)
     if sys_cfg.get("name") == "screening" and "initial_value" not in sys_cfg and x0:
         sys_cfg["initial_value"] = x0
     kind = SystemKind.from_config(sys_cfg)
 
     data = args.data if args.data else _require(cfg, "data", "estimate")
+    if not isinstance(data, str):
+        raise ConfigError(f"'data' must be a path, got {data!r}")
     data_path = Path(data)
     if not data_path.exists():
         raise ConfigError(f"data file not found: {data_path}")
@@ -240,19 +247,18 @@ def cmd_estimate(args):
     if not isinstance(driver_cfg, dict):
         raise ConfigError("'driver' must be a mapping")
     _check_keys(driver_cfg, {"grid_step", "groups", "causes"}, "estimate driver")
-    grid_step = (
-        args.grid_step if args.grid_step is not None else driver_cfg.get("grid_step")
-    )
+    grid_step = _setting(driver_cfg, "grid_step", args.grid_step)
 
     def int_map(value, what):
         if value is None:
             return None
         if not isinstance(value, dict):
             raise ConfigError(f"{what} must be a mapping of driver roles to integers")
-        return {role: int(v) for role, v in value.items()}
+        return {
+            role: _number(v, f"{what} value", integer=True) for role, v in value.items()
+        }
 
-    horizon = args.horizon if args.horizon is not None else cfg.get("horizon")
-    dataset = parse_dataset(data_path, horizon=horizon)
+    dataset = parse_dataset(data_path, horizon=_setting(cfg, "horizon", args.horizon))
     driver, meta = estimate_driver(
         dataset,
         kind,
@@ -260,11 +266,16 @@ def cmd_estimate(args):
         group_map=int_map(driver_cfg.get("groups"), "driver groups"),
         cause_map=int_map(driver_cfg.get("causes"), "driver causes"),
     )
-    start = args.start if args.start is not None else cfg.get("start")
-    if start is not None and float(start) > 0.0:
+    start = _setting(cfg, "start", args.start)
+    if start is not None and start > 0.0:
         driver = restrict_path(driver, float(start))
     system = make_system(kind)
-    fit = fit_plugin(system, driver, meta, x0_override=x0, v0=cfg.get("v0"))
+    v0 = cfg.get("v0")
+    if v0 is not None:
+        if not isinstance(v0, list):
+            raise ConfigError(f"'v0' must be a list of rows, got {v0!r}")
+        v0 = [_numbers(row, "each row of 'v0'") for row in v0]
+    fit = fit_plugin(system, driver, meta, x0_override=x0, v0=v0)
     band = confidence_band(fit, level)
 
     out = _out_dir(args)
@@ -295,7 +306,7 @@ def cmd_converge(args):
     if args.n_list:
         n_list = [int(v) for v in _float_list(args.n_list, "--n-list")]
     else:
-        n_list = [int(v) for v in _require(cfg, "n_list", "converge")]
+        n_list = _numbers(_require(cfg, "n_list", "converge"), "'n_list'", True)
     if not n_list:
         raise ConfigError("n_list must be a non-empty list of sample sizes")
     sc = _scenario(cfg, args, "converge", n=max(n_list))
@@ -303,18 +314,11 @@ def cmd_converge(args):
         sc,
         n_list,
         target=args.target if args.target else cfg.get("target", "estimate"),
-        component=args.component if args.component is not None else cfg.get("component"),
-        grid_step=args.grid_step if args.grid_step is not None else cfg.get("grid_step"),
-        oracle_step=(
-            args.oracle_step if args.oracle_step is not None else cfg.get("oracle_step")
-        ),
-        bootstrap_n=(
-            args.bootstrap_n if args.bootstrap_n is not None else cfg.get("bootstrap_n")
-        ),
-        bootstrap_b=(
-            args.bootstrap_b if args.bootstrap_b is not None
-            else int(cfg.get("bootstrap_b", 500))
-        ),
+        component=_setting(cfg, "component", args.component, integer=True),
+        grid_step=_setting(cfg, "grid_step", args.grid_step),
+        oracle_step=_setting(cfg, "oracle_step", args.oracle_step),
+        bootstrap_n=_setting(cfg, "bootstrap_n", args.bootstrap_n, integer=True),
+        bootstrap_b=_setting(cfg, "bootstrap_b", args.bootstrap_b, 500, integer=True),
         n_jobs=args.jobs,
     )
     out = _out_dir(args)
@@ -333,18 +337,17 @@ def cmd_coverage(args):
         "coverage",
     )
     sc = _scenario(cfg, args, "coverage")
-    t_grid = cfg.get("t_grid")
     if args.t_grid:
         t_grid = _float_list(args.t_grid, "--t-grid")
+    else:
+        t_grid = _setting(cfg, "t_grid", many=True)
     result = coverage_study(
         sc,
         level=_level(cfg, args),
         t_grid=t_grid,
-        component=args.component if args.component is not None else cfg.get("component"),
-        grid_step=args.grid_step if args.grid_step is not None else cfg.get("grid_step"),
-        oracle_step=(
-            args.oracle_step if args.oracle_step is not None else cfg.get("oracle_step")
-        ),
+        component=_setting(cfg, "component", args.component, integer=True),
+        grid_step=_setting(cfg, "grid_step", args.grid_step),
+        oracle_step=_setting(cfg, "oracle_step", args.oracle_step),
         n_jobs=args.jobs,
     )
     out = _out_dir(args)

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks that turn
+a config value of the wrong type into a :class:`ConfigError`."""
 
 from __future__ import annotations
+
+import numbers
 
 __all__ = [
     "HazardTransformError",
@@ -63,3 +66,24 @@ class NegativeVarianceError(HazardTransformError):
 
 class ConfigError(HazardTransformError):
     """Invalid run configuration (CLI config file or system parameters)."""
+
+
+def _number(value, what: str, integer: bool = False):
+    """``value`` if it is a number (an integer when ``integer``; a bool is
+    neither), else :class:`ConfigError` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(
+        value, numbers.Integral if integer else numbers.Real
+    ):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _numbers(value, what: str, integer: bool = False) -> list:
+    """``value`` if it is a list of numbers (of integers when ``integer``),
+    else :class:`ConfigError` naming ``what``."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    for v in value:
+        _number(v, f"each of {what}", integer)
+    return list(value)

@@ -8,6 +8,8 @@ into one jump.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DataError
@@ -28,19 +30,72 @@ __all__ = [
 RANK_RCOND = 1e-10
 
 
-def _freeze_time(
-    dataset: EventDataset, entry_sorted: np.ndarray, exit_sorted: np.ndarray
-) -> float | None:
-    """First time the risk set empties (checked just after each exit), or
-    None if it never does before the horizon."""
-    exits = np.unique(exit_sorted)
-    exits = exits[exits < dataset.horizon]
-    # risk set just after t: #{entry <= t} - #{exit <= t}
-    y_after = np.searchsorted(entry_sorted, exits, side="right") - np.searchsorted(
-        exit_sorted, exits, side="right"
-    )
-    empty = np.flatnonzero(y_after == 0)
-    return float(exits[empty[0]]) if empty.size else None
+class _RiskSet:
+    """Weighted risk set of one group's spells on a jump grid ``times``.
+
+    The grid is binned once against the spells' sorted entry and exit times.
+    A call with subject weights ``w`` (default: each spell once) returns
+    ``(at_risk, cut, freeze)``: the weight of the spells at risk at each grid
+    time (left-continuous, ``entry < t <= exit``), and the freeze.  A sample
+    freezes at the first of its own exits before the horizon after which no
+    spell is at risk (``entry <= t < exit``); ``cut`` is the number of grid
+    times up to the freeze, and ``freeze`` its time, or None when it cuts no
+    grid time.
+    """
+
+    def __init__(self, dataset: EventDataset, group: int | None, times: np.ndarray):
+        mask = dataset._group_mask(group)
+        self.subject = dataset._subject[mask]
+        self.times = times
+        self._spells = dataset._entry[mask], dataset._exit[mask]
+        entry, exit_ = np.sort(self._spells[0]), np.sort(self._spells[1])
+        # The distinct exits before the horizon end runs of ties in exit_.
+        k = exit_.searchsorted(dataset.horizon)
+        last = np.flatnonzero(exit_[:k] != np.append(exit_[1:], np.inf)[:k])
+        self._ends = exit_[last]
+        # Weight at risk at t is (weight of entries < t) - (of exits < t);
+        # just after an exit time, (of entries <= t) - (of exits <= t).
+        self._at = entry.searchsorted(times), exit_.searchsorted(times)
+        self._after = entry.searchsorted(self._ends, "right"), last + 1
+
+    @cached_property
+    def _sorted_subjects(self):
+        """The spells' subjects in entry order and in exit order."""
+        return [self.subject[np.argsort(x)] for x in self._spells]
+
+    def __call__(self, weights: np.ndarray | None = None):
+        (a, b), (c, d) = self._at, self._after
+        if weights is None:
+            at_risk, empty = a - b, c == d
+        else:
+            by_entry, by_exit = self._sorted_subjects
+            entered = np.concatenate(([0], np.cumsum(weights[by_entry])))
+            left = np.concatenate(([0], np.cumsum(weights[by_exit])))
+            at_risk = entered[a] - left[b]
+            # Only an end time where the sample's exit weight grows is its own.
+            empty = (entered[c] == left[d]) & (np.diff(left[d], prepend=0) > 0)
+        frozen = np.flatnonzero(empty)
+        if not frozen.size:
+            return at_risk.astype(float), self.times.size, None
+        freeze = float(self._ends[frozen[0]])
+        cut = int(self.times.searchsorted(freeze, "right"))
+        return at_risk.astype(float), cut, freeze if cut < self.times.size else None
+
+
+def _events(dataset: EventDataset, cause: int, group: int | None) -> np.ndarray:
+    """Mask of the spells that end in a ``cause`` event of ``group`` by the
+    horizon."""
+    mask = dataset._group_mask(group) & (dataset._code == cause)
+    return mask & (dataset._exit <= dataset.horizon)
+
+
+def _slot_sources(kind: SystemKind, group_map=None, cause_map=None):
+    """``(slot, cause, group)`` of each driver slot of ``kind`` in column
+    order; ``cause_map``/``group_map`` override a slot's defaults by role."""
+    for slot in driver_slots(kind):
+        cause = (cause_map or {}).get(slot.role, slot.cause)
+        group = (group_map or {}).get(slot.role, slot.group)
+        yield slot, cause, group
 
 
 def nelson_aalen(
@@ -52,43 +107,28 @@ def nelson_aalen(
     within the group; ``Y`` is the group's left-continuous risk set.  The path
     is frozen at the first time the risk set empties: later events (possible
     under delayed entry) are dropped and reported via ``truncation_time``.
+    ``Y`` and the freeze come from the weighted risk-set kernel with unit
+    weights; a bootstrap resample's drivers come from the same kernel with
+    its draw counts as weights.
     """
     if len(dataset) == 0:
         raise DataError("dataset has no subjects")
     if cause < 1:
         raise ValueError("cause must be a positive event code")
-    mask = dataset._group_mask(group)
-    scale_n = dataset.subjects_in_group(group)
-    entry_sorted = np.sort(dataset._entry[mask])
-    exit_sorted = np.sort(dataset._exit[mask])
-
-    event_mask = mask & (dataset._code == cause) & (dataset._exit <= dataset.horizon)
-    times, dn = np.unique(dataset._exit[event_mask], return_counts=True)
-
-    truncation = _freeze_time(dataset, entry_sorted, exit_sorted)
-    if truncation is not None:
-        keep = times <= truncation
-        if keep.all():
-            truncation = None
-        else:
-            times, dn = times[keep], dn[keep]
-
-    # left-continuous risk set: #{entry < t} - #{exit < t}
-    at_risk = (
-        np.searchsorted(entry_sorted, times, side="left")
-        - np.searchsorted(exit_sorted, times, side="left")
-    ).astype(float)
-    increments = (dn / at_risk).reshape(-1, 1) if times.size else np.zeros((0, 1))
+    events = _events(dataset, cause, group)
+    times, dn = np.unique(dataset._exit[events], return_counts=True)
+    at_risk, cut, truncation = _RiskSet(dataset, group, times)()
+    increments = (dn[:cut] / at_risk[:cut]).reshape(-1, 1)
 
     label = f"cause{cause}" if group is None else f"cause{cause}|group{group}"
     path = StepPath(
-        times=times,
+        times=times[:cut],
         increments=increments,
         origin_value=np.zeros(1),
         horizon=dataset.horizon,
     )
     meta = DriverMeta(
-        scale_n=scale_n,
+        scale_n=dataset.subjects_in_group(group),
         component_labels=(label,),
         deterministic_mask=(False,),
         truncation_time=truncation,
@@ -166,6 +206,8 @@ def aalen_additive(
 def _grid_times(horizon: float, step: float, start: float = 0.0) -> np.ndarray:
     """Grid ``start + step, start + 2*step, ...`` ending exactly at ``horizon``
     (a last point past it is moved onto it, a short last step is added)."""
+    if not 0 < step <= horizon - start:
+        raise ValueError(f"step must satisfy 0 < step <= {horizon - start:g}")
     count = int(np.floor((horizon - start) / step + 1e-12))
     times = start + np.arange(1, count + 1) * step
     if times.size and times[-1] > horizon:
@@ -182,8 +224,6 @@ def time_grid_driver(horizon: float, step: float) -> tuple[StepPath, DriverMeta]
     to the horizon, so the path value at ``t`` is the largest grid point
     ``<= t`` and the discrepancy from ``t`` never exceeds ``step``.
     """
-    if not 0 < step <= horizon:
-        raise ValueError("step must satisfy 0 < step <= horizon")
     times = _grid_times(horizon, step)
     increments = np.diff(times, prepend=0.0).reshape(-1, 1)
     path = StepPath(
@@ -212,12 +252,10 @@ def estimate_driver(
     if isinstance(kind, str):
         kind = SystemKind(name=kind)
     parts = []
-    for slot in driver_slots(kind):
+    for slot, cause, group in _slot_sources(kind, group_map, cause_map):
         if slot.deterministic:
             step = grid_step if grid_step is not None else dataset.horizon / 1000.0
             parts.append(time_grid_driver(dataset.horizon, step))
         else:
-            cause = (cause_map or {}).get(slot.role, slot.cause)
-            group = (group_map or {}).get(slot.role, slot.group)
             parts.append(nelson_aalen(dataset, cause=cause, group=group))
     return merge_drivers(parts)

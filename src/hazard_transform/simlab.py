@@ -16,9 +16,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DataError, HazardTransformError
+from .errors import ConfigError, DataError, HazardTransformError, _number, _numbers
 from .events import EventDataset
-from .hazards import _grid_times, estimate_driver
+from .hazards import _events, _grid_times, _RiskSet, _slot_sources, estimate_driver
 from .paths import StepPath
 from .plugin import _product_integral, confidence_band, fit_plugin, solve_plugin
 from .systems import SystemKind, driver_slots, make_system
@@ -199,6 +199,11 @@ def hazard_from_config(cfg: dict) -> HazardSpec:
     if not isinstance(cfg, dict) or "form" not in cfg:
         raise ConfigError("hazard config must be a mapping with a 'form' key")
     form = cfg["form"]
+    for key, value in cfg.items():
+        if key in ("times", "rates"):
+            _numbers(value, f"hazard {key!r}")
+        elif key in ("rate", "intercept", "slope", "horizon"):
+            _number(value, f"hazard {key!r}")
     try:
         if form == "constant":
             return ConstantHazard(rate_value=cfg["rate"], horizon=cfg["horizon"])
@@ -298,18 +303,21 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence((seed, *key)).generate_state(1, np.uint64)[0])
 
 
+def _censor_times(rng, censor, n):
+    """Censoring times of ``n`` subjects; ``inf`` (and no draw) without
+    censoring."""
+    if censor is None:
+        return np.full(n, np.inf)
+    return censor.invert(rng.exponential(size=n))
+
+
 def _single_spell(rng, hazard, censor, horizon, n):
     """Draw one spell per subject: event vs censoring vs horizon.
 
     Returns the exit times and the event codes (1 event, 0 censored).
     """
     t_event = hazard.invert(rng.exponential(size=n))
-    t_cens = (
-        censor.invert(rng.exponential(size=n))
-        if censor is not None
-        else np.full(n, np.inf)
-    )
-    exit_time = np.minimum(np.minimum(t_event, t_cens), horizon)
+    exit_time = np.minimum(np.minimum(t_event, _censor_times(rng, censor, n)), horizon)
     return exit_time, (t_event == exit_time).astype(np.int64)
 
 
@@ -426,11 +434,7 @@ def simulate_dataset(sc: Scenario) -> EventDataset:
         total = _SumHazard(parts)
         t_event = total.invert(rng.exponential(size=sc.n))
         u_cause = rng.random(sc.n)
-        t_cens = (
-            sc.censor.invert(rng.exponential(size=sc.n))
-            if sc.censor is not None
-            else np.full(sc.n, np.inf)
-        )
+        t_cens = _censor_times(rng, sc.censor, sc.n)
         exit_time = np.minimum(np.minimum(t_event, t_cens), horizon)
         # The cause is drawn from the cause rates at the event time.
         hit = t_event == exit_time
@@ -446,11 +450,7 @@ def simulate_dataset(sc: Scenario) -> EventDataset:
         recurrent = sc.hazards["recurrent"]
         terminal = sc.hazards["terminal"]
         t_term = terminal.invert(rng.exponential(size=sc.n))
-        t_cens = (
-            sc.censor.invert(rng.exponential(size=sc.n))
-            if sc.censor is not None
-            else np.full(sc.n, np.inf)
-        )
+        t_cens = _censor_times(rng, sc.censor, sc.n)
         follow = np.minimum(np.minimum(t_term, t_cens), horizon)
         counts, times = _recurrent_times(rng, recurrent, follow)
         # Each subject's spells run 0 -> t_1 -> ... -> t_k (code 1 each),
@@ -660,6 +660,18 @@ def _cov_worker(task):
         return (j, None, type(exc).__name__)
 
 
+def _component(kind: SystemKind, component) -> int:
+    """The state component a study reads: ``component``, by default the one
+    the system is named after; anything but ``0 <= component < state_dim``
+    is a :class:`ConfigError`."""
+    if component is None:
+        return kind.headline_index
+    dim = make_system(kind).state_dim
+    if not 0 <= _number(component, "component", integer=True) < dim:
+        raise ConfigError(f"component must be in 0..{dim - 1}, got {component}")
+    return int(component)
+
+
 def l2_convergence(
     sc: Scenario,
     n_list,
@@ -690,7 +702,7 @@ def l2_convergence(
     if target not in ("estimate", "variance"):
         raise ConfigError("target must be 'estimate' or 'variance'")
     kind = sc.system
-    comp = kind.headline_index if component is None else component
+    comp = _component(kind, component)
     horizon = sc.horizon
     n_list = [int(v) for v in n_list]
 
@@ -784,7 +796,7 @@ def coverage_study(
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be strictly between 0 and 1")
     kind = sc.system
-    comp = kind.headline_index if component is None else component
+    comp = _component(kind, component)
     horizon = sc.horizon
     if t_grid is None:
         t_grid = np.linspace(0.2 * horizon, 0.8 * horizon, 13)
@@ -869,54 +881,36 @@ class _ResampleDrivers:
 
     A resample that draws subject ``s`` ``w[s]`` times has the driver that
     :func:`estimate_driver` gives for the dataset repeating each of ``s``'s
-    spells ``w[s]`` times.  Its Nelson-Aalen increments ``dN / Y`` are sums
-    of ``w`` over the original spells, binned onto :attr:`times` by
-    ``np.bincount`` with bins found once: the base driver's jump times plus
-    any event times the base's freeze dropped (a resample without the
-    subjects behind the empty risk set keeps them).  Where a resample has
-    no jump the increment is 0, an identity step of the state recursion.
+    spells ``w[s]`` times: ``dN`` sums ``w`` over each slot's event spells,
+    and the risk set and freeze come from ``nelson_aalen``'s own kernel,
+    :class:`~hazard_transform.hazards._RiskSet`, with ``w`` as weights.  The
+    grid :attr:`times` is the base driver's jump times plus any event times
+    the base's freeze dropped (a resample without the subjects behind the
+    empty risk set keeps them).  Where a resample has no jump, or is frozen,
+    the increment is 0, an identity step of the state recursion.
     """
 
     def __init__(self, ds, kind, driver, group_map=None, cause_map=None):
         self._n = ds.n_subjects
-        slots = driver_slots(kind)
-        events = {}
-        for j, slot in enumerate(slots):
-            if not slot.deterministic:
-                cause = (cause_map or {}).get(slot.role, slot.cause)
-                group = (group_map or {}).get(slot.role, slot.group)
-                mask = ds._group_mask(group)
-                events[j] = group, mask & (ds._code == cause) & (ds._exit <= ds.horizon)
+        events = {
+            j: (group, _events(ds, cause, group))
+            for j, (slot, cause, group) in enumerate(
+                _slot_sources(kind, group_map, cause_map)
+            )
+            if not slot.deterministic
+        }
         self.times = times = np.unique(
             np.concatenate([driver.times] + [ds._exit[e] for _, e in events.values()])
         )
         # Deterministic columns (time grids) are the same in every resample.
-        self._fixed = np.zeros((times.size, len(slots)))
+        self._fixed = np.zeros((times.size, driver.dimension))
         self._fixed[np.searchsorted(times, driver.times)] = driver.increments
         self._fixed[:, list(events)] = 0.0
         self._slots = [
             (j, group, ds._subject[e], np.searchsorted(times, ds._exit[e]))
             for j, (group, e) in events.items()
         ]
-        self._groups = {}
-        for group, _ in events.values():
-            mask = ds._group_mask(group)
-            entry, exit_ = ds._entry[mask], ds._exit[mask]
-            members = np.zeros(ds.n_subjects, dtype=bool)
-            members[ds._subject[mask]] = True
-            # Spells at risk at times[i] (entry < t <= exit) have bins
-            # a <= i < b; spells at risk just after exit time ends[i]
-            # (entry <= t < exit) have bins c <= i < d.
-            ends = np.unique(exit_[exit_ < ds.horizon])
-            self._groups[group] = (
-                members,
-                ds._subject[mask],
-                np.searchsorted(times, entry, side="right"),
-                np.searchsorted(times, exit_, side="right"),
-                ends,
-                np.searchsorted(ends, entry),
-                np.searchsorted(ends, exit_),
-            )
+        self._risk = {g: _RiskSet(ds, g, times) for g, _ in events.values()}
 
     def increments(self, draws, first: int, count: int) -> np.ndarray:
         """Stacked driver increments ``(m, count, k)`` of resamples ``first``
@@ -928,26 +922,13 @@ class _ResampleDrivers:
         for r, idx in zip(range(count), draws):
             w = np.bincount(idx, minlength=self._n)
             risk = {}
-            for group, (members, subject, a, b, ends, c, d) in self._groups.items():
-                if group is not None and not members[idx].any():
+            for group, risk_set in self._risk.items():
+                if group is not None and not w[risk_set.subject].any():
                     raise DataError(
                         f"bootstrap resample {first + r} has no subject of group "
                         f"{group!r}"
                     )
-                ws = w[subject]
-                at_risk = np.cumsum(
-                    np.bincount(a, ws, m + 1) - np.bincount(b, ws, m + 1)
-                )[:m]
-                # The resample freezes at its first own exit time after which
-                # its risk set is empty; its later jumps are dropped.
-                exits = np.bincount(d, ws, ends.size + 1)
-                after = np.cumsum(np.bincount(c, ws, ends.size + 1) - exits)
-                frozen = np.flatnonzero((after[:-1] == 0) & (exits[:-1] > 0))
-                cut = (
-                    np.searchsorted(self.times, ends[frozen[0]], side="right")
-                    if frozen.size
-                    else m
-                )
+                at_risk, cut, _ = risk_set(w)
                 # Where the resample has an event it is at risk, so a risk set
                 # of 0 only ever divides 0 events: the increment is 0 there.
                 risk[group] = np.maximum(at_risk, 1.0), cut
@@ -981,9 +962,10 @@ def bootstrap_covariance(
     Resample ``r`` (attempt ``a``) draws its ``n`` subject indices from
     ``SeedSequence((seed, r, a))`` and is held as a count vector over the
     original subjects; each draw counts as a distinct subject, so the
-    resample has ``n`` subjects.  Every resample's driver is built from
-    those weights on the original fit's jump grid, with zero increments
-    where the resample has no jump.  Linear systems are then solved for a
+    resample has ``n`` subjects.  Every resample's driver comes from
+    ``nelson_aalen``'s own risk-set kernel with those counts as weights, on
+    the original fit's jump grid, with zero increments where the resample
+    has no jump or is frozen.  Linear systems are then solved for a
     block of resamples at once by one product-integral scan; nonlinear ones
     step through each resample's jumps.  A block holds about
     ``_BOOTSTRAP_ROWS`` grid rows, so memory stays near the

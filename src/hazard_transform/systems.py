@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, GuardViolation
+from .errors import ConfigError, GuardViolation, _number, _numbers
 
 __all__ = [
     "SystemKind",
@@ -57,7 +57,7 @@ class SystemKind:
     initial_value: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.name not in _CATALOG:
+        if not isinstance(self.name, str) or self.name not in _CATALOG:
             raise ConfigError(f"unknown system name: {self.name!r}")
         if self.initial_value is not None:
             object.__setattr__(
@@ -80,8 +80,12 @@ class SystemKind:
         if extra:
             raise ConfigError(f"unknown system config key(s): {sorted(extra)}")
         kwargs = dict(cfg)
-        if "initial_value" in kwargs and kwargs["initial_value"] is not None:
-            kwargs["initial_value"] = tuple(kwargs["initial_value"])
+        if "n_causes" in cfg:
+            _number(cfg["n_causes"], "n_causes", integer=True)
+        if cfg.get("prevalence") is not None:
+            _number(cfg["prevalence"], "prevalence")
+        if cfg.get("initial_value") is not None:
+            kwargs["initial_value"] = _numbers(cfg["initial_value"], "initial_value")
         return cls(**kwargs)
 
 

@@ -211,3 +211,71 @@ class TestStudies:
         assert (outs[0] / "convergence.json").read_bytes() == (
             outs[1] / "convergence.json"
         ).read_bytes()
+
+
+HAZARD = {"form": "constant", "rate": 1, "horizon": 1}
+
+#: command, config (``DATA`` is a valid dataset path) and the key the error
+#: names.
+WRONG_TYPES = {
+    "hazard rate": (
+        "simulate",
+        {"hazards": {"event": {**HAZARD, "rate": "x"}}, "n": 10},
+        "rate",
+    ),
+    "n_causes": (
+        "simulate",
+        {
+            "system": {"name": "cumulative_incidence", "n_causes": "2"},
+            "hazards": {"cause1": HAZARD, "cause2": HAZARD},
+            "n": 10,
+        },
+        "n_causes",
+    ),
+    "grid_step": (
+        "estimate",
+        {"system": "rmst", "data": "DATA", "driver": {"grid_step": "0.1"}},
+        "grid_step",
+    ),
+    "component": (
+        "coverage",
+        {"hazards": {"event": HAZARD}, "n": 10, "k_replications": 2, "component": "0"},
+        "component",
+    ),
+    "hazards": ("simulate", {"hazards": "abc", "n": 10}, "hazards"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES.values(), ids=list(WRONG_TYPES))
+def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, case):
+    command, config, key = case
+    data = tmp_path / "d.csv"
+    data.write_text("id,entry,exit,event\na,0,1,1\nb,0,0.5,0\n")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config).replace('"DATA"', json.dumps(str(data))))
+    seed = [] if command == "estimate" else ["--seed", 1]
+    proc = run_cli(
+        command, "--config", path, *seed, "--out", tmp_path / "o", expect=1
+    )
+    err = error_payload(proc)
+    assert err["type"] == "ConfigError"
+    assert key in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coverage", "--n", 10, "--k", 2, "--component", 5],
+        ["converge", "--n-list", 10, "--k", 1, "--component", -1],
+    ],
+    ids=["coverage 5", "converge -1"],
+)
+def test_component_outside_the_state_is_a_config_error(tmp_path, argv):
+    proc = run_cli(
+        *argv, "--system", "survival", "--hazard", "constant:1", "--seed", 1,
+        "--out", tmp_path / "o", expect=1,
+    )
+    err = error_payload(proc)
+    assert err["type"] == "ConfigError"
+    assert "component" in err["message"]
+    assert not (tmp_path / "o").exists()

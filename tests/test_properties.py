@@ -398,6 +398,70 @@ def test_stacked_resample_drivers_equal_the_gathered_drivers():
     }, seen
 
 
+def reference_nelson_aalen(ds, cause, group):
+    """Nelson-Aalen from the public definitions: ``counting_path`` for dN,
+    ``at_risk`` for Y, and the freeze found from the records."""
+    records = [r for r in ds.records if group is None or r.group == group]
+    exits = sorted({r.exit_time for r in records if r.exit_time < ds.horizon})
+    freeze = next(
+        (
+            t
+            for t in exits
+            if not any(r.entry_time <= t < r.exit_time for r in records)
+        ),
+        None,
+    )
+    counts = events.counting_path(ds, cause, group)
+    times, dn = counts.times, counts.increments[:, 0]
+    if freeze is not None:
+        keep = times <= freeze
+        if keep.all():
+            freeze = None
+        times, dn = times[keep], dn[keep]
+    y = np.array([events.at_risk(ds, t, group) for t in times], dtype=float)
+    label = f"cause{cause}" if group is None else f"cause{cause}|group{group}"
+    meta = DriverMeta(
+        scale_n=len({r.subject_id for r in records}),
+        component_labels=(label,),
+        deterministic_mask=(False,),
+        truncation_time=freeze,
+    )
+    return times, (dn / y).reshape(-1, 1), meta
+
+
+@PROPERTY
+@given(ds=datasets())
+# The risk set empties at 0.2, before b's event at 0.8.
+@example(ds=gap_dataset(False))
+def check_nelson_aalen_reference(seen, ds):
+    """Adds to ``seen`` the kinds of case met."""
+    for cause in (1, 2):
+        for group in (None, *ds.group_labels):
+            path, meta = nelson_aalen(ds, cause=cause, group=group)
+            times, increments, want = reference_nelson_aalen(ds, cause, group)
+            np.testing.assert_array_equal(path.times, times)
+            np.testing.assert_array_equal(path.increments, increments)
+            assert meta == want
+            if meta.truncation_time is not None:
+                seen.add("freeze")
+            if (events.counting_path(ds, cause, group).increments > 1).any():
+                seen.add("ties")
+    first_entry = np.full(ds.n_subjects, np.inf)
+    np.minimum.at(first_entry, ds._subject, ds._entry)
+    if (first_entry > 0).any():
+        seen.add("delayed entry")
+    if ds.group_labels:
+        seen.add("groups")
+
+
+def test_nelson_aalen_matches_its_public_definition():
+    """Times, increments and ``DriverMeta`` are bitwise those built from
+    ``counting_path``, ``at_risk`` and the records."""
+    seen = set()
+    check_nelson_aalen_reference(seen)
+    assert seen >= {"ties", "delayed entry", "groups", "freeze"}, seen
+
+
 def reference_validation_error(records):
     """The message the record-at-a-time validation raised, or None."""
     bad_order = []

@@ -450,6 +450,16 @@ class TestStudies:
         assert res.metadata["bootstrap_b"] == 20
         assert all(value >= 0 for _, value in res.rows)
 
+    @pytest.mark.parametrize("component", [-1, 1, 0.0, "0"])
+    @pytest.mark.parametrize("study", ["coverage", "convergence"])
+    def test_component_outside_the_state_rejected(self, study, component):
+        sc = survival_scenario(10, 1)
+        with pytest.raises(ConfigError, match="component"):
+            if study == "coverage":
+                coverage_study(sc, component=component)
+            else:
+                l2_convergence(sc, [10], component=component)
+
     def test_unknown_target_rejected(self):
         with pytest.raises(ConfigError, match="target"):
             l2_convergence(survival_scenario(10, 1), [10], target="bias")
