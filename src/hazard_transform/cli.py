@@ -96,11 +96,12 @@ def _setting(cfg: dict, key: str, flag=None, default=None, integer=False, many=F
     return (_numbers if many else _number)(cfg[key], repr(key), integer)
 
 
-def _float_list(text: str, what: str) -> list[float]:
+def _number_list(text: str, what: str, integer: bool = False) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [(int if integer else float)(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"{what} must be a comma-separated list of numbers") from None
+        kind = "integers" if integer else "numbers"
+        raise ConfigError(f"{what} must be a comma-separated list of {kind}") from None
 
 
 def _parse_hazard_flag(text: str, horizon: float):
@@ -229,7 +230,7 @@ def cmd_estimate(args):
     )
     sys_cfg = _system_cfg(cfg, args)
     if args.x0:
-        x0 = _float_list(args.x0, "--x0")
+        x0 = _number_list(args.x0, "--x0")
     else:
         x0 = _setting(cfg, "x0", many=True)
     if sys_cfg.get("name") == "screening" and "initial_value" not in sys_cfg and x0:
@@ -304,7 +305,7 @@ def cmd_converge(args):
         "converge",
     )
     if args.n_list:
-        n_list = [int(v) for v in _float_list(args.n_list, "--n-list")]
+        n_list = _number_list(args.n_list, "--n-list", integer=True)
     else:
         n_list = _numbers(_require(cfg, "n_list", "converge"), "'n_list'", True)
     if not n_list:
@@ -338,7 +339,7 @@ def cmd_coverage(args):
     )
     sc = _scenario(cfg, args, "coverage")
     if args.t_grid:
-        t_grid = _float_list(args.t_grid, "--t-grid")
+        t_grid = _number_list(args.t_grid, "--t-grid")
     else:
         t_grid = _setting(cfg, "t_grid", many=True)
     result = coverage_study(

@@ -231,7 +231,9 @@ class EventDataset:
         """Distinct subjects contributing records to the given group."""
         if group is None:
             return self.n_subjects
-        return int(np.unique(self._subject[self._group_mask(group)]).size)
+        seen = np.zeros(self.n_subjects, dtype=bool)
+        seen[self._subject[self._group_mask(group)]] = True
+        return int(np.count_nonzero(seen))
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

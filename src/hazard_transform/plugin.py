@@ -17,18 +17,23 @@ the driver's sample-size scale; the transport sum is applied one component
 at a time, in column order.  Pointwise confidence intervals divide the
 diagonal by n and apply a normal quantile.
 
-Two solvers implement these recursions.  Nonlinear systems (``ler``,
-``screening``) step through the jumps one by one.  Linear systems carry a
-constant Jacobian tensor (``ParameterSystem.jacobians``, F(x)[:, j] = G_j x),
-and for them the state is the product integral
+The state has two solvers.  Nonlinear systems (``ler``, ``screening``) step
+through the jumps one by one.  Linear systems carry a constant Jacobian
+tensor (``ParameterSystem.jacobians``, F(x)[:, j] = G_j x), and for them the
+state is the product integral
 
     X_{tau_k} = (I + B_k) ... (I + B_1) X_0,    B_k = sum_j G_j dA^j_{tau_k},
 
 of which Kaplan-Meier as the product integral of Nelson-Aalen is the
-one-dimensional case; the covariance step is likewise an affine map of
-vech(V).  Both are solved by an associative scan (prefix compositions), one
-block of ``SCAN_CHUNK`` jumps at a time, and agree with the per-jump loop to
-rounding.  The solver is chosen by whether ``jacobians`` is set.
+one-dimensional case, solved by an associative scan (prefix compositions).
+
+The covariance has one solver for every system.  Given the solved states,
+each covariance step is an affine map of vech(V): the Jacobians at the left
+limits turn into vech maps, composed over the components in column order,
+plus n * vech(f f').  The maps are built for a block of ``SCAN_CHUNK`` jumps
+at a time from one batched evaluation of ``gradients`` and ``integrand`` and
+scanned like the product integral, the last value of a block carried into
+the next.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from statistics import NormalDist
 
@@ -57,9 +63,9 @@ __all__ = [
 ]
 
 
-#: Jumps per block of the product-integral scan.  Blocks are scanned one at a
-#: time, each starting from the previous block's last value, so the scan's
-#: working memory is a few (SCAN_CHUNK, p, p) arrays whatever the path length.
+#: Jumps per block of the scans.  Blocks are scanned one at a time, each
+#: starting from the previous block's last value, so a scan's working memory is
+#: a few (SCAN_CHUNK, p, p) arrays whatever the path length.
 SCAN_CHUNK = 1024
 
 
@@ -217,41 +223,28 @@ def solve_variance(
 
     scale = float(meta.scale_n)
     stochastic = np.where(np.asarray(meta.deterministic_mask, dtype=bool), 0.0, 1.0)
-    if system.jacobians is not None:
-        return _scan_variance(system, driver, scale, stochastic, state, v)
-    return _loop_variance(system, driver, scale, stochastic, state, v)
-
-
-def _scan_variance(system, driver, scale, stochastic, state, v) -> np.ndarray:
-    # The loop's update for component j is V -> V + (G_j V + V G_j') dA^j, a
-    # linear map of vech(V) (upper triangle, p = n(n+1)/2 entries).  Each jump
-    # composes those maps over j, then adds n * vech(f f'): an affine map
-    # V_k = L_k V_{k-1} + c_k, scanned block by block.
-    jac = system.jacobians
-    k, n = jac.shape[0], jac.shape[1]
+    # Component j's update V -> V + (G_j V + V G_j') dA^j is a linear map of
+    # vech(V) (upper triangle, p = n(n+1)/2 entries).  Each jump composes those
+    # maps over j, then adds n * vech(f f'): an affine map V_k = L_k V_{k-1} +
+    # c_k, scanned block by block.
+    k = system.driver_dim
     iu, ju = np.triu_indices(n)
-    p = iu.size
-    basis = np.zeros((p, n, n))
-    basis[np.arange(p), iu, ju] = 1.0
-    basis[np.arange(p), ju, iu] = 1.0
-    image = jac[:, None] @ basis + basis @ jac[:, None].transpose(0, 1, 3, 2)
-    # (k, p, p); column s is the vech of the image of the basis matrix E_s
-    ops = image[:, :, iu, ju].transpose(0, 2, 1)
-
     m = driver.n_jumps
     lefts = np.vstack([state.origin_value, state.values_at_jumps()[:-1]])[:m]
     d_incr = driver.increments
     out = np.empty((m, n, n))
     carry = v[iu, ju]
-    eye = np.eye(p)
+    eye = np.eye(iu.size)
+    ops = None
     for lo in range(0, m, SCAN_CHUNK):
         hi = min(lo + SCAN_CHUNK, m)
-        da = d_incr[lo:hi]
+        x, da = lefts[lo:hi], d_incr[lo:hi]
+        if ops is None or any(op.ndim > 2 for op in ops):
+            ops = _vech_maps(system, x)  # maps free of the state are built once
         maps = eye + da[:, 0, None, None] * ops[0]
         for j in range(1, k):
             maps = maps + da[:, j, None, None] * (ops[j] @ maps)
-        noise = ((da * stochastic) @ jac.reshape(k, n * n)).reshape(-1, n, n)
-        fda = (noise @ lefts[lo:hi, :, None])[..., 0]
+        fda = np.einsum("bij,bj->bi", system.integrand(x), da * stochastic)
         shifts = scale * (fda[:, iu] * fda[:, ju])
         maps, shifts = _prefix((maps, shifts), _compose_affine)
         block = (maps @ carry) + shifts
@@ -261,25 +254,35 @@ def _scan_variance(system, driver, scale, stochastic, state, v) -> np.ndarray:
     return out
 
 
-def _loop_variance(system, driver, scale, stochastic, state, v) -> np.ndarray:
+def _vech_maps(system: ParameterSystem, x) -> list[np.ndarray]:
+    """Matrices of ``V -> G_j V + V G_j'`` on vech(V), one per component j,
+    for the Jacobians G_j at the states ``x``: shape ``(len(x), p, p)``, or
+    ``(p, p)`` for a constant Jacobian (returned as one n x n matrix)."""
     n = system.state_dim
-    gradients = system.gradients
-    integrand = system.integrand
-    x_prev = state.origin_value
-    state_values = state.values_at_jumps()
-    d_incr = driver.increments
-    out = np.empty((driver.n_jumps, n, n))
-    for k in range(driver.n_jumps):
-        da = d_incr[k]
-        f = integrand(x_prev)
-        for j in np.flatnonzero(da):
-            gv = gradients[j](x_prev) @ v
-            v = v + (gv + gv.T) * da[j]
-        fda = f @ (da * stochastic)
-        v = v + scale * np.outer(fda, fda)
-        out[k] = v
-        x_prev = state_values[k]
-    return out
+    p, tensor = n * (n + 1) // 2, _vech_tensor(n)
+    jacs = (gradient(x) for gradient in system.gradients)
+    return [
+        (g.reshape(*g.shape[:-2], n * n) @ tensor).reshape(*g.shape[:-2], p, p)
+        for g in jacs
+    ]
+
+
+@cache
+def _vech_tensor(n: int) -> np.ndarray:
+    """The (n*n, p*p) tensor ``T`` with ``vec(G) @ T`` the p x p matrix of
+    ``V -> G V + V G'`` on vech(V), for any n x n matrix ``G``: row ``a*n + b``
+    holds the map of the unit matrix E_ab."""
+    iu, ju = np.triu_indices(n)
+    p = iu.size
+    basis = np.zeros((p, n, n))
+    basis[np.arange(p), iu, ju] = 1.0
+    basis[np.arange(p), ju, iu] = 1.0
+    units = np.eye(n * n).reshape(n * n, 1, n, n)
+    image = units @ basis + basis @ units.transpose(0, 1, 3, 2)
+    # image[ab, s] is the image of basis matrix E_s; its vech is column s.
+    tensor = image[:, :, iu, ju].transpose(0, 2, 1).reshape(n * n, p * p)
+    tensor.setflags(write=False)
+    return tensor
 
 
 @dataclass(frozen=True)

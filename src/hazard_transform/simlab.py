@@ -791,7 +791,7 @@ def coverage_study(
     builds the band at ``level``, and records per time-grid point whether the
     band covers the oracle parameter.  Rows carry the coverage proportion
     with a 95% Wilson interval; the requested level is echoed as a constant
-    reference column.
+    reference column.  Times in ``t_grid`` must lie in ``[0, horizon]``.
     """
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be strictly between 0 and 1")
@@ -801,6 +801,11 @@ def coverage_study(
     if t_grid is None:
         t_grid = np.linspace(0.2 * horizon, 0.8 * horizon, 13)
     t_grid = np.asarray(t_grid, dtype=float)
+    outside = t_grid[~((t_grid >= 0.0) & (t_grid <= horizon))]
+    if outside.size:
+        raise ConfigError(
+            f"t_grid values must lie in [0, {horizon}], got {outside.tolist()}"
+        )
 
     oracle = oracle_parameter(sc.hazards, kind, fine_step=oracle_step)
     oracle_values = oracle.value_at(t_grid)[:, comp]

@@ -93,9 +93,15 @@ class SystemKind:
 class ParameterSystem:
     """Concrete system: integrand, per-driver Jacobians, guards, labels.
 
+    ``integrand`` maps states of shape ``(..., n)`` (one state or a stack of
+    them) to integrands of shape ``(..., n, k)``, and ``gradients[j]`` maps them
+    to the Jacobians of integrand column ``j``, an array that broadcasts to
+    ``(..., n, n)``: a constant Jacobian may be returned as one ``(n, n)``
+    matrix.  The covariance solver evaluates both on a block of states at once.
+
     ``jacobians`` is set, with shape ``(k, n, n)``, exactly when the system is
     linear with constant Jacobians (``F(x)[:, j] = jacobians[j] @ x``); the
-    plugin solver then uses the product-integral scan.
+    plugin solver then solves the state by the product-integral scan.
     """
 
     name: str
@@ -147,6 +153,13 @@ class DriverSlot:
     group: int | None = None
 
 
+def _components(x: np.ndarray) -> np.ndarray:
+    """The components of states ``x`` of shape ``(..., n)``, each of shape
+    ``(...)`` (NumPy scalars for one state).  A transpose: ``np.moveaxis``
+    alone costs more than evaluating ``ler``'s integrand at one state."""
+    return x.transpose(-1, *range(x.ndim - 1))
+
+
 def _linear(
     name: str,
     state_labels: tuple[str, ...],
@@ -160,18 +173,21 @@ def _linear(
     are read off the tensor and the plugin solver may use the product-integral
     scan instead of the per-jump loop.
     """
-    n = len(state_labels)
-    jacobians = np.zeros((len(columns), n, n))
+    n, k = len(state_labels), len(columns)
+    jacobians = np.zeros((k, n, n))
     for j, entries in enumerate(columns):
         for (a, b), value in entries.items():
             jacobians[j, a, b] = value
     jacobians.setflags(write=False)
+    # F(x)[..., i, j] = sum_l G_j[i, l] x[..., l]: one product with the tensor
+    # laid out as (l, (i, j)).
+    by_state = jacobians.transpose(2, 1, 0).reshape(n, n * k)
     return ParameterSystem(
         name=name,
         state_labels=state_labels,
         driver_labels=driver_labels,
         initial_value=np.asarray(initial_value, dtype=float),
-        integrand=lambda x: (jacobians @ x).T,
+        integrand=lambda x: (x @ by_state).reshape(*x.shape[:-1], n, k),
         gradients=tuple((lambda x, g=g: g) for g in jacobians),
         jacobians=jacobians,
     )
@@ -222,32 +238,30 @@ def _ler(kind: SystemKind) -> ParameterSystem:
     # state (LER, S1, S2, R1, R2); drivers (time, A1, A2).  The ratio row
     # divides by R2, hence the guard; the natural baseline R1 = R2 = 0 sits on
     # it, so solving needs a start strictly inside the domain (x0 override).
-    g2 = np.zeros((5, 5))
-    g2[1, 1] = -1.0
-    g3 = np.zeros((5, 5))
-    g3[2, 2] = -1.0
+    # Powers are written as products: ``**`` rounds differently on NumPy
+    # scalars and arrays, so a stack of states would not evaluate like its rows.
+    g2 = np.diag([0.0, -1.0, 0.0, 0.0, 0.0])
+    g3 = np.diag([0.0, 0.0, -1.0, 0.0, 0.0])
 
     def integrand(x):
-        _, s1, s2, r1, r2 = x
-        return np.array(
-            [
-                [(s1 * r2 - s2 * r1) / r2**2, 0.0, 0.0],
-                [0.0, -s1, 0.0],
-                [0.0, 0.0, -s2],
-                [s1, 0.0, 0.0],
-                [s2, 0.0, 0.0],
-            ]
-        )
+        _, s1, s2, r1, r2 = _components(x)
+        f = np.zeros(x.shape[:-1] + (5, 3))
+        f[..., 0, 0] = (s1 * r2 - s2 * r1) / (r2 * r2)
+        f[..., 1, 1] = -s1
+        f[..., 2, 2] = -s2
+        f[..., 3, 0] = s1
+        f[..., 4, 0] = s2
+        return f
 
     def grad_time(x):
-        _, s1, s2, r1, r2 = x
-        g = np.zeros((5, 5))
-        g[0, 1] = 1.0 / r2
-        g[0, 2] = -r1 / r2**2
-        g[0, 3] = -s2 / r2**2
-        g[0, 4] = (2.0 * s2 * r1 - s1 * r2) / r2**3
-        g[3, 1] = 1.0
-        g[4, 2] = 1.0
+        _, s1, s2, r1, r2 = _components(x)
+        g = np.zeros(x.shape[:-1] + (5, 5))
+        g[..., 0, 1] = 1.0 / r2
+        g[..., 0, 2] = -r1 / (r2 * r2)
+        g[..., 0, 3] = -s2 / (r2 * r2)
+        g[..., 0, 4] = (2.0 * s2 * r1 - s1 * r2) / (r2 * r2 * r2)
+        g[..., 3, 1] = 1.0
+        g[..., 4, 2] = 1.0
         return g
 
     return ParameterSystem(
@@ -301,42 +315,41 @@ def _screening(kind: SystemKind) -> ParameterSystem:
     if x0.shape != (4,):
         raise ConfigError("screening initial_value must have four components")
     gamma = prevalence / (1.0 - prevalence)
+    # Powers as products, as in _ler.
 
     def integrand(x):
-        u, v, w, xx = x
-        return np.array(
-            [
-                [1.0 - u, 0.0],
-                [0.0, -v],
-                [w**2 * (1.0 - v) * (1.0 - u) / (gamma * u**2),
-                 -(w**2) * v * u / (gamma * u**2)],
-                [gamma * xx**2 * (1.0 - u) / v,
-                 -gamma * xx**2 * (1.0 - u) / v],
-            ]
-        )
+        u, v, w, xx = _components(x)
+        f = np.zeros(x.shape[:-1] + (4, 2))
+        f[..., 0, 0] = 1.0 - u
+        f[..., 1, 1] = -v
+        f[..., 2, 0] = w * w * (1.0 - v) * (1.0 - u) / (gamma * (u * u))
+        f[..., 2, 1] = -(w * w) * v * u / (gamma * (u * u))
+        f[..., 3, 0] = gamma * (xx * xx) * (1.0 - u) / v
+        f[..., 3, 1] = -gamma * (xx * xx) * (1.0 - u) / v
+        return f
 
     def grad_1(x):
-        u, v, w, xx = x
-        g = np.zeros((4, 4))
-        g[0, 0] = -1.0
-        g[2, 0] = w**2 * (1.0 - v) * (u - 2.0) / (gamma * u**3)
-        g[2, 1] = w**2 * (u - 1.0) / (gamma * u**2)
-        g[2, 2] = 2.0 * w * (1.0 - u) * (1.0 - v) / (gamma * u**2)
-        g[3, 0] = -gamma * xx**2 / v
-        g[3, 1] = -gamma * xx**2 * (1.0 - u) / v**2
-        g[3, 3] = 2.0 * gamma * xx * (1.0 - u) / v
+        u, v, w, xx = _components(x)
+        g = np.zeros(x.shape[:-1] + (4, 4))
+        g[..., 0, 0] = -1.0
+        g[..., 2, 0] = w * w * (1.0 - v) * (u - 2.0) / (gamma * (u * u * u))
+        g[..., 2, 1] = w * w * (u - 1.0) / (gamma * (u * u))
+        g[..., 2, 2] = 2.0 * w * (1.0 - u) * (1.0 - v) / (gamma * (u * u))
+        g[..., 3, 0] = -gamma * (xx * xx) / v
+        g[..., 3, 1] = -gamma * (xx * xx) * (1.0 - u) / (v * v)
+        g[..., 3, 3] = 2.0 * gamma * xx * (1.0 - u) / v
         return g
 
     def grad_0(x):
-        u, v, w, xx = x
-        g = np.zeros((4, 4))
-        g[1, 1] = -1.0
-        g[2, 0] = w**2 * v / (gamma * u**2)
-        g[2, 1] = -(w**2) / (gamma * u)
-        g[2, 2] = -2.0 * w * v / (gamma * u)
-        g[3, 0] = gamma * xx**2 / v
-        g[3, 1] = gamma * xx**2 * (1.0 - u) / v**2
-        g[3, 3] = -2.0 * gamma * xx * (1.0 - u) / v
+        u, v, w, xx = _components(x)
+        g = np.zeros(x.shape[:-1] + (4, 4))
+        g[..., 1, 1] = -1.0
+        g[..., 2, 0] = w * w * v / (gamma * (u * u))
+        g[..., 2, 1] = -(w * w) / (gamma * u)
+        g[..., 2, 2] = -2.0 * w * v / (gamma * u)
+        g[..., 3, 0] = gamma * (xx * xx) / v
+        g[..., 3, 1] = gamma * (xx * xx) * (1.0 - u) / (v * v)
+        g[..., 3, 3] = -2.0 * gamma * xx * (1.0 - u) / v
         return g
 
     system = ParameterSystem(

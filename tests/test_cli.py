@@ -263,6 +263,26 @@ def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, case):
 
 
 @pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["coverage", "--n", 10, "--k", 2, "--t-grid", "5,-1"], "t_grid"),
+        (["coverage", "--n", 10, "--k", 2, "--t-grid", "0.5,1.001"], "t_grid"),
+        (["converge", "--n-list", "30.5,40", "--k", 1], "--n-list"),
+    ],
+    ids=["t-grid 5,-1", "t-grid past the horizon", "n-list 30.5"],
+)
+def test_study_flag_outside_its_domain_is_a_config_error(tmp_path, argv, key):
+    proc = run_cli(
+        *argv, "--hazard", "constant:1", "--seed", 1, "--out", tmp_path / "o",
+        expect=1,
+    )
+    err = error_payload(proc)
+    assert err["type"] == "ConfigError"
+    assert key in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["coverage", "--n", 10, "--k", 2, "--component", 5],

@@ -128,6 +128,24 @@ class TestAtRisk:
             at_risk(ds, 0.5, group=9)
 
 
+def test_subjects_in_group_counts_each_subject_once():
+    # Subject 0 has spells in both groups, subject 1 two spells in group 1,
+    # subject 2 one in group 2, subject 3 three in group 2.
+    ds = EventDataset.from_columns(
+        subject=[0, 1, 0, 1, 2, 3, 3, 3],
+        entry=[0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.5, 1.0],
+        exit=[1.0, 1.0, 2.0, 2.0, 1.5, 0.5, 1.0, 2.0],
+        code=[1, 0, 1, 1, 0, 1, 1, 0],
+        horizon=2.0,
+        group=[1, 1, 2, 1, 2, 2, 2, 2],
+    )
+    assert ds.subjects_in_group(1) == 2
+    assert ds.subjects_in_group(2) == 3
+    assert ds.subjects_in_group(None) == ds.n_subjects == 4
+    with pytest.raises(ValueError, match="unknown group"):
+        ds.subjects_in_group(3)
+
+
 class TestCountingPath:
     def test_unit_jumps_at_each_event(self):
         ds = make_dataset([("a", 0.0, 1.0, 1), ("b", 0.0, 2.0, 1)])

@@ -1,8 +1,10 @@
-"""Product-integral scan against the per-jump loop it replaces for linear systems.
+"""The scans against per-jump loops, on random drivers that have ties across
+components, zero increments and time grids.
 
-The loop stays the reference: a system with ``jacobians=None`` is solved by
-the loop, so the same system is solved both ways and compared on random
-drivers that have ties across components, zero increments and time grids.
+State: a linear system with ``jacobians=None`` is solved by the package's
+per-jump loop, so the same system is solved both ways.  Covariance: the
+package has one solver, the vech scan, for every system; ``loop_variance``
+below is its jump-by-jump reference.
 """
 
 import os
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 import hazard_transform
+from hazard_transform import plugin
 from hazard_transform import (
     DriverMeta,
     GuardViolation,
@@ -40,6 +43,13 @@ LINEAR_KINDS = [
     SystemKind("cumulative_incidence", n_causes=3),
     SystemKind("mean_frequency"),
 ]
+
+NONLINEAR_KINDS = [
+    SystemKind("ler"),
+    SystemKind("screening", prevalence=0.4, initial_value=[0.8, 0.7, 0.6, 0.5]),
+]
+
+KINDS = LINEAR_KINDS + NONLINEAR_KINDS
 
 JUMP_COUNTS = [0, 1, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 3 * SCAN_CHUNK + 5]
 
@@ -71,20 +81,49 @@ def random_driver(kind, m, rng):
     return driver, meta
 
 
+def loop_variance(system, driver, meta, state, v0):
+    """The covariance recursion of ``solve_variance``, jump by jump:
+
+    V_k = V_{k-1} + sum_j (G_j V + V G_j') dA^j_k + n f f',  f = F dA_stochastic,
+
+    the transport applied one component at a time in column order, F and the
+    G_j taken at the left limit X_{k-1}."""
+    n = system.state_dim
+    v = np.array(v0, dtype=float)
+    stochastic = np.where(np.asarray(meta.deterministic_mask, dtype=bool), 0.0, 1.0)
+    x_prev = state.origin_value
+    out = np.empty((driver.n_jumps, n, n))
+    for k, (da, x) in enumerate(zip(driver.increments, state.values_at_jumps())):
+        f = system.integrand(x_prev)
+        for j in np.flatnonzero(da):
+            gv = system.gradients[j](x_prev) @ v
+            v = v + (gv + gv.T) * da[j]
+        fda = f @ (da * stochastic)
+        v = v + meta.scale_n * np.outer(fda, fda)
+        out[k] = v
+        x_prev = x
+    return out
+
+
+def interior_x0(system, rng):
+    # ler's baseline R1 = R2 = 0 sits on its guard; move every start inside.
+    return system.initial_value + rng.uniform(0.0, 0.2, size=system.state_dim)
+
+
 def assert_close(scan, loop):
     scale = np.abs(loop).max(initial=1.0)
     np.testing.assert_allclose(scan, loop, rtol=0.0, atol=RTOL * scale)
 
 
 @pytest.mark.parametrize("m", JUMP_COUNTS)
-@pytest.mark.parametrize("kind", LINEAR_KINDS, ids=lambda k: k.name)
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
 def test_scan_matches_loop(kind, m):
     rng = np.random.default_rng([m, len(kind.name)])
     scan_system = make_system(kind)
     loop_system = replace(scan_system, jacobians=None)
     driver, meta = random_driver(kind, m, rng)
     n = scan_system.state_dim
-    x0 = scan_system.initial_value + rng.uniform(0.0, 0.2, size=n)
+    x0 = interior_x0(scan_system, rng)
     half = rng.normal(size=(n, n))
     v0 = half @ half.T
 
@@ -97,7 +136,7 @@ def test_scan_matches_loop(kind, m):
     assert_close(scan_state.value_at(probe), loop_state.value_at(probe))
 
     scan_cov = solve_variance(scan_system, driver, meta, scan_state, v0=v0)
-    loop_cov = solve_variance(loop_system, driver, meta, loop_state, v0=v0)
+    loop_cov = loop_variance(loop_system, driver, meta, loop_state, v0)
     assert scan_cov.shape == (m, n, n)
     np.testing.assert_array_equal(scan_cov, scan_cov.transpose(0, 2, 1))
     assert_close(scan_cov, loop_cov)
@@ -105,8 +144,9 @@ def test_scan_matches_loop(kind, m):
 
 def test_nearly_symmetric_v0_is_rejected_by_both_solvers():
     # A 4e-6 asymmetry passes np.allclose's default rtol; the scan reads only
-    # the upper triangle while the loop carries the asymmetry, so the two
-    # solvers would disagree.  Symmetry is required exactly.
+    # the upper triangle while a jump-by-jump recursion carries the asymmetry,
+    # so the two would disagree.  Symmetry is required exactly, after either
+    # state solver.
     kind = SystemKind("rmst")
     driver, meta = random_driver(kind, 10, np.random.default_rng(3))
     v0 = [[1.0, 0.5], [0.5 + 4e-6, 1.0]]
@@ -121,17 +161,58 @@ def test_nearly_symmetric_v0_is_rejected_by_both_solvers():
     assert fit_plugin(scan_system, driver, meta, v0=symmetric).cov_path.shape == (10, 2, 2)
 
 
-def test_solver_choice_follows_the_jacobian_tensor():
-    for kind in LINEAR_KINDS:
+def test_solver_choice_follows_the_jacobian_tensor(monkeypatch):
+    # The tensor picks the state solver and nothing else: the covariance is
+    # the same computation with or without it.
+    calls = []
+    for name in ("_scan_plugin", "_loop_plugin"):
+        solver = getattr(plugin, name)
+        monkeypatch.setattr(
+            plugin, name, lambda *a, f=solver, n=name: calls.append(n) or f(*a)
+        )
+    rng = np.random.default_rng(11)
+    for kind in KINDS:
         system = make_system(kind)
+        linear = kind in LINEAR_KINDS
         k, n = system.driver_dim, system.state_dim
-        assert system.jacobians.shape == (k, n, n)
-        assert not system.jacobians.flags.writeable
-    assert make_system("ler").jacobians is None
-    screening = SystemKind(
-        "screening", prevalence=0.4, initial_value=[0.8, 0.7, 0.6, 0.5]
-    )
-    assert make_system(screening).jacobians is None
+        if linear:
+            assert system.jacobians.shape == (k, n, n)
+            assert not system.jacobians.flags.writeable
+        else:
+            assert system.jacobians is None
+        driver, meta = random_driver(kind, 50, rng)
+        x0 = interior_x0(system, rng)
+        calls.clear()
+        state = solve_plugin(system, driver, x0_override=x0)
+        assert calls == ["_scan_plugin" if linear else "_loop_plugin"]
+        untensored = replace(system, jacobians=None)
+        calls.clear()
+        solve_plugin(untensored, driver, x0_override=x0)
+        assert calls == ["_loop_plugin"]
+        np.testing.assert_array_equal(
+            solve_variance(untensored, driver, meta, state),
+            solve_variance(system, driver, meta, state),
+        )
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+def test_stacked_states_evaluate_like_single_states(kind):
+    # The covariance solver evaluates a block of states in one call; it must
+    # see exactly what a state-by-state evaluation gives.
+    system = make_system(kind)
+    n = system.state_dim
+    states = np.random.default_rng(len(kind.name)).uniform(0.1, 1.0, size=(2, 6, n))
+    rows = states.reshape(-1, n)
+    want = np.stack([system.integrand(x) for x in rows]).reshape(2, 6, n, -1)
+    assert_bitwise(system.integrand(states), want)
+    for gradient in system.gradients:
+        want = np.stack([gradient(x) for x in rows]).reshape(2, 6, n, n)
+        assert_bitwise(np.broadcast_to(gradient(states), want.shape), want)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_integrand_columns_are_the_jacobians_applied_to_the_state():

@@ -460,6 +460,17 @@ class TestStudies:
             else:
                 l2_convergence(sc, [10], component=component)
 
+    @pytest.mark.parametrize(
+        "t_grid", [[5.0], [-1.0], [0.5, 1.0 + 1e-9], [float("nan")]]
+    )
+    def test_coverage_times_outside_the_window_rejected(self, t_grid):
+        with pytest.raises(ConfigError, match=r"t_grid values must lie in \[0, 1.0\]"):
+            coverage_study(survival_scenario(10, 1), t_grid=t_grid)
+
+    def test_coverage_times_at_the_window_ends_accepted(self):
+        res = coverage_study(survival_scenario(20, 1, k=2), t_grid=[0.0, 1.0])
+        assert [row[0] for row in res.rows] == [0.0, 1.0]
+
     def test_unknown_target_rejected(self):
         with pytest.raises(ConfigError, match="target"):
             l2_convergence(survival_scenario(10, 1), [10], target="bias")
