@@ -267,8 +267,12 @@ def cmd_estimate(args):
         group_map=int_map(driver_cfg.get("groups"), "driver groups"),
         cause_map=int_map(driver_cfg.get("causes"), "driver causes"),
     )
-    start = _setting(cfg, "start", args.start)
-    if start is not None and start > 0.0:
+    start = _setting(cfg, "start", args.start, default=0.0)
+    if not 0.0 <= start < driver.horizon:
+        raise ConfigError(
+            f"start must lie in [0, horizon) = [0, {driver.horizon!r}), got {start!r}"
+        )
+    if start > 0.0:
         driver = restrict_path(driver, float(start))
     system = make_system(kind)
     v0 = cfg.get("v0")

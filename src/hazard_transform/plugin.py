@@ -17,15 +17,19 @@ the driver's sample-size scale; the transport sum is applied one component
 at a time, in column order.  Pointwise confidence intervals divide the
 diagonal by n and apply a normal quantile.
 
-The state has two solvers.  Nonlinear systems (``ler``, ``screening``) step
-through the jumps one by one.  Linear systems carry a constant Jacobian
-tensor (``ParameterSystem.jacobians``, F(x)[:, j] = G_j x), and for them the
-state is the product integral
+The state has one kernel, ``_states``, shared by :func:`solve_plugin` and
+the stacked bootstrap: it takes the increments of any batch of drivers and
+returns every state, leaving the guards to one check of the finished path.
+Linear systems carry a constant Jacobian tensor
+(``ParameterSystem.jacobians``, F(x)[:, j] = G_j x), and for them the state
+is the product integral
 
     X_{tau_k} = (I + B_k) ... (I + B_1) X_0,    B_k = sum_j G_j dA^j_{tau_k},
 
 of which Kaplan-Meier as the product integral of Nelson-Aalen is the
 one-dimensional case, solved by an associative scan (prefix compositions).
+Nonlinear systems (``ler``, ``screening``) step through the jumps once, the
+whole batch in each step.
 
 The covariance has one solver for every system.  Given the solved states,
 each covariance step is an affine map of vech(V): the Jacobians at the left
@@ -113,8 +117,8 @@ def solve_plugin(
 
     Returns a :class:`StepPath` with the same jump times as the driver whose
     value at ``t`` is the plugin estimate.  Guard bounds are checked at the
-    initial state and after every step; a violation raises
-    :class:`GuardViolation` with the step time and component name.
+    initial state and at every jump; a violation raises
+    :class:`GuardViolation` with the earliest failing time and its component.
     """
     if driver.dimension != system.driver_dim:
         raise ValueError(
@@ -127,15 +131,30 @@ def solve_plugin(
     if x.shape != (system.state_dim,):
         raise ValueError(f"initial state must have shape ({system.state_dim},)")
     system.check_guards(x, time=0.0)
-    if system.jacobians is not None:
-        return _scan_plugin(system, driver, x)
-    return _loop_plugin(system, driver, x)
-
-
-def _scan_plugin(system: ParameterSystem, driver: StepPath, x) -> StepPath:
-    values = _product_integral(system.jacobians, driver.increments, x)
+    values = _states(system, driver.increments, x)
     system.check_guard_path(driver.times, values[1:])
     return StepPath.from_values(driver.times.copy(), values, driver.horizon)
+
+
+def _states(system: ParameterSystem, increments, x0, out=None) -> np.ndarray:
+    """States ``X_k = X_{k-1} + F(X_{k-1}) dA_k`` from ``X_0 = x0``.
+
+    ``increments`` has shape ``(m, *batch, k)``; the batch axes (bootstrap
+    resamples) ride along while time stays on axis 0.  Returns the
+    ``(m + 1, *batch, n)`` values, the first row ``x0``, written into ``out``
+    when given.  Guards are not checked: rows after a guard trip are computed
+    like any other and left to the caller's ``check_guard_path`` to reject.
+    """
+    if system.jacobians is not None:
+        return _product_integral(system.jacobians, increments, x0, out)
+    m, batch = increments.shape[0], increments.shape[1:-1]
+    values = np.empty((m + 1, *batch, system.state_dim)) if out is None else out
+    values[0] = x0
+    with np.errstate(all="ignore"):
+        for k in range(m):
+            step = system.integrand(values[k]) @ increments[k, ..., None]
+            values[k + 1] = values[k] + step[..., 0]
+    return values
 
 
 def _product_integral(jac, increments, x, out=None) -> np.ndarray:
@@ -162,26 +181,6 @@ def _product_integral(jac, increments, x, out=None) -> np.ndarray:
         (products,) = _prefix((steps,), _compose_linear)
         values[lo + 1 : hi + 1] = (products @ values[lo, ..., None])[..., 0]
     return values
-
-
-def _loop_plugin(system: ParameterSystem, driver: StepPath, x) -> StepPath:
-    x0 = x
-    m = driver.n_jumps
-    increments = np.empty((m, system.state_dim))
-    d_incr = driver.increments
-    times = driver.times
-    integrand = system.integrand
-    for k in range(m):
-        dx = integrand(x) @ d_incr[k]
-        increments[k] = dx
-        x = x + dx
-        system.check_guards(x, time=float(times[k]))
-    return StepPath(
-        times=times.copy(),
-        increments=increments,
-        origin_value=x0,
-        horizon=driver.horizon,
-    )
 
 
 def solve_variance(

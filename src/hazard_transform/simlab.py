@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, HazardTransformError, _number, _numb
 from .events import EventDataset
 from .hazards import _events, _grid_times, _RiskSet, _slot_sources, estimate_driver
 from .paths import StepPath
-from .plugin import _product_integral, confidence_band, fit_plugin, solve_plugin
+from .plugin import _states, confidence_band, fit_plugin, solve_plugin
 from .systems import SystemKind, driver_slots, make_system
 
 __all__ = [
@@ -696,15 +696,21 @@ def l2_convergence(
     variance of the reference-sample estimator -- so the reference plays the
     role of the common (near-zero) large-sample limit.
 
-    Failed replications (guard trips, variance collapse) are excluded from
-    the averages and counted per sample size in the metadata.
+    ``n_list`` must be a non-empty list of integers >= 1; anything else raises
+    :class:`ConfigError` before any replication runs.  Failed replications
+    (guard trips, variance collapse) are excluded from the averages and
+    counted per sample size in the metadata.
     """
     if target not in ("estimate", "variance"):
         raise ConfigError("target must be 'estimate' or 'variance'")
     kind = sc.system
     comp = _component(kind, component)
     horizon = sc.horizon
-    n_list = [int(v) for v in n_list]
+    n_list = [int(v) for v in _numbers(n_list, "n_list", integer=True)]
+    if not n_list or min(n_list) < 1:
+        raise ConfigError(
+            f"n_list must be a non-empty list of sample sizes >= 1, got {n_list!r}"
+        )
 
     if target == "estimate":
         target_path = oracle_parameter(sc.hazards, kind, fine_step=oracle_step)
@@ -970,12 +976,15 @@ def bootstrap_covariance(
     resample has ``n`` subjects.  Every resample's driver comes from
     ``nelson_aalen``'s own risk-set kernel with those counts as weights, on
     the original fit's jump grid, with zero increments where the resample
-    has no jump or is frozen.  Linear systems are then solved for a
-    block of resamples at once by one product-integral scan; nonlinear ones
-    step through each resample's jumps.  A block holds about
-    ``_BOOTSTRAP_ROWS`` grid rows, so memory stays near the
+    has no jump or is frozen.  A block of resamples is then solved at once,
+    stacked, by the plugin state kernel: one product-integral scan for a
+    linear system, one step per grid row for a nonlinear one.  A block holds
+    about ``_BOOTSTRAP_ROWS`` grid rows, so memory stays near the
     ``(len(times), state_dim, b)`` array of the deltas.  The results agree
-    with refitting each resample on its own jump times to rounding.
+    with refitting each resample on its own jump times to rounding, and
+    exactly for a nonlinear system, whose zero steps change nothing.  A
+    resample whose path trips a guard raises :class:`GuardViolation`; when
+    several do, the lowest-numbered one is reported.
     """
     if b < 2:
         raise ValueError("bootstrap needs b >= 2 replicates")
@@ -1003,18 +1012,9 @@ def bootstrap_covariance(
     for lo in range(0, b, block):
         hi = min(lo + block, b)
         incr = stack.increments(draws, lo, hi - lo)
-        if system.jacobians is not None:
-            _product_integral(
-                system.jacobians, incr, system.initial_value, out=states[:, lo:hi]
-            )
-            for r in range(lo, hi):
-                system.check_guard_path(times, states[1:, r])
-            continue
+        _states(system, incr, system.initial_value, out=states[:, lo:hi])
         for r in range(lo, hi):
-            star = StepPath(times, incr[:, r - lo], np.zeros(incr.shape[2]), ds.horizon)
-            path = solve_plugin(system, star)
-            states[0, r] = path.origin_value
-            states[1:, r] = path.values_at_jumps()
+            system.check_guard_path(times, states[1:, r])
 
     pos = np.searchsorted(times, time_grid, side="right")
     deltas = values[1:] if np.array_equal(pos, np.arange(1, m + 1)) else values[pos]

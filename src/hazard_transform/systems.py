@@ -97,7 +97,8 @@ class ParameterSystem:
     them) to integrands of shape ``(..., n, k)``, and ``gradients[j]`` maps them
     to the Jacobians of integrand column ``j``, an array that broadcasts to
     ``(..., n, n)``: a constant Jacobian may be returned as one ``(n, n)``
-    matrix.  The covariance solver evaluates both on a block of states at once.
+    matrix.  The covariance solver evaluates both on a block of states at
+    once, and the state kernel steps a stack of bootstrap resamples.
 
     ``jacobians`` is set, with shape ``(k, n, n)``, exactly when the system is
     linear with constant Jacobians (``F(x)[:, j] = jacobians[j] @ x``); the

@@ -13,6 +13,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from hazard_transform import (
     ConstantHazard,
@@ -314,6 +315,7 @@ def test_criterion_7_variance_against_bootstrap():
     ), f"plugin/bootstrap variance ratio {ratio:.3f}"
 
 
+@pytest.mark.usefixtures("child_pythonpath")
 def test_criterion_8_parallel_determinism(tmp_path):
     """Study artifacts are byte-identical for --jobs 1 and --jobs 8."""
     outputs = {}

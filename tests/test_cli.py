@@ -10,6 +10,8 @@ import pytest
 
 CLI = [sys.executable, "-m", "hazard_transform.cli"]
 
+pytestmark = pytest.mark.usefixtures("child_pythonpath")
+
 
 def run_cli(*argv, expect=0):
     proc = subprocess.run(
@@ -171,6 +173,39 @@ class TestSimulate:
         assert "seed" in error_payload(proc)["message"]
 
 
+@pytest.mark.parametrize(
+    "start, where",
+    [(-1, "flag"), (5, "flag"), ("nan", "flag"), (-1, "config")],
+    ids=["-1", "5", "nan", "config -1"],
+)
+def test_start_outside_the_window_is_a_config_error(tmp_path, start, where):
+    data = simulate_survival(tmp_path / "sim")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"start": start} if where == "config" else {}))
+    flag = ["--start", start] if where == "flag" else []
+    proc = run_cli(
+        "estimate", "--system", "survival", "--data", data, "--config", config,
+        *flag, "--out", tmp_path / "o", expect=1,
+    )
+    err = error_payload(proc)
+    assert err["type"] == "ConfigError"
+    assert "start must lie in [0, horizon)" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_start_zero_changes_nothing(tmp_path):
+    data = simulate_survival(tmp_path / "sim")
+    for name, flag in (("plain", []), ("zero", ["--start", 0])):
+        run_cli(
+            "estimate", "--system", "survival", "--data", data, *flag,
+            "--out", tmp_path / name,
+        )
+    for file in ("fit.csv", "fit.json", "band.csv"):
+        assert (tmp_path / "plain" / file).read_bytes() == (
+            tmp_path / "zero" / file
+        ).read_bytes()
+
+
 class TestStudies:
     def test_converge_emits_one_row_per_sample_size(self, tmp_path):
         out = tmp_path / "conv"
@@ -268,8 +303,9 @@ def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, case):
         (["coverage", "--n", 10, "--k", 2, "--t-grid", "5,-1"], "t_grid"),
         (["coverage", "--n", 10, "--k", 2, "--t-grid", "0.5,1.001"], "t_grid"),
         (["converge", "--n-list", "30.5,40", "--k", 1], "--n-list"),
+        (["converge", "--n-list", "0,50", "--k", 2], "n_list"),
     ],
-    ids=["t-grid 5,-1", "t-grid past the horizon", "n-list 30.5"],
+    ids=["t-grid 5,-1", "t-grid past the horizon", "n-list 30.5", "n-list 0,50"],
 )
 def test_study_flag_outside_its_domain_is_a_config_error(tmp_path, argv, key):
     proc = run_cli(

@@ -1,8 +1,11 @@
 """The scans against per-jump loops, on random drivers that have ties across
 components, zero increments and time grids.
 
-State: a linear system with ``jacobians=None`` is solved by the package's
-per-jump loop, so the same system is solved both ways.  Covariance: the
+State: the package has one kernel, ``plugin._states``, which scans the
+product integral of a linear system and steps a nonlinear one through the
+jumps with any batch of states stacked.  ``loop_states`` below is the
+jump-by-jump reference for both; a linear system with ``jacobians=None`` takes
+the stepping branch, so the same system is solved both ways.  Covariance: the
 package has one solver, the vech scan, for every system; ``loop_variance``
 below is its jump-by-jump reference.
 """
@@ -10,6 +13,7 @@ below is its jump-by-jump reference.
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,16 +24,20 @@ import hazard_transform
 from hazard_transform import plugin
 from hazard_transform import (
     DriverMeta,
+    EventDataset,
     GuardViolation,
     StepPath,
     SystemKind,
+    bootstrap_covariance,
     driver_slots,
+    estimate_driver,
     fit_plugin,
     make_system,
     solve_plugin,
     solve_variance,
 )
 from hazard_transform.plugin import SCAN_CHUNK
+from hazard_transform.simlab import _draws
 
 #: Largest deviation allowed between scan and loop, relative to the largest
 #: magnitude in the loop's output.
@@ -81,6 +89,24 @@ def random_driver(kind, m, rng):
     return driver, meta
 
 
+def loop_states(system, driver, x0):
+    """The state recursion of ``solve_plugin``, jump by jump:
+
+    X_k = X_{k-1} + F(X_{k-1}) dA_k,
+
+    the guards checked at ``x0`` and after every step, so a violation is
+    raised at the first failing time before any later step runs.  Returns the
+    ``(m + 1, n)`` states, the first row ``x0``."""
+    x = np.array(x0, dtype=float)
+    system.check_guards(x, time=0.0)
+    values = [x]
+    for t, da in zip(driver.times, driver.increments):
+        x = x + system.integrand(x) @ da
+        system.check_guards(x, time=float(t))
+        values.append(x)
+    return np.array(values).reshape(-1, system.state_dim)
+
+
 def loop_variance(system, driver, meta, state, v0):
     """The covariance recursion of ``solve_variance``, jump by jump:
 
@@ -120,23 +146,27 @@ def assert_close(scan, loop):
 def test_scan_matches_loop(kind, m):
     rng = np.random.default_rng([m, len(kind.name)])
     scan_system = make_system(kind)
-    loop_system = replace(scan_system, jacobians=None)
+    step_system = replace(scan_system, jacobians=None)
     driver, meta = random_driver(kind, m, rng)
     n = scan_system.state_dim
     x0 = interior_x0(scan_system, rng)
     half = rng.normal(size=(n, n))
     v0 = half @ half.T
 
+    loop = loop_states(scan_system, driver, x0)
+    loop_state = StepPath.from_values(driver.times, loop, driver.horizon)
+    # Stepping is the loop's own arithmetic on the running state: bitwise.
+    step_state = solve_plugin(step_system, driver, x0_override=x0)
+    assert_bitwise(np.vstack([step_state.origin_value, step_state.values_at_jumps()]), loop)
     scan_state = solve_plugin(scan_system, driver, x0_override=x0)
-    loop_state = solve_plugin(loop_system, driver, x0_override=x0)
     np.testing.assert_array_equal(scan_state.times, driver.times)
     np.testing.assert_array_equal(scan_state.origin_value, x0)
-    assert_close(scan_state.values_at_jumps(), loop_state.values_at_jumps())
+    assert_close(scan_state.values_at_jumps(), loop[1:])
     probe = np.linspace(0.0, driver.horizon, 17)
     assert_close(scan_state.value_at(probe), loop_state.value_at(probe))
 
     scan_cov = solve_variance(scan_system, driver, meta, scan_state, v0=v0)
-    loop_cov = loop_variance(loop_system, driver, meta, loop_state, v0)
+    loop_cov = loop_variance(scan_system, driver, meta, loop_state, v0)
     assert scan_cov.shape == (m, n, n)
     np.testing.assert_array_equal(scan_cov, scan_cov.transpose(0, 2, 1))
     assert_close(scan_cov, loop_cov)
@@ -162,14 +192,13 @@ def test_nearly_symmetric_v0_is_rejected_by_both_solvers():
 
 
 def test_solver_choice_follows_the_jacobian_tensor(monkeypatch):
-    # The tensor picks the state solver and nothing else: the covariance is
-    # the same computation with or without it.
+    # The tensor picks the state kernel's branch and nothing else: the
+    # covariance is the same computation with or without it.
     calls = []
-    for name in ("_scan_plugin", "_loop_plugin"):
-        solver = getattr(plugin, name)
-        monkeypatch.setattr(
-            plugin, name, lambda *a, f=solver, n=name: calls.append(n) or f(*a)
-        )
+    scan = plugin._product_integral
+    monkeypatch.setattr(
+        plugin, "_product_integral", lambda *a: calls.append(a) or scan(*a)
+    )
     rng = np.random.default_rng(11)
     for kind in KINDS:
         system = make_system(kind)
@@ -184,11 +213,11 @@ def test_solver_choice_follows_the_jacobian_tensor(monkeypatch):
         x0 = interior_x0(system, rng)
         calls.clear()
         state = solve_plugin(system, driver, x0_override=x0)
-        assert calls == ["_scan_plugin" if linear else "_loop_plugin"]
+        assert len(calls) == linear
         untensored = replace(system, jacobians=None)
         calls.clear()
         solve_plugin(untensored, driver, x0_override=x0)
-        assert calls == ["_loop_plugin"]
+        assert not calls
         np.testing.assert_array_equal(
             solve_variance(untensored, driver, meta, state),
             solve_variance(system, driver, meta, state),
@@ -228,20 +257,86 @@ def test_integrand_columns_are_the_jacobians_applied_to_the_state():
 
 @pytest.mark.parametrize("m", [5, 3 * SCAN_CHUNK + 5])
 def test_guard_violation_is_raised_at_the_first_failing_time(m):
-    # A guarded linear system: survival may not fall to 0.5.  Both solvers
-    # must stop at the same jump with the same component.
+    # A guarded linear system: survival may not fall to 0.5.  Both branches
+    # of the state kernel must stop where the loop does, with its component.
     scan_system = replace(make_system("survival"), guards=((0, 0.5),))
-    loop_system = replace(scan_system, jacobians=None)
+    step_system = replace(scan_system, jacobians=None)
     times = np.arange(1, m + 1) / m
     increments = np.full((m, 1), 1.5 / m)
     driver = StepPath(times, increments, np.zeros(1), horizon=1.0)
     with pytest.raises(GuardViolation) as scan_err:
         solve_plugin(scan_system, driver)
+    with pytest.raises(GuardViolation) as step_err:
+        solve_plugin(step_system, driver)
     with pytest.raises(GuardViolation) as loop_err:
-        solve_plugin(loop_system, driver)
+        loop_states(scan_system, driver, scan_system.initial_value)
+    assert step_err.value.time == loop_err.value.time
+    assert step_err.value.value == loop_err.value.value
     assert scan_err.value.time == loop_err.value.time
     assert scan_err.value.component == loop_err.value.component == "survival"
     assert scan_err.value.value <= 0.5
+
+
+SCREENING = NONLINEAR_KINDS[1]
+
+
+def test_screening_guard_trip_matches_the_loop():
+    # A negative-group increment of 1 takes cum_npv to exactly 0, and every
+    # later step divides by it.  The kernel steps on through those rows
+    # without a warning; the path check must report the loop's first trip.
+    system = make_system(SCREENING)
+    m = 8
+    times = np.arange(1, m + 1) / m
+    increments = np.full((m, 2), 0.05)
+    increments[3, 1] = 1.0
+    driver = StepPath(times, increments, np.zeros(2), horizon=1.0)
+    with pytest.raises(GuardViolation) as want:
+        loop_states(system, driver, system.initial_value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GuardViolation) as got:
+            solve_plugin(system, driver)
+    assert (want.value.component, want.value.value, want.value.time) == (
+        "cum_npv",
+        0.0,
+        times[3],
+    )
+    assert (got.value.component, got.value.value, got.value.time) == (
+        want.value.component,
+        want.value.value,
+        want.value.time,
+    )
+
+
+def test_bootstrap_guard_trip_is_the_lowest_resample():
+    # Group 0 (test-negative) ends with two late censorings; a resample that
+    # draws neither has a last group-0 risk set that all fail, an increment of
+    # 1 that takes cum_npv to 0.  Per-resample loops find the trips; the
+    # stacked bootstrap must raise for the lowest of them.
+    exit_ = [0.1, 0.2, 0.3, 0.4, 0.8, 0.9, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65]
+    code = [1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 0]
+    ds = EventDataset.from_columns(
+        np.arange(12), np.zeros(12), exit_, code, 1.0, group=[0] * 6 + [1] * 6
+    )
+    system = make_system(SCREENING)
+    b, seed = 30, 22
+    trips = []
+    for idx in _draws(ds, seed, b):
+        driver, _ = estimate_driver(ds._take_subjects(idx), SCREENING)
+        try:
+            loop_states(system, driver, system.initial_value)
+        except GuardViolation as err:
+            trips.append((err.component, err.value, err.time))
+        else:
+            trips.append(None)
+    found = [trip for trip in trips if trip is not None]
+    # The lowest trip is not resample 0, and no other trip looks like it.
+    assert trips[0] is None and found.count(found[0]) == 1 < len(found)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GuardViolation) as got:
+            bootstrap_covariance(ds, SCREENING, b=b, seed=seed)
+    assert (got.value.component, got.value.value, got.value.time) == found[0]
 
 
 def test_guard_is_checked_at_the_initial_state():

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from hazard_transform import simlab
+
 from hazard_transform import (
     ConfigError,
     ConstantHazard,
@@ -470,6 +472,16 @@ class TestStudies:
     def test_coverage_times_at_the_window_ends_accepted(self):
         res = coverage_study(survival_scenario(20, 1, k=2), t_grid=[0.0, 1.0])
         assert [row[0] for row in res.rows] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("n_list", [[], [0, 50], [30.5], [-1], [True], [10.0]])
+    def test_bad_sample_sizes_rejected_before_any_replication(
+        self, n_list, monkeypatch
+    ):
+        monkeypatch.setattr(
+            simlab, "_run_tasks", lambda *a: pytest.fail("a replication ran")
+        )
+        with pytest.raises(ConfigError, match="n_list"):
+            l2_convergence(survival_scenario(10, 1), n_list)
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ConfigError, match="target"):
