@@ -157,7 +157,8 @@ def test_scan_matches_loop(kind, m):
     loop_state = StepPath.from_values(driver.times, loop, driver.horizon)
     # Stepping is the loop's own arithmetic on the running state: bitwise.
     step_state = solve_plugin(step_system, driver, x0_override=x0)
-    assert_bitwise(np.vstack([step_state.origin_value, step_state.values_at_jumps()]), loop)
+    step = np.vstack([step_state.origin_value, step_state.values_at_jumps()])
+    assert_bitwise(step, loop)
     scan_state = solve_plugin(scan_system, driver, x0_override=x0)
     np.testing.assert_array_equal(scan_state.times, driver.times)
     np.testing.assert_array_equal(scan_state.origin_value, x0)
