@@ -11,16 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-import shutil
-import signal
-import sys
-import tempfile
-import threading
-import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -238,167 +231,265 @@ def merge_drivers(parts):
     return path, meta
 
 
-#: Rows formatted per write in :func:`_write_table`.
-_WRITE_BLOCK = 4096
+#: Cells formatted at a time by :func:`_write_table`: enough to spread
+#: NumPy's per-call cost, few enough that the temporaries stay in cache.
+_BLOCK_CELLS = 16384
 
-#: Fewest cells :func:`_write_table` gives each process.  A fork costs this
-#: process about 2.5 ms and formatting 10k cells about 21 ms (2 CPUs, Python
-#: 3.11), so each process added on a free CPU saves more than its fork costs.
-_FORK_CELLS = 10_000
-
-#: The cgroup v2 CPU quota of this process's cgroup, as ``"<quota> <period>"``
-#: or ``"max <period>"``; absent under cgroup v1 or outside Linux.
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+_U = np.uint64
+_M32 = _U(0xFFFFFFFF)
+_M63 = _U(2**63 - 1)
+_ZEROS = _U(0x3030303030303030)  # eight ASCII "0"
+_DOTS = _U(0x2E2E2E2E2E2E2E2E)  # eight ASCII "."
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, capped by its cgroup v2 CPU quota
-    (rounded up), which the affinity mask does not show."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    try:
-        quota, period = Path(_CPU_MAX).read_text().split()
-        return max(1, min(cpus, -(-int(quota) // int(period))))
-    except (OSError, ValueError):
-        return cpus
+@cache
+def _format_tables():
+    """Lookup tables of the float formatter, built from Python ints on first
+    use, so importing the package costs nothing.
 
-
-def _writer_count(table: np.ndarray) -> int:
-    """Processes :func:`_write_table` formats ``table`` on; 1 means serial.
-
-    One process per usable CPU, each with at least ``_FORK_CELLS`` cells.
-    The table is split only when a fork is safe: never with other Python
-    threads alive, never on Python 3.12+, where ``os.fork`` warns about the
-    OS threads NumPy's BLAS pool keeps, and never unless ``SIGCHLD`` has its
-    default action, without which a child's exit status may be lost.
+    ``k, h, g1, g0`` serve :func:`_shortest`.  Their rows are indexed by the
+    biased exponent, plus 2048 for the irregular spacing at a power of two.
+    ``k`` is the decimal exponent of the digits, ``h`` a shift in [2, 5],
+    and ``g = g1 2**64 + g0`` is ``10**-k`` scaled to 126 bits, rounded
+    down, plus one (Giulietti, "The Schubfach way to render doubles", 2020,
+    sections 9.8-9.9).  ``p10`` holds the powers of ten that fit a
+    ``uint64``; ``low[t + 16 - 8w]`` masks the bytes below ``t`` of word
+    ``w`` of a 24-byte field.
     """
-    if (
-        not hasattr(os, "fork")
-        or sys.version_info >= (3, 12)
-        or threading.active_count() > 1
-        or signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL
-    ):
-        return 1
-    return max(1, min(_usable_cpus(), len(table), table.size // _FORK_CELLS))
+    row = np.arange(4096, dtype=np.int64)
+    bq = row % 2048
+    q = np.where(bq == 0, -1074, bq - 1075)
+    k = np.where(
+        row < 2048,
+        (q * 661_971_961_083) >> 41,  # floor(q log10 2)
+        (q * 661_971_961_083 - 274_743_187_321) >> 41,  # floor(log10(3/4 2**q))
+    )
+    h = q + ((-k * 913_124_641_741) >> 38) + 2  # floor(-k log2 10)
+    g = []
+    for e in range(324, -293, -1):  # 10**e for k = -e = -324 ... 292
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        shift = 126 - num.bit_length() + den.bit_length()
+        while True:
+            v = (num << shift) // den if shift >= 0 else num // (den << -shift)
+            if v.bit_length() == 126:
+                break
+            shift += 126 - v.bit_length()
+        g.append(divmod(v + 1, 2**64))
+    g = np.array(g, dtype=np.uint64)[k + 324]
+    p10 = np.array([10**i for i in range(18)], dtype=np.uint64)
+    low = np.array([2 ** (8 * min(max(i - 16, 0), 8)) - 1 for i in range(41)], dtype=np.uint64)
+    return k, h.astype(np.uint64), g[:, 0].copy(), g[:, 1].copy(), p10, low
+
+
+def _mul(a, blo, bhi, b):
+    """High and low words of the 128-bit ``a * b``, ``b = bhi 2**32 + blo``."""
+    alo = a & _M32
+    ahi = a >> _U(32)
+    p00 = alo * blo
+    mid = ahi * blo + (p00 >> _U(32))
+    mid2 = (mid & _M32) + alo * bhi
+    return ahi * bhi + (mid >> _U(32)) + (mid2 >> _U(32)), a * b
+
+
+def _shortest(bits):
+    """Shortest decimals ``s 10**k`` that round to the finite positive doubles
+    with bit patterns ``bits``: the closest one if several, the even one on a
+    tie, as ``repr`` picks them.  Returns ``(s, k)``, with ``s < 10**17``.
+
+    This is Schubfach (Giulietti 2020) in ``uint64`` lanes.  ``cb = 4c``
+    for the significand ``c``; ``cb - 2`` and ``cb + 2`` are the ends of the
+    rounding interval (``cb - 1`` at a power of two, where the spacing
+    below halves).  All three are scaled by ``10**-k`` at once from one
+    product ``g cb`` and ``g cb -+ 2g``.  ``s`` or ``s + 1`` at
+    ``10**k`` is taken, unless exactly one multiple of ten lies in the
+    interval; the interval ends are open for odd ``c``.
+    """
+    K, H, G1, G0, _, _ = _format_tables()
+    bq = bits >> _U(52)
+    frac = bits & _U(2**52 - 1)
+    c = frac | ((bq != 0).astype(np.uint64) << _U(52))
+    irregular = (frac == 0) & (bq > 1)
+    row = (bq | (irregular.astype(np.uint64) << _U(11))).astype(np.intp)
+    k, h, g1, g0 = K[row], H[row], G1[row], G0[row]
+    cb = c << _U(2)
+    blo = cb & _M32
+    bhi = cb >> _U(32)
+    a1, x0 = _mul(g0, blo, bhi, cb)
+    x2, b0 = _mul(g1, blo, bhi, cb)
+    x1 = b0 + a1  # x = g cb = x2 2**128 + x1 2**64 + x0
+    x2 += x1 < b0
+    up = h + _U(1)
+    down = _U(63) - h
+    tail = _U(64) - h
+
+    def rop(x2, x1, x0):
+        # x 2**h / 2**127 rounded to odd; bits of x 2**h below 2**64 are
+        # dropped, as they are within the error of g
+        return (x2 << up) | (x1 >> down) | (((x1 << up) | (x0 >> tail)) != 0)
+
+    d0 = g0 << _U(1)  # 2g, three words as x
+    d1 = (g1 << _U(1)) | (g0 >> _U(63))
+    r0 = x0 + d0
+    t = x1 + d1
+    r1 = t + (r0 < d0)
+    r2 = x2 + ((t < d1) | (r1 < t))
+    if irregular.any():
+        d0 = np.where(irregular, g0, d0)
+        d1 = np.where(irregular, g1, d1)
+    l0 = x0 - d0
+    t = x1 - d1
+    l1 = t - (x0 < d0)
+    l2 = x2 - ((x1 < d1) | (t < l1))
+    odd = c & _U(1)
+    vb = rop(x2, x1, x0)
+    vbl = rop(l2, l1, l0) + odd
+    vbr = rop(r2, r1, r0) - odd
+    s = vb >> _U(2)
+    sp10 = s // _U(10) * _U(10)
+    upin = vbl <= sp10 << _U(2)
+    wpin = (sp10 + _U(10)) << _U(2) <= vbr
+    uin = vbl <= s << _U(2)
+    win = (s + _U(1)) << _U(2) <= vbr
+    rest = vb & _U(3)
+    closer = (rest < _U(2)) | ((rest == _U(2)) & ((s & _U(1)) == _U(0)))
+    one = uin != win
+    s += ~((one & uin) | (~one & closer))
+    ten = upin != wpin
+    return s + ten * (sp10 + wpin * _U(10) - s), k
+
+
+def _ascii8(g):
+    """ASCII of the 8-digit numbers ``g``, first digit in the lowest byte."""
+    hi = g // _U(10000)
+    x = hi | ((g - hi * _U(10000)) << _U(32))
+    q = ((x * _U(5243)) >> _U(19)) & _U(0x0000007F0000007F)  # // 100
+    x = q | ((x - q * _U(100)) << _U(16))
+    q = ((x * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)  # // 10
+    return (q | ((x - q * _U(10)) << _U(8))) + _ZEROS
+
+
+_WORD = np.array([[16], [8], [0]])  # 16 - 8w for the words w of a field
+_SPECIAL = {s: _U(int.from_bytes(s, "little") << 8) for s in (b"0.0", b"inf", b"nan")}
+
+
+def _format_cells(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float, as four little-endian ``uint64`` words a cell.
+
+    Words 0-2 hold the sign and the digits with their point; word 3 holds
+    the ``e±XX`` exponent from its byte 0 and leaves bytes 5-7 free for a
+    separator.  Unused bytes are zero, so the cell is the words' bytes
+    with the zero bytes removed.
+
+    Python's ``repr`` writes ``d.ddde±XX`` when the shortest digits put the
+    value below ``1e-4`` or at ``1e16`` and above, and positional digits
+    otherwise, with ``.0`` on integral values; ``-0.0``, ``nan`` and
+    ``inf`` are spelled out.
+    """
+    _, _, _, _, p10, low = _format_tables()
+    x = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    bits = x.view(np.uint64)
+    mag = bits & _M63
+    special = (mag == 0) | (mag >= _U(0x7FF << 52))
+    if special.any():
+        mag = np.where(special, _U(0x3FF << 52), mag)  # 1.0, overwritten below
+    s, k = _shortest(mag)
+    shift = np.zeros(s.size, dtype=np.int64)
+    for p in (16, 8, 4, 2, 1):  # left-align s to 17 digits
+        m = s < p10[17 - p]
+        if m.any():
+            step = m * p
+            s = s * p10[step]
+            shift += step
+    point = k + 17 - shift  # digits before the decimal point
+    sci = (point < -3) | (point > 16)
+    # 24-byte field: sign, 0-4 leading zeros, the 17 digits, zeros
+    lead = np.clip(1 - point, 0, 4) * ~sci
+    if lead.any():
+        div = p10[lead]
+        w1 = s // div
+        w2 = (s - w1 * div) * p10[6 - lead]
+    else:
+        w1, w2 = s, _U(0)
+    field = np.empty((3, s.size), dtype=np.uint64)
+    u = w1 // _U(100)
+    np.floor_divide(u, _U(10**8), out=field[0])
+    field[1] = u - field[0] * _U(10**8)
+    field[2] = (w1 - u * _U(100)) * _U(10**6) + w2
+    field = _ascii8(field)
+    # byte of the last nonzero digit: a word's bit length in eighths
+    nonzero = (np.frexp((field ^ _ZEROS).astype(np.float64))[1] + 7) >> 3
+    last = np.max((nonzero + (16 - _WORD)) * (nonzero > 0), axis=0) - 2
+    dot = np.maximum(point, 1)
+    dot[sci] = 1
+    end = np.where(sci, last + (last > 0), np.maximum(last, dot) + 1)
+    before, after, keep = (low[t + _WORD] for t in (dot + 1, dot + 2, end + 2))
+    shifted = field << _U(8)
+    shifted[1:] |= field[:-1] >> _U(56)
+    body = ((field & before) | (shifted & ~after) | ((before ^ after) & _DOTS)) & keep
+    body[0] = (body[0] & _U(2**64 - 256)) | ((bits >> _U(63)) * _U(0x2D))
+    cells = np.zeros((s.size, 4), dtype="<u8")
+    cells[:, :3] = body.T
+    rows = np.flatnonzero(sci)
+    if rows.size:
+        e = point[rows] - 1
+        a = np.abs(e).astype(np.uint64)
+        hundreds = a // _U(100)
+        tens = a // _U(10)
+        cells[rows, 3] = (
+            _U(0x65)  # "e", the sign, the digits: at least two
+            | ((_U(0x2B) + (e < 0).astype(np.uint64) * _U(2)) << _U(8))
+            | (np.where(hundreds > _U(0), hundreds + _U(0x30), _U(0)) << _U(16))
+            | ((tens - hundreds * _U(10) + _U(0x30)) << _U(24))
+            | ((a - tens * _U(10) + _U(0x30)) << _U(32))
+        )
+    rows = np.flatnonzero(special)
+    if rows.size:
+        nan = np.isnan(x[rows])
+        word = np.where(np.isinf(x[rows]), _SPECIAL[b"inf"], _SPECIAL[b"0.0"])
+        word = np.where(nan, _SPECIAL[b"nan"], word)
+        cells[rows] = 0
+        cells[rows, 0] = word | ((bits[rows] >> _U(63)) * ~nan * _U(0x2D))
+    return cells
 
 
 def _write_table(path, header, table: np.ndarray, tail=None) -> None:
     """Write a header and the rows of a float matrix as CSV.
 
-    Each float is its shortest round-trip decimal (``repr``), so files are
-    byte-stable and parse back exactly; lines end in ``\r\n``.  The bytes
-    are those ``csv.writer`` writes for the same cells.
+    Each float is its shortest round-trip decimal, byte for byte what
+    ``repr`` writes (:func:`_format_cells`), so files are byte-stable and
+    parse back exactly; lines end in ``\\r\\n``.  The bytes are those
+    ``csv.writer`` writes for the same cells.
 
     ``tail=(path, header)`` writes a second CSV in the same pass: each row's
     first cell followed by its last ``len(header) - 1`` cells, taken from
-    the cells already formatted for the first file.
-
-    Large tables are split into contiguous row ranges, one per usable CPU
-    (:func:`_writer_count`).  Forked children format ranges 1, 2, ... into
-    unnamed temporary files while this process formats range 0; their bytes
-    are then appended in order, so the files do not depend on the split.
-    Rows whose fork fails are formatted here after the children's.  A
-    failed child raises ``OSError``.  On any failure every child is reaped
-    and the output files are removed.
+    the cells already formatted for the first file.  On any failure the
+    output files are removed.
     """
+    rows, cols = table.shape
     outputs = [(Path(path), header)]
-    first = None
+    keep = None
     if tail is not None:
         outputs.append((Path(tail[0]), tail[1]))
-        first = table.shape[1] - (len(tail[1]) - 1)
-    w = _writer_count(table)
-    bounds = [len(table) * i // w for i in range(w + 1)]
-    children = []  # (pid, lo, hi, temporary files), in row order
+        keep = np.r_[0, cols - (len(tail[1]) - 1) : cols]
+    separator = np.full(cols, 0x2C << 40, dtype=np.uint64)  # "," after a cell
+    separator[-1] = 0x0A0D << 40  # "\r\n" after a row
+    step = max(1, _BLOCK_CELLS // cols)
     files = []
     try:
         with ExitStack() as stack:
-            for p, _ in outputs:
-                files.append(stack.enter_context(open(p, "w", newline="")))
-            stack.callback(_reap, children)
-            rest = bounds[1]  # the rows from here on are formatted here
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                parts = [
-                    stack.enter_context(
-                        tempfile.TemporaryFile("w+", newline="", dir=p.parent)
-                    )
-                    for p, _ in outputs
-                ]
-                try:
-                    pid = os.fork()
-                except OSError:
-                    break  # e.g. no process or memory left: go on serially
-                if pid == 0:
-                    _format_in_child(table[lo:hi], parts, first)
-                children.append((pid, lo, hi, parts))
-                rest = hi
-            for fh, (_, head) in zip(files, outputs):
-                fh.write(",".join(head) + "\r\n")
-            _format_rows(table[: bounds[1]], files, first)
-            while children:
-                pid, lo, hi, parts = children[0]
-                status = os.waitpid(pid, 0)[1]
-                del children[0]
-                if status:
-                    raise OSError(
-                        f"writing rows {lo}-{hi - 1} of {path} failed in process "
-                        f"{pid} (exit code {os.waitstatus_to_exitcode(status)})"
-                    )
-                for fh, part in zip(files, parts):
-                    part.seek(0)
-                    shutil.copyfileobj(part, fh)
-            _format_rows(table[rest:], files, first)
+            for p, head in outputs:
+                files.append(stack.enter_context(open(p, "wb")))
+                files[-1].write((",".join(head) + "\r\n").encode())
+            for lo in range(0, rows, step):
+                cells = _format_cells(table[lo : lo + step]).reshape(-1, cols, 4)
+                cells[:, :, 3] |= separator
+                files[0].write(cells.tobytes().translate(None, b"\0"))
+                if keep is not None:
+                    files[1].write(cells[:, keep].tobytes().translate(None, b"\0"))
     except BaseException:
         for fh in files:
             Path(fh.name).unlink(missing_ok=True)
         raise
-
-
-def _format_rows(rows: np.ndarray, files, first) -> None:
-    """Write ``rows`` to ``files[0]`` and, with a tail, to ``files[1]``."""
-    for lo in range(0, len(rows), _WRITE_BLOCK):
-        lines, tails = [], []
-        # Format row by row: a block of cell strings would raise the peak
-        # memory for little gain.
-        for row in rows[lo : lo + _WRITE_BLOCK].tolist():
-            cells = list(map(repr, row))
-            lines.append(",".join(cells))
-            if first is not None:
-                tails.append(",".join([cells[0], *cells[first:]]))
-        lines.append("")
-        files[0].write("\r\n".join(lines))
-        if first is not None:
-            tails.append("")
-            files[1].write("\r\n".join(tails))
-
-
-def _format_in_child(rows: np.ndarray, parts, first) -> None:
-    """Body of a forked writer: format ``rows`` into ``parts``, then leave
-    through ``os._exit`` whatever happens, so that no cleanup or buffer of
-    the parent runs twice."""
-    code = 1
-    try:
-        _format_rows(rows, parts, first)
-        for part in parts:
-            part.flush()
-        code = 0
-    except BaseException:
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
-
-
-def _reap(children) -> None:
-    """Kill and wait for the writer processes a failure left running."""
-    for pid, *_ in children:
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        os.waitpid(pid, 0)
-    children.clear()
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:

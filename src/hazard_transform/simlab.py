@@ -16,7 +16,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DataError, HazardTransformError, _number, _numbers
+from .errors import (
+    ConfigError,
+    DataError,
+    GuardViolation,
+    HazardTransformError,
+    _number,
+    _numbers,
+)
 from .events import EventDataset
 from .hazards import _events, _grid_times, _RiskSet, _slot_sources, estimate_driver
 from .paths import StepPath
@@ -696,10 +703,11 @@ def l2_convergence(
     variance of the reference-sample estimator -- so the reference plays the
     role of the common (near-zero) large-sample limit.
 
-    ``n_list`` must be a non-empty list of integers >= 1; anything else raises
-    :class:`ConfigError` before any replication runs.  Failed replications
-    (guard trips, variance collapse) are excluded from the averages and
-    counted per sample size in the metadata.
+    ``n_list`` must be a non-empty list of integers >= 1 and ``bootstrap_b``
+    an integer >= 2; anything else raises :class:`ConfigError` before any
+    simulation runs.  Failed replications (guard trips, variance collapse)
+    are excluded from the averages and counted per sample size in the
+    metadata.
     """
     if target not in ("estimate", "variance"):
         raise ConfigError("target must be 'estimate' or 'variance'")
@@ -711,6 +719,8 @@ def l2_convergence(
         raise ConfigError(
             f"n_list must be a non-empty list of sample sizes >= 1, got {n_list!r}"
         )
+    if _number(bootstrap_b, "bootstrap_b", integer=True) < 2:
+        raise ConfigError(f"bootstrap_b must be an integer >= 2, got {bootstrap_b!r}")
 
     if target == "estimate":
         target_path = oracle_parameter(sc.hazards, kind, fine_step=oracle_step)
@@ -984,7 +994,8 @@ def bootstrap_covariance(
     with refitting each resample on its own jump times to rounding, and
     exactly for a nonlinear system, whose zero steps change nothing.  A
     resample whose path trips a guard raises :class:`GuardViolation`; when
-    several do, the lowest-numbered one is reported.
+    several do, the lowest-numbered one is reported, and its message names
+    it (``bootstrap resample <r>: guard violation ...``).
     """
     if b < 2:
         raise ValueError("bootstrap needs b >= 2 replicates")
@@ -1014,7 +1025,11 @@ def bootstrap_covariance(
         incr = stack.increments(draws, lo, hi - lo)
         _states(system, incr, system.initial_value, out=states[:, lo:hi])
         for r in range(lo, hi):
-            system.check_guard_path(times, states[1:, r])
+            try:
+                system.check_guard_path(times, states[1:, r])
+            except GuardViolation as err:
+                err.args = (f"bootstrap resample {r}: {err}",)
+                raise
 
     pos = np.searchsorted(times, time_grid, side="right")
     deltas = values[1:] if np.array_equal(pos, np.arange(1, m + 1)) else values[pos]

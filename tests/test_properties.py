@@ -513,8 +513,8 @@ def test_validation_raises_the_record_loop_message(records):
 
 
 # ---------------------------------------------------------------------------
-# Path and fit files round-trip bit for bit, written by one process or split
-# over two.
+# Path and fit files round-trip bit for bit, formatted in one block of rows
+# or split over two.
 
 #: Any float but NaN (whose sign ``repr`` drops): signed zeros, subnormals,
 #: huge values and infinities.
@@ -594,24 +594,24 @@ def fit_files(draw):
 
 
 @contextmanager
-def written_by(workers):
-    """A scratch directory in which every table written is split over
-    ``workers`` processes."""
+def written_by(blocks, table_shape):
+    """A scratch directory in which a table of ``table_shape`` is formatted
+    in ``blocks`` blocks of rows (fewer if it has fewer rows)."""
+    rows, cols = table_shape
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(paths, "_FORK_CELLS", 1)
-        mp.setattr(paths, "_usable_cpus", lambda: workers)
+        mp.setattr(paths, "_BLOCK_CELLS", cols * max(1, -(-rows // blocks)))
         yield Path(tmp)
 
 
-WORKERS = pytest.mark.parametrize("workers", [1, 2])
+BLOCKS = pytest.mark.parametrize("blocks", [1, 2])
 
 
-@WORKERS
+@BLOCKS
 @PROPERTY
 @given(case=driver_files())
-def test_write_path_then_read_path_is_bitwise(workers, case):
+def test_write_path_then_read_path_is_bitwise(blocks, case):
     path, meta = case
-    with written_by(workers) as tmp:
+    with written_by(blocks, (path.n_jumps, 1 + path.dimension)) as tmp:
         write_path(path, meta, tmp / "driver")
         back, back_meta = read_path(tmp / "driver")
     assert back_meta == meta
@@ -621,12 +621,13 @@ def test_write_path_then_read_path_is_bitwise(workers, case):
     assert back.horizon == path.horizon
 
 
-@WORKERS
+@BLOCKS
 @PROPERTY
 @given(case=fit_files())
-def test_write_fit_then_read_fit_is_bitwise(workers, case):
+def test_write_fit_then_read_fit_is_bitwise(blocks, case):
     fit, band = case
-    with written_by(workers) as tmp:
+    n = len(fit.state_labels)
+    with written_by(blocks, (band.times.size, 1 + 3 * n + n * (n + 1) // 2)) as tmp:
         write_fit(fit, band, tmp / "fit")
         back, back_band = read_fit(tmp / "fit")
     assert back.state_labels == fit.state_labels

@@ -309,18 +309,20 @@ def test_screening_guard_trip_matches_the_loop():
     )
 
 
-def test_bootstrap_guard_trip_is_the_lowest_resample():
-    # Group 0 (test-negative) ends with two late censorings; a resample that
-    # draws neither has a last group-0 risk set that all fail, an increment of
-    # 1 that takes cum_npv to 0.  Per-resample loops find the trips; the
-    # stacked bootstrap must raise for the lowest of them.
+def screening_trips(seed, b=30):
+    """12 screening subjects and the guard trip of each of ``b`` bootstrap
+    resamples, ``(component, value, time)`` or None, from the loop.
+
+    Group 0 (test-negative) ends with two late censorings; a resample that
+    draws neither has a last group-0 risk set that all fail, an increment of
+    1 that takes cum_npv to 0.
+    """
     exit_ = [0.1, 0.2, 0.3, 0.4, 0.8, 0.9, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65]
     code = [1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 0]
     ds = EventDataset.from_columns(
         np.arange(12), np.zeros(12), exit_, code, 1.0, group=[0] * 6 + [1] * 6
     )
     system = make_system(SCREENING)
-    b, seed = 30, 22
     trips = []
     for idx in _draws(ds, seed, b):
         driver, _ = estimate_driver(ds._take_subjects(idx), SCREENING)
@@ -330,6 +332,14 @@ def test_bootstrap_guard_trip_is_the_lowest_resample():
             trips.append((err.component, err.value, err.time))
         else:
             trips.append(None)
+    return ds, trips
+
+
+def test_bootstrap_guard_trip_is_the_lowest_resample():
+    # Per-resample loops find the trips; the stacked bootstrap must raise for
+    # the lowest of them.
+    b, seed = 30, 22
+    ds, trips = screening_trips(seed, b)
     found = [trip for trip in trips if trip is not None]
     # The lowest trip is not resample 0, and no other trip looks like it.
     assert trips[0] is None and found.count(found[0]) == 1 < len(found)
@@ -338,6 +348,23 @@ def test_bootstrap_guard_trip_is_the_lowest_resample():
         with pytest.raises(GuardViolation) as got:
             bootstrap_covariance(ds, SCREENING, b=b, seed=seed)
     assert (got.value.component, got.value.value, got.value.time) == found[0]
+    lowest = next(r for r, trip in enumerate(trips) if trip is not None)
+    assert str(got.value).startswith(f"bootstrap resample {lowest}: guard violation")
+
+
+def test_bootstrap_guard_message_names_the_lowest_resample():
+    # With seed 4, resamples 8, 16, 18 and 27 all take cum_npv to 0 at
+    # t = 0.4: only the message tells the lowest trip from the others.
+    ds, trips = screening_trips(4)
+    trip = ("cum_npv", 0.0, 0.4)
+    assert trips == [trip if r in (8, 16, 18, 27) else None for r in range(30)]
+    with pytest.raises(GuardViolation) as got:
+        bootstrap_covariance(ds, SCREENING, b=30, seed=4)
+    assert (got.value.component, got.value.value, got.value.time) == trip
+    assert str(got.value) == (
+        "bootstrap resample 8: guard violation at time 0.4: component 'cum_npv' "
+        "= 0 is outside its admissible range"
+    )
 
 
 def test_guard_is_checked_at_the_initial_state():

@@ -483,6 +483,16 @@ class TestStudies:
         with pytest.raises(ConfigError, match="n_list"):
             l2_convergence(survival_scenario(10, 1), n_list)
 
+    @pytest.mark.parametrize("b", [1, 0, 2.5, True, None])
+    def test_bad_bootstrap_b_rejected_before_any_simulation(self, b, monkeypatch):
+        monkeypatch.setattr(
+            simlab, "simulate_dataset", lambda *a: pytest.fail("a dataset was simulated")
+        )
+        with pytest.raises(ConfigError, match="bootstrap_b"):
+            l2_convergence(
+                survival_scenario(10, 1), [10], target="variance", bootstrap_b=b
+            )
+
     def test_unknown_target_rejected(self):
         with pytest.raises(ConfigError, match="target"):
             l2_convergence(survival_scenario(10, 1), [10], target="bias")
