@@ -9,6 +9,9 @@ with ``csv.writer`` over ``repr``.
 """
 
 import csv
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -160,14 +163,18 @@ def test_ranges_longer_than_a_write_block(tmp_path, cols):
     assert write(tmp_path, table, True) == csv_writer_bytes(tmp_path, table, True)
 
 
-def test_fit_and_band_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+def cumulative_incidence_fit():
     kind = SystemKind("cumulative_incidence", n_causes=3)
     hazards = {f"cause{i}": ConstantHazard(0.2 * i, 2.0) for i in (1, 2, 3)}
     sc = Scenario(system=kind, hazards=hazards, n=300, seed=3,
                   censor=ConstantHazard(0.3, 2.0))
     driver, meta = estimate_driver(simulate_dataset(sc), kind)
     fit = fit_plugin(make_system(kind), driver, meta)
-    band = confidence_band(fit, 0.95)
+    return fit, confidence_band(fit, 0.95)
+
+
+def test_fit_and_band_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    fit, band = cumulative_incidence_fit()
     files = {}
     for cells in (1, 100, paths._BLOCK_CELLS):
         monkeypatch.setattr(paths, "_BLOCK_CELLS", cells)
@@ -195,3 +202,106 @@ def test_a_failure_mid_write_leaves_no_file(tmp_path, monkeypatch, tail):
         write(tmp_path, table_with_specials(20), tail)
     assert len(calls) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+# The writer formats every cell in the calling process: it never forks, so
+# the number of CPUs, a fork that would fail, a live thread or a SIGCHLD
+# handler of the caller change nothing in its output.
+
+
+def forbid_fork(monkeypatch, error=None):
+    """Make ``os.fork`` raise ``error`` (an ``AssertionError`` by default);
+    returns the list that records each call."""
+    calls = []
+
+    def fork():
+        calls.append(None)
+        raise error or AssertionError("os.fork called by the single-process writer")
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def advertise_cpus(monkeypatch, cpus):
+    """Make this process appear to run on ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "process_cpu_count", lambda: cpus, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def test_fit_and_band_are_the_same_on_one_and_two_processes(tmp_path, monkeypatch):
+    fit, band = cumulative_incidence_fit()
+    forks = forbid_fork(monkeypatch)
+    files = {}
+    for cpus in (1, 2):
+        advertise_cpus(monkeypatch, cpus)
+        base = tmp_path / f"cpus{cpus}"
+        base.mkdir()
+        _write_fit(fit, band, base / "fit", band_path=base / "band.csv")
+        files[cpus] = [(base / f).read_bytes() for f in ("fit.csv", "fit.json", "band.csv")]
+    assert files[1] == files[2]
+    assert forks == []
+
+
+def test_single_cpus_and_unsafe_forks_stay_serial(tmp_path, monkeypatch):
+    table = table_with_specials(3 * paths._BLOCK_CELLS // 5 + 1)
+    reference = csv_writer_bytes(tmp_path, table, True)
+    forks = forbid_fork(monkeypatch)
+    for cpus in (1, 4):
+        advertise_cpus(monkeypatch, cpus)
+        assert write(tmp_path, table, True, name=f"cpus{cpus}") == reference
+    # A platform without fork at all writes the same bytes.
+    monkeypatch.delattr(os, "fork")
+    assert write(tmp_path, table, True, name="nofork") == reference
+    assert forks == []
+
+
+def test_a_live_thread_keeps_the_writer_serial(tmp_path, monkeypatch):
+    table = table_with_specials(40)
+    serial = write(tmp_path, table, True, name="serial")
+    advertise_cpus(monkeypatch, 4)
+    forks = forbid_fork(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert write(tmp_path, table, True) == serial
+    finally:
+        stop.set()
+        thread.join()
+    assert forks == []
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD here")
+@pytest.mark.parametrize("handler", ["ignored", "handled"])
+def test_a_sigchld_not_at_its_default_keeps_the_writer_serial(
+    tmp_path, monkeypatch, handler
+):
+    # An ignored SIGCHLD makes the kernel reap children itself, and a handler
+    # may reap them: a writer that forked could lose its children's status.
+    table = table_with_specials(40)
+    serial = write(tmp_path, table, True, name="serial")
+    advertise_cpus(monkeypatch, 4)
+    forks = forbid_fork(monkeypatch)
+    action = signal.SIG_IGN if handler == "ignored" else (lambda *_: None)
+    previous = signal.signal(signal.SIGCHLD, action)
+    try:
+        assert write(tmp_path, table, True) == serial
+        assert signal.getsignal(signal.SIGCHLD) is action
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert forks == []
+
+
+@pytest.mark.parametrize("blocks,rest", [(2, 0), (3, 0), (3, 1), (4, 2)])
+def test_rows_whose_fork_fails_are_formatted_here(tmp_path, monkeypatch, blocks, rest):
+    # A host out of process ids: every fork would fail.  The table spans
+    # ``blocks`` whole blocks of three rows and ``rest`` rows more.
+    table = table_with_specials(3 * blocks + rest)
+    reference = csv_writer_bytes(tmp_path, table, True)
+    monkeypatch.setattr(paths, "_BLOCK_CELLS", 3 * table.shape[1])
+    advertise_cpus(monkeypatch, blocks)
+    forks = forbid_fork(monkeypatch, BlockingIOError(11, "Resource temporarily unavailable"))
+    assert write(tmp_path, table, True) == reference
+    assert forks == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out_tail.csv", "ref.csv"]
