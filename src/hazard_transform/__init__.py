@@ -7,6 +7,40 @@ its covariance path, and pointwise confidence bands, together with a
 simulation laboratory for convergence and coverage studies.
 """
 
+import os as _os
+import sys as _sys
+
+#: The variables that set the BLAS thread count NumPy may load with.
+_BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "GOTO_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+)
+
+
+def _single_blas_thread_for_cli(argv, environ) -> None:
+    """Run BLAS on one thread in a ``hazard-transform`` command-line process.
+
+    A CLI call is a fresh process whose matrices are small: starting the
+    BLAS thread pool costs more at ``import numpy`` than the threads save.
+    The process is recognised by ``argv[0]``, which is ``"-m"`` while
+    ``python -m hazard_transform.cli`` imports this package and ends in
+    ``hazard-transform`` for the console script.  The caps go into
+    ``environ`` before NumPy loads, so ``--jobs`` workers inherit them; a
+    thread variable the user has set leaves all of them alone, and so does
+    any other process that imports the package.
+    """
+    first = argv[0] if argv else ""
+    cli = first == "-m" or _os.path.basename(first) == "hazard-transform"
+    if cli and not any(name in environ for name in _BLAS_THREAD_VARS):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            environ[name] = "1"
+
+
+# Before the first import that loads NumPy.
+_single_blas_thread_for_cli(_sys.argv, _os.environ)
+
 from .errors import (
     ConfigError,
     DataError,
@@ -46,24 +80,6 @@ from .plugin import (
     solve_variance,
     write_fit,
 )
-from .simlab import (
-    ConstantHazard,
-    HazardSpec,
-    LinearHazard,
-    Scenario,
-    StudyResult,
-    TableHazard,
-    bootstrap_covariance,
-    coverage_study,
-    hazard_from_config,
-    l2_convergence,
-    l2_distance,
-    oracle_parameter,
-    simulate_dataset,
-    sup_distance,
-    wilson_interval,
-    write_study,
-)
 from .systems import (
     ParameterSystem,
     SystemKind,
@@ -71,6 +87,26 @@ from .systems import (
     eval_gradient,
     eval_integrand,
     make_system,
+)
+
+#: Names served from ``simlab`` on first use: ``estimate`` never loads it.
+_SIMLAB_NAMES = (
+    "HazardSpec",
+    "ConstantHazard",
+    "LinearHazard",
+    "TableHazard",
+    "hazard_from_config",
+    "Scenario",
+    "simulate_dataset",
+    "oracle_parameter",
+    "sup_distance",
+    "l2_distance",
+    "StudyResult",
+    "write_study",
+    "l2_convergence",
+    "coverage_study",
+    "bootstrap_covariance",
+    "wilson_interval",
 )
 
 __version__ = "0.1.0"
@@ -118,21 +154,22 @@ __all__ = [
     "confidence_band",
     "write_fit",
     "read_fit",
-    # simlab
-    "HazardSpec",
-    "ConstantHazard",
-    "LinearHazard",
-    "TableHazard",
-    "hazard_from_config",
-    "Scenario",
-    "simulate_dataset",
-    "oracle_parameter",
-    "sup_distance",
-    "l2_distance",
-    "StudyResult",
-    "write_study",
-    "l2_convergence",
-    "coverage_study",
-    "bootstrap_covariance",
-    "wilson_interval",
+    # simlab, loaded on first use
+    *_SIMLAB_NAMES,
 ]
+
+
+def __getattr__(name):
+    if name == "simlab" or name in _SIMLAB_NAMES:
+        # import_module, not ``from . import``: that form asks this package
+        # for the attribute first and would come back here.
+        import importlib
+
+        simlab = importlib.import_module(".simlab", __name__)
+        globals().update({n: getattr(simlab, n) for n in _SIMLAB_NAMES})
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SIMLAB_NAMES) | {"simlab"})

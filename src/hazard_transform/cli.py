@@ -26,21 +26,19 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, HazardTransformError, _number, _numbers
 from .events import parse_dataset, write_dataset
 from .hazards import estimate_driver
 from .paths import restrict_path
 from .plugin import _write_fit, confidence_band, fit_plugin
-from .simlab import (
-    Scenario,
-    coverage_study,
-    hazard_from_config,
-    l2_convergence,
-    simulate_dataset,
-    write_study,
-)
 from .systems import SystemKind, driver_slots, make_system
+
+# The study commands import ``simlab`` where they run, so that ``estimate``
+# does not load it.
+if TYPE_CHECKING:
+    from .simlab import Scenario
 
 __all__ = ["main"]
 
@@ -202,6 +200,8 @@ def _level(cfg, args) -> float:
 
 
 def _scenario(cfg: dict, args, command: str, n: int | None = None) -> Scenario:
+    from .simlab import Scenario, hazard_from_config
+
     sys_cfg = _system_cfg(cfg, args)
     kind = SystemKind.from_config(sys_cfg)
     hazards_cfg = _hazards_cfg(cfg, args, kind)
@@ -289,6 +289,8 @@ def cmd_estimate(args):
 
 
 def cmd_simulate(args):
+    from .simlab import simulate_dataset
+
     cfg = _load_config(args.config)
     _check_keys(cfg, {"system", "hazards", "censor", "n"}, "simulate")
     sc = _scenario(cfg, args, "simulate")
@@ -299,6 +301,8 @@ def cmd_simulate(args):
 
 
 def cmd_converge(args):
+    from .simlab import l2_convergence, write_study
+
     cfg = _load_config(args.config)
     _check_keys(
         cfg,
@@ -332,6 +336,8 @@ def cmd_converge(args):
 
 
 def cmd_coverage(args):
+    from .simlab import coverage_study, write_study
+
     cfg = _load_config(args.config)
     _check_keys(
         cfg,

@@ -235,32 +235,6 @@ class EventDataset:
         seen[self._subject[self._group_mask(group)]] = True
         return int(np.count_nonzero(seen))
 
-    @cached_property
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Subject i's spells, in record order, are rows[start[i] : start[i] + size[i]].
-        rows = np.argsort(self._subject, kind="stable")
-        size = np.bincount(self._subject, minlength=self.n_subjects)
-        return rows, np.cumsum(size) - size, size
-
-    def _take_subjects(self, idx) -> "EventDataset":
-        """Dataset of the subjects ``idx`` (indices, repeats allowed), with
-        their spells gathered from the columns; each draw is a new subject
-        (labelled ``s1, s2, ...`` in draw order)."""
-        rows, start, size = self._blocks
-        idx = np.asarray(idx, dtype=np.int64)
-        drawn = size[idx]
-        offset = np.cumsum(drawn) - drawn
-        take = rows[np.arange(drawn.sum()) + np.repeat(start[idx] - offset, drawn)]
-        return EventDataset.from_columns(
-            np.repeat(np.arange(idx.size), drawn),
-            self._entry[take],
-            self._exit[take],
-            self._code[take],
-            self.horizon,
-            group=self._group[take],
-            covariates=self._covariates[take],
-        )
-
 
 def _frozen(column: np.ndarray) -> np.ndarray:
     """Read-only view of a column (the caller's array stays writeable)."""

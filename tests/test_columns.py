@@ -47,6 +47,8 @@ from hazard_transform.simlab import (
     _SumHazard,
 )
 
+from helpers import take_subjects
+
 H = 2.0
 TABLE = TableHazard((0.0, 0.5, 1.3, 2.0), (0.4, 1.1, 0.2, 0.9), H)
 SCREENING = SystemKind("screening", prevalence=0.4, initial_value=[0.8, 0.7, 0.6, 0.5])
@@ -283,7 +285,7 @@ def assert_stacked_drivers_match(ds, kind, b, seed, grid_step=None):
     assert incr.shape == (stack.times.size, b, driver.dimension)
     assert np.isin(driver.times, stack.times).all()
     for r, idx in enumerate(_draws(ds, seed, b)):
-        star, _ = estimate_driver(ds._take_subjects(idx), kind, grid_step=grid_step)
+        star, _ = estimate_driver(take_subjects(ds, idx), kind, grid_step=grid_step)
         pos = np.searchsorted(stack.times, star.times)
         np.testing.assert_array_equal(stack.times[pos], star.times)
         want = np.zeros((stack.times.size, star.dimension))
@@ -381,7 +383,7 @@ def test_resample_without_a_group_is_a_data_error():
 def test_resample_is_a_gather_of_whole_subjects():
     ds = interleaved_delayed_entry()
     idx = np.array([3, 3, 0, 11])
-    star = ds._take_subjects(idx)
+    star = take_subjects(ds, idx)
     assert star.n_subjects == 4
     by_subject = {}
     for rec in ds.records:

@@ -5,6 +5,8 @@ always contiguous in record order), optional groups and covariates.
 Hypothesis runs derandomized, so the examples are the same on every run.
 """
 
+import subprocess
+import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
@@ -41,6 +43,8 @@ from hazard_transform import (
 )
 from hazard_transform import events, paths
 from hazard_transform.simlab import _ResampleDrivers
+
+from helpers import take_subjects
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -282,7 +286,7 @@ def test_gathered_resample_gives_the_record_rebuild_driver(ds, data):
         ],
         horizon=ds.horizon,
     )
-    gathered = ds._take_subjects(idx)
+    gathered = take_subjects(ds, idx)
     assert gathered.n_subjects == rebuilt.n_subjects == len(idx)
     for got, want in zip(drivers(gathered), drivers(rebuilt), strict=True):
         if isinstance(want, str):
@@ -352,10 +356,10 @@ def check_stacked_drivers(seen, case):
         # gathered dataset does not know the group.
         r = int(str(exc).split()[2])
         for idx in resamples[:r]:
-            estimate_driver(ds._take_subjects(idx), kind, grid_step=grid_step, **maps)
+            estimate_driver(take_subjects(ds, idx), kind, grid_step=grid_step, **maps)
         with pytest.raises(ValueError, match="unknown group label"):
             estimate_driver(
-                ds._take_subjects(resamples[r]), kind, grid_step=grid_step, **maps
+                take_subjects(ds, resamples[r]), kind, grid_step=grid_step, **maps
             )
         seen.add("missing group")
         return
@@ -363,7 +367,7 @@ def check_stacked_drivers(seen, case):
     if meta.truncation_time is not None:
         seen.add("base freeze")
     for r, idx in enumerate(resamples):
-        star_ds = ds._take_subjects(idx)
+        star_ds = take_subjects(ds, idx)
         star, star_meta = estimate_driver(star_ds, kind, grid_step=grid_step, **maps)
         pos = np.searchsorted(stack.times, star.times)
         np.testing.assert_array_equal(stack.times[pos], star.times)
@@ -679,6 +683,42 @@ def test_survival_plus_cumulative_incidences_is_one(ds):
     assert (values >= -1e-12).all()
 
 
+@st.composite
+def two_groups(draw):
+    """Two datasets of ``datasets()`` as groups 1 and 2 of one dataset on
+    the longer horizon, and a time-grid step."""
+    records = []
+    for group, prefix in ((1, "a"), (2, "b")):
+        records += [
+            replace(r, subject_id=prefix + r.subject_id, group=group, covariates=())
+            for r in draw(datasets()).records
+        ]
+    horizon = max(r.exit_time for r in records) + draw(st.sampled_from([0.0, 0.5]))
+    step = horizon / draw(st.sampled_from([1, 3, 7, 50]))
+    return EventDataset(records=records, horizon=horizon), step
+
+
+@PROPERTY
+@given(two_groups())
+def test_led_is_the_difference_of_the_group_restricted_means(case):
+    # Criterion 3's identity, LED = RMST_1 - RMST_2, on drawn data with ties
+    # and delayed entry, each RMST fitted on its group alone.
+    ds, step = case
+    led = fit_plugin(make_system("led"), *estimate_driver(ds, "led", grid_step=step))
+    rmst = []
+    for group in (1, 2):
+        alone = EventDataset(
+            records=[r for r in ds.records if r.group == group], horizon=ds.horizon
+        )
+        driver, meta = estimate_driver(alone, "rmst", grid_step=step)
+        rmst.append(fit_plugin(make_system("rmst"), driver, meta).state_path)
+    probe = np.append(led.times, ds.horizon)
+    want = rmst[0].value_at(probe)[:, 0] - rmst[1].value_at(probe)[:, 0]
+    np.testing.assert_allclose(
+        led.state_path.value_at(probe)[:, 0], want, rtol=0, atol=1e-10
+    )
+
+
 #: Moderate increments, so that sums keep a relative precision.
 STEPS = st.floats(-10.0, 10.0, allow_subnormal=False)
 
@@ -774,3 +814,38 @@ def test_merge_drivers_stacks_the_parts_on_the_union_of_times(parts):
     truncations = [m.truncation_time for _, m in parts]
     truncations = [t for t in truncations if t is not None]
     assert meta.truncation_time == (min(truncations) if truncations else None)
+
+
+# ---------------------------------------------------------------------------
+# The suite's own settings.
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_runs_after():
+    pass
+"""
+
+
+def test_a_failing_property_does_not_end_the_run(tmp_path):
+    # Under the suite's ``filterwarnings = ["error"]``, Hypothesis's failure
+    # report must not become an INTERNALERROR that skips the tests after it.
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (tmp_path / "test_two.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), "test_two.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.returncode == 1
+    assert "1 failed, 1 passed" in proc.stdout

@@ -39,6 +39,8 @@ from hazard_transform import (
 from hazard_transform.plugin import SCAN_CHUNK
 from hazard_transform.simlab import _draws
 
+from helpers import take_subjects
+
 #: Largest deviation allowed between scan and loop, relative to the largest
 #: magnitude in the loop's output.
 RTOL = 1e-12
@@ -325,7 +327,7 @@ def screening_trips(seed, b=30):
     system = make_system(SCREENING)
     trips = []
     for idx in _draws(ds, seed, b):
-        driver, _ = estimate_driver(ds._take_subjects(idx), SCREENING)
+        driver, _ = estimate_driver(take_subjects(ds, idx), SCREENING)
         try:
             loop_states(system, driver, system.initial_value)
         except GuardViolation as err:
@@ -375,28 +377,166 @@ def test_guard_is_checked_at_the_initial_state():
     assert err.value.time == 0.0
 
 
-def assert_import_does_not_load(*packages):
-    src = str(Path(hazard_transform.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys, hazard_transform; "
-        "assert hazard_transform.__file__.startswith(sys.argv[1]); "
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in sys.argv[2:]); "
-        "assert not loaded, loaded"
-    )
+# ---------------------------------------------------------------------------
+# The cold import: what ``import hazard_transform`` loads, and the BLAS thread
+# cap of a command-line process.
+
+#: Any of these set by the user turns the cap off.
+THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "GOTO_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+)
+CAPPED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@pytest.fixture
+def child_env(child_pythonpath, monkeypatch):
+    """Children import the suite's package with no BLAS thread variable set."""
+    for name in THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+
+
+def run_child(code, *args, **env):
+    """Run ``code`` in a fresh ``python -c`` with ``args`` after it and
+    ``env`` added to the environment; fail on a nonzero exit."""
     proc = subprocess.run(
-        [sys.executable, "-c", code, src, *packages],
-        env=env,
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, **env),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
 
 
+def assert_import_does_not_load(*modules):
+    src = str(Path(hazard_transform.__file__).resolve().parents[1])
+    run_child(
+        "import sys, hazard_transform; "
+        "assert hazard_transform.__file__.startswith(sys.argv[1]); "
+        "loaded = sorted(m for m in sys.modules for p in sys.argv[2:] "
+        "if m == p or m.startswith(p + '.')); "
+        "assert not loaded, loaded",
+        src,
+        *modules,
+    )
+
+
+@pytest.mark.usefixtures("child_env")
 def test_import_does_not_load_scipy():
     assert_import_does_not_load("scipy")
 
 
+@pytest.mark.usefixtures("child_env")
 def test_import_does_not_load_process_pools():
     # Only a study run with n_jobs > 1 needs them.
     assert_import_does_not_load("concurrent", "multiprocessing")
+
+
+@pytest.mark.usefixtures("child_env")
+def test_import_loads_numpy_but_not_the_simulation_lab():
+    # An ``estimate`` call never needs simlab.  NumPy stays eager: the
+    # benchmark's import probe reads sys.modules["numpy"] right after the
+    # import.
+    assert_import_does_not_load("hazard_transform.simlab")
+    run_child("import sys, hazard_transform; assert 'numpy' in sys.modules")
+
+
+@pytest.mark.usefixtures("child_env")
+def test_every_public_name_resolves_from_a_cold_import():
+    run_child(
+        "import sys, hazard_transform as h\n"
+        "lab = 'hazard_transform.simlab'\n"
+        "assert set(h.__all__) | {'simlab'} <= set(dir(h))\n"
+        "assert lab not in sys.modules\n"
+        "star = {}\n"
+        "exec('from hazard_transform import *', star)\n"
+        "assert set(h.__all__) <= set(star)\n"
+        "assert h.simlab is sys.modules[lab]\n"
+        "for name in h.__all__:\n"
+        "    assert getattr(h, name) is star[name], name\n"
+        "    if name in h._SIMLAB_NAMES:\n"
+        "        assert getattr(h, name) is getattr(h.simlab, name), name\n"
+        "assert not hasattr(h, 'no_such_name')\n"
+    )
+    run_child(
+        "import sys, hazard_transform\n"
+        "assert hazard_transform.simlab.__name__ == 'hazard_transform.simlab'\n"
+        "assert hazard_transform.Scenario is hazard_transform.simlab.Scenario\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, capped",
+    [
+        (["-m", "estimate"], True),
+        (["/usr/local/bin/hazard-transform", "estimate"], True),
+        (["hazard-transform"], True),
+        (["-c"], False),
+        ([""], False),
+        ([], False),
+        (["/usr/local/bin/pytest", "tests"], False),
+        (["study.py"], False),
+        (["/opt/hazard-transform/run.py"], False),
+    ],
+)
+def test_blas_threads_are_capped_only_for_cli_argv(argv, capped):
+    environ = {"PATH": "/bin"}
+    hazard_transform._single_blas_thread_for_cli(argv, environ)
+    assert environ == (dict(CAPPED, PATH="/bin") if capped else {"PATH": "/bin"})
+
+
+@pytest.mark.parametrize("name", THREAD_VARS)
+def test_any_thread_variable_set_by_the_user_disables_the_cap(name):
+    environ = {name: "4"}
+    hazard_transform._single_blas_thread_for_cli(["-m"], environ)
+    assert environ == {name: "4"}
+
+
+#: Records the BLAS thread variables in force when NumPy starts to load.
+SPY_ON_NUMPY = (
+    "import os, sys\n"
+    "VARS = {vars!r}\n"
+    "class Spy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy':\n"
+    "            seen.append({{v: os.environ[v] for v in VARS if v in os.environ}})\n"
+    "seen = []\n"
+    "sys.meta_path.insert(0, Spy())\n"
+).format(vars=THREAD_VARS)
+
+
+@pytest.mark.usefixtures("child_env")
+def test_a_cli_process_caps_blas_threads_before_numpy_loads():
+    # ``python -m hazard_transform.cli`` imports the package while
+    # sys.argv[0] is "-m".
+    run_child(
+        SPY_ON_NUMPY
+        + "sys.argv[:1] = ['-m']\n"
+        + "import hazard_transform\n"
+        + f"assert seen == [{CAPPED!r}], seen\n"
+        + "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
+    )
+
+
+@pytest.mark.usefixtures("child_env")
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_thread_variable_set_by_the_user_survives_a_cli_import(name):
+    run_child(
+        SPY_ON_NUMPY
+        + "sys.argv[:1] = ['-m']\n"
+        + "import hazard_transform\n"
+        + f"assert seen == [{{{name!r}: '2'}}], seen\n",
+        **{name: "2"},
+    )
+
+
+@pytest.mark.usefixtures("child_env")
+def test_a_library_import_leaves_the_environment_alone():
+    run_child(
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import hazard_transform\n"
+        "assert dict(os.environ) == before\n"
+    )
