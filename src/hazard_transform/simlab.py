@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -49,15 +50,18 @@ __all__ = [
     "write_study",
 ]
 
-_BISECT_TOL = 1e-10
-
 
 class HazardSpec:
     """A hazard-rate specification on a window ``[0, horizon]``.
 
     Subclasses provide ``rate(t)`` and the exact cumulative ``cumulative(t)``
-    (both vectorized); event times are drawn by inverting the cumulative
-    against unit-exponential exposures with a bisection solve.
+    (both vectorized), and name in ``_knots()`` the times where the rate may
+    change its slope.  Between ``0``, those knots and ``horizon`` the rate
+    must be continuous and linear, so the cumulative is piecewise quadratic
+    and :meth:`invert` draws event times from it in closed form.  The first
+    :meth:`invert` checks that contract, raising :class:`ConfigError` for a
+    spec that breaks it, and keeps the piece table it builds: a spec must
+    not change afterwards.
     """
 
     horizon: float
@@ -71,27 +75,102 @@ class HazardSpec:
     def to_config(self) -> dict:
         raise NotImplementedError
 
+    def _knots(self):
+        """Times where the rate may bend; those outside ``(0, horizon)``
+        are ignored.  A spec whose rate is linear on the whole window has
+        none."""
+        return ()
+
+    @cached_property
+    def _pieces(self):
+        """``(ends, cap, table)`` for :meth:`invert`, built at its first call.
+
+        The pieces run between 0, the knots and the horizon.  ``ends`` holds
+        the cumulative at each piece's end; ``cap`` is the next double past
+        the last one, to which larger targets are lowered.  ``table`` has one
+        column per piece, plus one past the horizon whose times are ``inf``,
+        and these rows:
+
+        - at the piece's end with the lower rate: the cumulative, the
+          squared rate, and twice the rate's absolute slope;
+        - at its other end: the cumulative, the rate (``inf`` on a piece of
+          zero rate, which holds no root), the time, and the step's sign
+          times 2;
+        - the piece's start and end times, which bound the root.
+
+        Raises :class:`ConfigError` when a rate's square or twice a
+        cumulative overflows, or when a piece's cumulative increment is not
+        the trapezoid of its end rates to a relative 1e-9: the rate is
+        curved, jumps, or bends at a time ``_knots`` does not name.
+        """
+        knots = sorted({float(k) for k in self._knots() if 0.0 < k < self.horizon})
+        t = np.array([0.0, *knots, self.horizon], dtype=float)
+        c = np.asarray(self.cumulative(t), dtype=float)
+        r = np.asarray(self.rate(t), dtype=float)
+        dt = np.diff(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.concatenate([4.0 * r * r, 2.0 * c]))
+            trapezoid = 0.5 * (r[:-1] + r[1:]) * dt
+            linear = np.abs(np.diff(c) - trapezoid) <= 1e-9 * np.abs(c[1:])
+            slope2 = 2.0 * np.abs(np.diff(r) / dt)
+        if not finite.all():
+            raise ConfigError(
+                f"{type(self).__name__}: the hazard is too large to invert "
+                "(a squared rate or a cumulative overflows)"
+            )
+        if not linear.all():
+            raise ConfigError(
+                f"{type(self).__name__}: the cumulative hazard is not the "
+                "integral of a rate that is linear between its knots"
+            )
+        # A piece too short for a finite slope holds next to no cumulative:
+        # crossing it at a constant rate stays within its length of the root.
+        slope2[np.isinf(slope2)] = 0.0
+        rise = np.diff(r) > 0
+        start = np.arange(dt.size)
+        low = np.where(rise, start, start + 1)
+        high = np.where(rise, start + 1, start)
+        columns = [
+            (c[low], c[-1]),
+            (r[low] ** 2, 0.0),
+            (slope2, 0.0),
+            (c[high], c[-1]),
+            (np.where(r[high] > 0, r[high], np.inf), np.inf),
+            (t[high], np.inf),
+            (np.where(rise, -2.0, 2.0), 2.0),
+            (t[:-1], np.inf),
+            (t[1:], np.inf),
+        ]
+        table = np.array([np.append(*col) for col in columns])
+        return c[1:], np.nextafter(c[-1], np.inf), table
+
     def invert(self, targets) -> np.ndarray:
-        """Solve ``cumulative(t) = target`` on [0, horizon] to 1e-10.
+        """The first time ``t`` in [0, horizon] with ``cumulative(t) =
+        target``, per target, in closed form (negative targets count as 0).
 
         Entries whose target exceeds ``cumulative(horizon)`` come back as
-        ``inf`` (no event inside the window).
+        ``inf`` (no event inside the window).  Each element is computed on
+        its own, so a vector call gives every element what a scalar call
+        gives, and the result never decreases as the target grows.
         """
-        targets = np.atleast_1d(np.asarray(targets, dtype=float))
-        out = np.full(targets.shape, np.inf)
-        total = float(self.cumulative(self.horizon))
-        active = targets <= total
-        if active.any():
-            t = targets[active]
-            lo = np.zeros(t.size)
-            hi = np.full(t.size, float(self.horizon))
-            while (hi - lo).max() > _BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                below = self.cumulative(mid) < t
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            out[active] = 0.5 * (lo + hi)
-        return out
+        ends, cap, table = self._pieces
+        y = np.clip(np.atleast_1d(np.asarray(targets, dtype=float)), 0.0, cap)
+        low_c, low_r2, slope2, high_c, high_r, high_t, two, t0, t1 = table[
+            :, np.searchsorted(ends, y, side="left")
+        ]
+        # On a piece with a linear rate, the rate q at the root has q**2 =
+        # r_low**2 + 2 |slope| |y - c_low|, a sum of nonnegative terms, and
+        # the root lies 2 |y - c_high| / (r_high + q) from the other end.
+        # Every operation is monotone in y, and so is the root.
+        q = np.sqrt(low_r2 + slope2 * np.abs(y - low_c))
+        root = high_t + two * np.abs(y - high_c) / (high_r + q)
+        return np.clip(root, t0, t1)
+
+
+def _finite(**fields) -> None:
+    for name, value in fields.items():
+        if not np.isfinite(value).all():
+            raise ConfigError(f"hazard {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +179,7 @@ class ConstantHazard(HazardSpec):
     horizon: float
 
     def __post_init__(self):
+        _finite(rate=self.rate_value, horizon=self.horizon)
         if self.rate_value < 0:
             raise ConfigError("hazard rate must be nonnegative")
         if not self.horizon > 0:
@@ -124,6 +204,7 @@ class LinearHazard(HazardSpec):
     horizon: float
 
     def __post_init__(self):
+        _finite(intercept=self.intercept, slope=self.slope, horizon=self.horizon)
         if not self.horizon > 0:
             raise ConfigError("horizon must be positive")
         if self.rate(0.0) < 0 or self.rate(self.horizon) < 0:
@@ -160,6 +241,9 @@ class TableHazard(HazardSpec):
     def __post_init__(self):
         object.__setattr__(self, "knot_times", tuple(float(v) for v in self.knot_times))
         object.__setattr__(self, "knot_rates", tuple(float(v) for v in self.knot_rates))
+        _finite(
+            times=self.knot_times, rates=self.knot_rates, horizon=self.horizon
+        )
         if not self.horizon > 0:
             raise ConfigError("horizon must be positive")
         kt = np.asarray(self.knot_times)
@@ -172,9 +256,19 @@ class TableHazard(HazardSpec):
             raise ConfigError("table hazard rates must be nonnegative")
         if kt[0] < 0:
             raise ConfigError("table knot times must be nonnegative")
+        with np.errstate(over="ignore"):
+            steep = ~np.isfinite(np.diff(kr) / np.diff(kt))
+        if steep.any():
+            raise ConfigError(
+                "table knot times are too close for their rates: the rate's "
+                "slope between them overflows"
+            )
 
     def rate(self, t):
         return np.interp(np.asarray(t, dtype=float), self.knot_times, self.knot_rates)
+
+    def _knots(self):
+        return self.knot_times
 
     def cumulative(self, t):
         t = np.asarray(t, dtype=float)
@@ -241,6 +335,9 @@ class _SumHazard(HazardSpec):
 
     def rate(self, t):
         return sum(p.rate(t) for p in self.parts)
+
+    def _knots(self):
+        return [k for p in self.parts for k in p._knots()]
 
 
 @dataclass(frozen=True)
@@ -338,11 +435,12 @@ def _recurrent_times(rng, recurrent, follow):
     draw.  The exposures are drawn in bulk and split per subject in clock
     space against ``recurrent.cumulative(follow)``, then every clock is
     inverted in one call.  A subject whose inverted times disagree with the
-    clock-space split (a clock within the bisection tolerance of its bound)
-    is redone one inversion at a time, and the split restarts after it, so
-    the result equals the one-draw-at-a-time loop.  (A vector inversion gives
-    each element what a scalar call gives: all intervals start at
-    ``[0, horizon]`` and are halved together.)
+    clock-space split (a clock within rounding of its bound, or a subclass
+    whose ``invert`` does not match its ``cumulative``) is redone one
+    inversion at a time, and the split restarts after it, so the result
+    equals the one-draw-at-a-time loop.  (A vector inversion gives each
+    element what a scalar call gives: :meth:`HazardSpec.invert` computes
+    each element on its own.)
 
     Returns ``(counts, times)``: events per subject and all event times,
     subject by subject.

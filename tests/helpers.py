@@ -27,3 +27,30 @@ def take_subjects(ds: EventDataset, idx) -> EventDataset:
         group=ds._group[take],
         covariates=ds._covariates[take],
     )
+
+
+#: Width below which :func:`bisect_invert` stops halving.
+BISECT_TOL = 1e-10
+
+
+def bisect_invert(spec, targets) -> np.ndarray:
+    """``spec.invert`` by bisection, the reference for the closed form: the
+    midpoint of a bracket ``[lo, hi]`` of ``[0, horizon]``, halved together
+    for all targets until it is at most ``BISECT_TOL`` wide, whose ends keep
+    ``cumulative(lo) < target <= cumulative(hi)``.  Targets above
+    ``cumulative(horizon)`` give ``inf``."""
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    out = np.full(targets.shape, np.inf)
+    total = float(spec.cumulative(spec.horizon))
+    active = targets <= total
+    if active.any():
+        t = targets[active]
+        lo = np.zeros(t.size)
+        hi = np.full(t.size, float(spec.horizon))
+        while (hi - lo).max() > BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            below = spec.cumulative(mid) < t
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        out[active] = 0.5 * (lo + hi)
+    return out

@@ -16,19 +16,25 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hazard_transform
 from hazard_transform import plugin
 from hazard_transform import (
     DriverMeta,
     EventDataset,
+    EventRecord,
     GuardViolation,
+    NegativeVarianceError,
     StepPath,
     SystemKind,
     bootstrap_covariance,
+    confidence_band,
     driver_slots,
     estimate_driver,
     fit_plugin,
@@ -375,6 +381,75 @@ def test_guard_is_checked_at_the_initial_state():
     with pytest.raises(GuardViolation) as err:
         solve_plugin(system, driver, x0_override=[0.4])
     assert err.value.time == 0.0
+
+
+#: Few distinct values, so that times tie within and across subjects.
+TIMES = st.sampled_from([0.1, 0.25]) | st.floats(0.01, 1.0)
+
+
+@st.composite
+def small_samples(draw):
+    """Survival (whose variance can turn negative) or screening (whose
+    cum_ppv and cum_npv are guarded), with a few subjects: tied times, one
+    or two spells each, delayed entry that can leave a risk set empty before
+    a later entry (a frozen driver), and whole risk sets failing at once."""
+    kind = draw(st.sampled_from([SystemKind("survival"), SCREENING]))
+    groups = (1, 0) if kind.name == "screening" else (None,)
+    records = []
+    for s in range(draw(st.integers(len(groups), 6))):
+        entry = draw(st.sampled_from([0.0, 0.0, 0.2, 0.5]))
+        for _ in range(draw(st.integers(1, 2))):
+            exit_time = entry + draw(TIMES)
+            code = draw(st.integers(0, 1))
+            group = groups[s % len(groups)]
+            records.append(EventRecord(f"s{s}", entry, exit_time, code, group))
+            entry = exit_time
+    horizon = max(r.exit_time for r in records) + draw(st.sampled_from([0.0, 0.5]))
+    return kind, EventDataset(records, horizon=horizon)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(small_samples())
+def test_small_sample_failures_are_typed_and_never_clamped(case):
+    # A guard trip is the loop's: its first failing time, component and
+    # value (not the bound).  Without one, the state is the loop's and the
+    # covariance diagonal is the loop's, negative entries kept; a band then
+    # raises NegativeVarianceError for the first component that has any,
+    # listing every time it is negative, or is built from the diagonal as is.
+    kind, ds = case
+    system = make_system(kind)
+    driver, meta = estimate_driver(ds, kind)
+    try:
+        states = loop_states(system, driver, system.initial_value)
+    except GuardViolation as want:
+        with pytest.raises(GuardViolation) as got:
+            fit_plugin(system, driver, meta)
+        trip = (got.value.component, got.value.time, got.value.value)
+        assert trip == (want.component, want.time, want.value)
+        return
+    fit = fit_plugin(system, driver, meta)
+    path = fit.state_path
+    assert_close(np.vstack([path.origin_value, path.values_at_jumps()]), states)
+    loop = loop_variance(system, driver, meta, fit.state_path, fit.v0)
+    diag = fit.cov_diag()
+    assert_close(diag[1:], np.einsum("kii->ki", loop))
+    times = np.concatenate([[0.0], fit.times])
+    negative = [
+        (label, times[diag[:, i] < 0])
+        for i, label in enumerate(system.state_labels)
+        if (diag[:, i] < 0).any()
+    ]
+    if negative:
+        with pytest.raises(NegativeVarianceError) as got:
+            confidence_band(fit, 0.9)
+        label, bad = negative[0]
+        assert got.value.component == label
+        assert got.value.times == bad.tolist()
+    else:
+        band = confidence_band(fit, 0.9)
+        half = NormalDist().inv_cdf(0.95) * np.sqrt(diag / fit.scale_n)
+        np.testing.assert_array_equal(band.lower, band.point - half)
+        np.testing.assert_array_equal(band.upper, band.point + half)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ import csv
 import json
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from hazard_transform import simlab
@@ -33,6 +36,9 @@ from hazard_transform import (
     wilson_interval,
     write_study,
 )
+from hazard_transform.simlab import HazardSpec, _SumHazard
+
+from helpers import BISECT_TOL, bisect_invert
 
 
 def step_path_1d(times, values, horizon, origin=0.0):
@@ -57,6 +63,14 @@ class TestHazardSpecs:
         out = h.invert([1.0, 2.0 + 1e-9, 50.0])
         assert math.isfinite(out[0])
         assert out[1] == np.inf and out[2] == np.inf
+
+    def test_inversion_on_a_flat_stretch_is_its_first_time(self):
+        # Rate 1 falling to 0 at 0.3, zero until 0.5, then rising: the
+        # cumulative is 0.15 on all of [0.3, 0.5].
+        h = TableHazard((0.0, 0.3, 0.5, 0.7), (1.0, 0.0, 0.0, 2.0), 1.0)
+        out = h.invert([0.15, np.nextafter(0.15, 1.0)])
+        assert out[0] == 0.3
+        assert 0.5 < out[1] < 0.5 + 1e-7
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError, match="nonnegative"):
@@ -112,6 +126,195 @@ class TestHazardSpecs:
             hazard_from_config({"form": "weibull"})
         with pytest.raises(ConfigError, match="missing key"):
             hazard_from_config({"form": "constant", "rate": 1.0})
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize(
+    "field,build",
+    [
+        ("rate", lambda v: ConstantHazard(v, 1.0)),
+        ("intercept", lambda v: LinearHazard(v, 0.0, 1.0)),
+        ("slope", lambda v: LinearHazard(1.0, v, 1.0)),
+        ("times", lambda v: TableHazard((0.0, v), (1.0, 2.0), 1.0)),
+        ("rates", lambda v: TableHazard((0.0, 0.5), (1.0, v), 1.0)),
+        ("horizon", lambda v: ConstantHazard(1.0, v)),
+    ],
+)
+def test_non_finite_hazard_parameter_is_a_config_error(field, build, value):
+    # A NaN rate used to simulate no events at all, and an infinite horizon
+    # made the inversion loop forever.
+    with pytest.raises(ConfigError, match=f"hazard {field} must be finite"):
+        build(value)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"form": "constant", "rate": float("nan"), "horizon": 1.0},
+        {"form": "linear", "intercept": 1.0, "slope": 0.0, "horizon": float("inf")},
+        {"form": "table", "times": [0.0], "rates": [float("nan")], "horizon": 1.0},
+    ],
+)
+def test_non_finite_hazard_config_is_a_config_error(cfg):
+    with pytest.raises(ConfigError, match="must be finite"):
+        hazard_from_config(cfg)
+
+
+def test_table_too_steep_for_a_finite_rate_is_a_config_error():
+    # np.interp's slope 1 / 2.2e-309 is inf: the rate and cumulative were inf.
+    with pytest.raises(ConfigError, match="too close"):
+        TableHazard((0.0, 2.225073858507203e-309), (0.0, 1.0), 1.0)
+
+
+@dataclass(frozen=True)
+class SquaredRate(HazardSpec):
+    """Rate ``t**2``: curved, so not linear between any knots."""
+
+    horizon: float
+
+    def rate(self, t):
+        return np.asarray(t, dtype=float) ** 2
+
+    def cumulative(self, t):
+        return np.asarray(t, dtype=float) ** 3 / 3.0
+
+
+class UndeclaredKnots(TableHazard):
+    """A table that does not name its knots: its rate bends unannounced."""
+
+    def _knots(self):
+        return ()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SquaredRate(1.0), UndeclaredKnots((0.2, 0.6), (1.0, 3.0), 1.0)],
+    ids=["curved", "undeclared-knots"],
+)
+def test_a_rate_not_linear_between_its_knots_is_a_config_error(spec):
+    with pytest.raises(ConfigError, match="not the integral of a rate that is linear"):
+        spec.invert([0.1])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ConstantHazard(1e200, 1.0), LinearHazard(0.0, 1e300, 1.0)],
+    ids=["constant", "linear"],
+)
+def test_a_hazard_too_large_to_invert_is_a_config_error(spec):
+    # The rates' squares overflow: the times came back as 0 and 1, not 0.1.
+    with pytest.raises(ConfigError, match="too large to invert"):
+        spec.invert([spec.cumulative(0.1)])
+
+
+#: Horizons; on a power of two, ``-intercept / horizon`` takes a linear rate
+#: to exactly 0 at the horizon.
+HORIZONS = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 4.0)
+#: Hazard rates, with zero often.
+RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0)
+
+
+def linear_hazard(intercept, slope, horizon):
+    # The slope raised until rounding leaves the rate nonnegative at the
+    # horizon.
+    while intercept + slope * horizon < 0:
+        slope = np.nextafter(slope, np.inf)
+    return LinearHazard(intercept, float(slope), horizon)
+
+
+@st.composite
+def hazard_parts(draw, horizon):
+    form = draw(st.sampled_from(["constant", "linear", "table"]))
+    if form == "constant":
+        return ConstantHazard(draw(RATES), horizon)
+    if form == "linear":
+        intercept = draw(RATES)
+        # -intercept / horizon: the rate reaches 0 at the horizon.
+        lowest = -intercept / horizon
+        slope = draw(st.sampled_from([lowest, 0.0]) | st.floats(lowest, 5.0))
+        return linear_hazard(intercept, slope, horizon)
+    # Knots at 0, at and past the horizon; zero rates make flat pieces.
+    times = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.5 * horizon, horizon])
+            | st.floats(0.0, 1.5 * horizon),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    rates = draw(st.lists(RATES, min_size=len(times), max_size=len(times)))
+    try:
+        return TableHazard(tuple(sorted(times)), tuple(rates), horizon)
+    except ConfigError:  # knots too close for a finite slope
+        reject()
+
+
+@st.composite
+def hazard_specs(draw):
+    horizon = draw(HORIZONS)
+    parts = draw(st.lists(hazard_parts(horizon), min_size=1, max_size=3))
+    return parts[0] if len(parts) == 1 else _SumHazard(parts)
+
+
+@st.composite
+def inversions(draw):
+    """A spec and sorted targets: drawn values up to past the total, 0, the
+    cumulative at every knot (the total among them), the next double past
+    the total, and runs of neighbouring doubles."""
+    spec = draw(hazard_specs())
+    total = float(spec.cumulative(spec.horizon))
+    ends, _, _ = spec._pieces
+    targets = draw(st.lists(st.floats(0.0, 1.2 * total + 1.0), max_size=20))
+    targets += [0.0, *ends.tolist(), np.nextafter(total, np.inf)]
+    for start in draw(st.lists(st.sampled_from(targets), max_size=3)):
+        run = [start]
+        for _ in range(8):
+            run.append(np.nextafter(run[-1], np.inf))
+        targets += run
+    return spec, np.sort(np.array(targets, dtype=float))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(inversions())
+@example(
+    (LinearHazard(1.0, -1.0, 1.0), np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0)]))
+)
+@example(  # the first piece's slope 2e308 overflows
+    (TableHazard((0.0, 1e-308), (0.0, 1.0), 1.0), np.array([0.0, 1e-309, 0.5, 1.0]))
+)
+@example(
+    (
+        TableHazard((0.0, 0.3, 0.5, 0.7), (1.0, 0.0, 0.0, 2.0), 1.0),
+        np.array([0.0, 0.15, 0.15, np.nextafter(0.15, 1.0), 0.4, 0.6]),
+    )
+)
+def test_closed_form_inverse_matches_the_bisection(case):
+    spec, y = case
+    got = spec.invert(y)
+    want = bisect_invert(spec, y)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert (got[1:] >= got[:-1]).all()
+    scalar = np.array([spec.invert(v)[0] for v in y])
+    assert np.array_equal(got.view(np.uint64), scalar.view(np.uint64))
+    done = np.isfinite(got)
+    y, got, want = y[done], got[done], want[done]
+    assert ((0.0 <= got) & (got <= spec.horizon)).all()
+    tol = 1e-12 * np.maximum(1.0, y)
+    assert (np.abs(spec.cumulative(got) - y) <= tol).all()
+    # The bisection brackets the first crossing of the rounded cumulative.
+    # Where the rate is near 0, the cumulative is flat to rounding over more
+    # than the bisection's tolerance: there the two may differ by more, but
+    # both must be roots to rounding, and the rate must not vanish between
+    # them (on a flat stretch the first time is the root, not any time).
+    close = np.abs(got - want) <= BISECT_TOL
+    flat = (np.abs(spec.cumulative(want) - y) <= tol) & (
+        spec.rate(0.5 * (got + want)) > 0
+    )
+    assert (close | flat).all()
 
 
 class TestSimulation:
