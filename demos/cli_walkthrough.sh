@@ -37,7 +37,8 @@ python3 -m hazard_transform.cli estimate --config "$OUT/run.json" \
     --out "$OUT/fit95"
 python3 - "$OUT/fit95/fit.json" <<'EOF'
 import json, sys
-meta = json.load(open(sys.argv[1]))
+with open(sys.argv[1]) as fh:
+    meta = json.load(fh)
 print("fit.json level:", meta["level"], " labels:", meta["state_labels"])
 EOF
 

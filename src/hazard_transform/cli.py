@@ -373,14 +373,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed: bool, jobs: bool):
+    def common(p, seed: bool, jobs: bool, grid_step: bool = True):
         p.add_argument("--config", help="JSON run configuration (flags override it)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--system",
                        help="system name (default survival; e.g. rmst, led, ler)")
         p.add_argument("--n-causes", type=int, help="competing-cause count")
         p.add_argument("--prevalence", type=float, help="screening prevalence")
-        p.add_argument("--grid-step", type=float, help="deterministic time-grid step")
+        if grid_step:
+            p.add_argument("--grid-step", type=float,
+                           help="deterministic time-grid step")
         if seed:
             p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
         if jobs:
@@ -406,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate")
-    common(p, seed=True, jobs=False)
+    common(p, seed=True, jobs=False, grid_step=False)
     scenario_flags(p)
     p.add_argument("--n", type=int, help="sample size")
     p.set_defaults(func=cmd_simulate)

@@ -361,8 +361,14 @@ class Scenario:
         if isinstance(self.system, str):
             object.__setattr__(self, "system", SystemKind(name=self.system))
         object.__setattr__(self, "hazards", dict(self.hazards))
-        if self.n < 1:
-            raise ConfigError("scenario needs n >= 1 subjects")
+        for field in ("n", "seed", "k_replications"):
+            value = _number(getattr(self, field), field, integer=True)
+            object.__setattr__(self, field, int(value))
+        least = _min_subjects(self.system)
+        if self.n < least:
+            raise ConfigError(
+                f"scenario needs n >= {least} subjects (one per group), got {self.n}"
+            )
         if self.k_replications < 1:
             raise ConfigError("scenario needs k_replications >= 1")
         if self.seed < 0:
@@ -402,6 +408,12 @@ class Scenario:
         }
 
 
+def _min_subjects(kind: SystemKind) -> int:
+    """The fewest subjects a simulated dataset of ``kind`` can hold: one in
+    each group that its driver slots split subjects into, and at least one."""
+    return max(1, len({s.group for s in driver_slots(kind) if not s.deterministic}))
+
+
 def _child_seed(seed: int, *key: int) -> int:
     """64-bit substream seed derived deterministically from (seed, *key)."""
     return int(np.random.SeedSequence((seed, *key)).generate_state(1, np.uint64)[0])
@@ -433,71 +445,58 @@ def _recurrent_times(rng, recurrent, follow):
     as that time is ``< follow[i]``; the first exposure that lands at or past
     ``follow[i]`` ends the subject, and the next subject starts on the next
     draw.  The exposures are drawn in bulk and split per subject in clock
-    space against ``recurrent.cumulative(follow)``, then every clock is
-    inverted in one call.  A subject whose inverted times disagree with the
-    clock-space split (a clock within rounding of its bound, or a subclass
-    whose ``invert`` does not match its ``cumulative``) is redone one
-    inversion at a time, and the split restarts after it, so the result
-    equals the one-draw-at-a-time loop.  (A vector inversion gives each
-    element what a scalar call gives: :meth:`HazardSpec.invert` computes
-    each element on its own.)
+    space against a clock bound, at first ``recurrent.cumulative(follow)``;
+    then every clock is inverted in one call.  Where an inverted time
+    disagrees with the split (a clock within rounding of its bound, or a
+    subclass whose ``invert`` does not match its ``cumulative``), the first
+    such clock moves its subject's bound: just past the clock if its time is
+    an event, onto it if not.  The split then starts again from that
+    subject's first draw, so the result equals the one-draw-at-a-time loop.
+    (A vector inversion gives each element what a scalar call gives:
+    :meth:`HazardSpec.invert` computes each element on its own.)
 
     Returns ``(counts, times)``: events per subject and all event times,
     subject by subject.
     """
     n = follow.size
-    cap = recurrent.cumulative(follow)
-    bound = cap.tolist()
-    limit = follow.tolist()
-    # About n + sum(cap) draws are used.  Bulk draws continue the stream of
+    bound = np.array(recurrent.cumulative(follow), dtype=float)
+    limit = bound.tolist()
+    # About n + sum(bound) draws are used.  Bulk draws continue the stream of
     # scalar draws, and nothing draws from ``rng`` afterwards, so drawing too
     # many changes nothing.
-    gaps = rng.exponential(size=n + int(2 * cap.sum()) + 16).tolist()
+    gaps = rng.exponential(size=n + int(2 * bound.sum()) + 16).tolist()
     counts: list[int] = []
     times: list[float] = []
-    pos = 0
-
-    def gap():
-        nonlocal pos
-        if pos == len(gaps):
-            gaps.extend(rng.exponential(size=n).tolist())
-        pos += 1
-        return gaps[pos - 1]
-
-    first = 0
+    pos = first = 0
     while first < n:
         starts, clocks, owner = [], [], []
         for i in range(first, n):
             starts.append(pos)
             clock = 0.0
             while True:
-                clock += gap()
+                if pos == len(gaps):
+                    gaps.extend(rng.exponential(size=n).tolist())
+                clock += gaps[pos]
+                pos += 1
                 clocks.append(clock)
                 owner.append(i)
-                if not clock < bound[i]:
+                if not clock < limit[i]:
                     break
         owner = np.array(owner)
         clocks = np.array(clocks)
         inv = recurrent.invert(clocks)
         event = inv < follow[owner]
-        misfit = np.flatnonzero(event != (clocks < cap[owner]))
+        misfit = np.flatnonzero(event != (clocks < bound[owner]))
         done = int(owner[misfit[0]]) if misfit.size else n
         keep = owner < done
         spells = np.bincount(owner[keep] - first, minlength=done - first)
         counts += (spells - 1).tolist()
         times += inv[keep & event].tolist()
         if done < n:
+            clock = clocks[misfit[0]]
+            bound[done] = np.nextafter(clock, np.inf) if event[misfit[0]] else clock
+            limit[done] = float(bound[done])
             pos = starts[done - first]
-            count, clock = 0, 0.0
-            while True:
-                clock += gap()
-                t_next = float(recurrent.invert(clock)[0])
-                if not t_next < limit[done]:
-                    break
-                times.append(t_next)
-                count += 1
-            counts.append(count)
-            done += 1
         first = done
     return counts, times
 
@@ -515,25 +514,8 @@ def simulate_dataset(sc: Scenario) -> EventDataset:
     horizon = sc.horizon
     name = sc.system.name
     subject = np.arange(sc.n)
-    group = None
 
-    if name in ("survival", "rmst"):
-        exit_time, code = _single_spell(
-            rng, sc.hazards["event"], sc.censor, horizon, sc.n
-        )
-
-    elif name in ("relative_survival", "led", "ler", "screening"):
-        slots = [s for s in driver_slots(sc.system) if not s.deterministic]
-        sizes = [sc.n - sc.n // 2, sc.n // 2]
-        drawn = [
-            _single_spell(rng, sc.hazards[slot.role], sc.censor, horizon, size)
-            for slot, size in zip(slots, sizes)
-        ]
-        exit_time = np.concatenate([spell[0] for spell in drawn])
-        code = np.concatenate([spell[1] for spell in drawn])
-        group = np.repeat([slot.group for slot in slots], sizes)
-
-    elif name == "cumulative_incidence":
+    if name == "cumulative_incidence":
         roles = [f"cause{j + 1}" for j in range(sc.system.n_causes)]
         parts = [sc.hazards[r] for r in roles]
         total = _SumHazard(parts)
@@ -550,8 +532,9 @@ def simulate_dataset(sc: Scenario) -> EventDataset:
         below = np.cumsum(probs, axis=0) < u_cause[hit]
         code = np.zeros(sc.n, dtype=np.int64)
         code[hit] = np.minimum(1 + below.sum(axis=0), len(parts))
+        group = None
 
-    else:  # mean_frequency
+    elif name == "mean_frequency":
         recurrent = sc.hazards["recurrent"]
         terminal = sc.hazards["terminal"]
         t_term = terminal.invert(rng.exponential(size=sc.n))
@@ -571,6 +554,20 @@ def simulate_dataset(sc: Scenario) -> EventDataset:
             np.insert(np.ones(times.size, dtype=np.int64), ends, last_code),
             horizon,
         )
+
+    else:
+        # One spell per subject.  The slots split the subjects into groups of
+        # near-equal size; a single slot takes them all, with no group column.
+        slots = [s for s in driver_slots(sc.system) if not s.deterministic]
+        k = len(slots)
+        sizes = [sc.n // k + (i < sc.n % k) for i in range(k)]
+        drawn = [
+            _single_spell(rng, sc.hazards[slot.role], sc.censor, horizon, size)
+            for slot, size in zip(slots, sizes)
+        ]
+        exit_time = np.concatenate([spell[0] for spell in drawn])
+        code = np.concatenate([spell[1] for spell in drawn])
+        group = np.repeat([s.group for s in slots], sizes) if k > 1 else None
 
     return EventDataset.from_columns(
         subject, np.zeros(sc.n), exit_time, code, horizon, group=group
@@ -647,15 +644,6 @@ def l2_distance(
     return float(np.sum((va - vb) ** 2 * np.diff(knots)))
 
 
-def _variance_step_path(fit, component: int) -> StepPath:
-    # Estimator-variance scale (the square of the band half-width): the
-    # covariance recursion output divided by the sample size, so paths fitted
-    # at different n live in comparable units and a large-sample reference is
-    # close to the common limit of all of them.
-    diag = fit.cov_diag()[:, component] / fit.scale_n
-    return StepPath.from_values(fit.times, diag, fit.state_path.horizon)
-
-
 @dataclass
 class StudyResult:
     """Tabular outcome of a study plus run metadata (seeds, failures)."""
@@ -707,10 +695,12 @@ def _init_worker(ctx):
     _CTX.update(ctx)
 
 
-def _run_tasks(worker, tasks, ctx, n_jobs: int):
+def _run_tasks(tasks, ctx, n_jobs: int):
+    # Never more processes than tasks: the pool forks all of them at once.
+    n_jobs = min(n_jobs, len(tasks))
     if n_jobs <= 1:
         _init_worker(ctx)
-        return [worker(t) for t in tasks]
+        return [_replicate(t) for t in tasks]
     # Imported here: it pulls in multiprocessing, socket and logging, which
     # a serial run (and every CLI call) would otherwise load for nothing.
     from concurrent.futures import ProcessPoolExecutor
@@ -719,50 +709,46 @@ def _run_tasks(worker, tasks, ctx, n_jobs: int):
         max_workers=n_jobs, initializer=_init_worker, initargs=(ctx,)
     ) as pool:
         chunk = max(1, len(tasks) // (8 * n_jobs))
-        return list(pool.map(worker, tasks, chunksize=chunk))
+        return list(pool.map(_replicate, tasks, chunksize=chunk))
 
 
-def _fit_replication(seed: int, n: int):
-    """Simulate and fit one replication per the shared context."""
-    sc = replace(_CTX["scenario"], n=n, seed=seed, k_replications=1)
-    ds = simulate_dataset(sc)
-    driver, meta = estimate_driver(ds, sc.system, grid_step=_CTX["grid_step"])
-    return fit_plugin(make_system(sc.system), driver, meta)
-
-
-def _conv_worker(task):
-    idx, j, n, seed = task
+def _replicate(task):
+    """Simulate ``n`` subjects of the shared scenario from ``seed``, estimate
+    the driver and apply the study's ``measure`` (one of the three below):
+    ``(key, value, None)``, or ``(key, None, error type name)`` on failure."""
+    key, n, seed = task
     try:
-        if _CTX["target"] == "estimate":
-            sc = replace(_CTX["scenario"], n=n, seed=seed, k_replications=1)
-            ds = simulate_dataset(sc)
-            driver, _ = estimate_driver(ds, sc.system, grid_step=_CTX["grid_step"])
-            path = solve_plugin(make_system(sc.system), driver)
-            comp = _CTX["component"]
-        else:
-            fit = _fit_replication(seed, n)
-            path = _variance_step_path(fit, _CTX["component"])
-            comp = 0
-        value = l2_distance(
-            _CTX["target_path"], path, _CTX["target_component"], comp, _CTX["upto"]
-        )
-        return (idx, j, value, None)
+        sc = replace(_CTX["scenario"], n=n, seed=seed, k_replications=1)
+        ds = simulate_dataset(sc)
+        driver, meta = estimate_driver(ds, sc.system, grid_step=_CTX["grid_step"])
+        return key, _CTX["measure"](make_system(sc.system), driver, meta), None
     except HazardTransformError as exc:
-        return (idx, j, None, type(exc).__name__)
+        return key, None, type(exc).__name__
 
 
-def _cov_worker(task):
-    j, seed = task
-    try:
-        fit = _fit_replication(seed, _CTX["scenario"].n)
-        band = confidence_band(fit, _CTX["level"])
-        _, lo, hi = band.value_at(_CTX["t_grid"])
-        comp = _CTX["component"]
-        truth = _CTX["oracle_values"]
-        covered = (lo[:, comp] <= truth) & (truth <= hi[:, comp])
-        return (j, covered, None)
-    except HazardTransformError as exc:
-        return (j, None, type(exc).__name__)
+def _l2_estimate(system, driver, meta) -> float:
+    path = solve_plugin(system, driver)
+    comp = _CTX["component"]
+    return l2_distance(_CTX["target_path"], path, comp, comp, _CTX["upto"])
+
+
+def _l2_variance(system, driver, meta) -> float:
+    # Estimator-variance scale (the square of the band half-width): the
+    # covariance recursion output divided by the sample size, so paths fitted
+    # at different n live in comparable units and a large-sample reference is
+    # close to the common limit of all of them.
+    fit = fit_plugin(system, driver, meta)
+    diag = fit.cov_diag()[:, _CTX["component"]] / fit.scale_n
+    path = StepPath.from_values(fit.times, diag, fit.state_path.horizon)
+    return l2_distance(_CTX["target_path"], path, 0, 0, _CTX["upto"])
+
+
+def _covered(system, driver, meta) -> np.ndarray:
+    band = confidence_band(fit_plugin(system, driver, meta), _CTX["level"])
+    _, lo, hi = band.value_at(_CTX["t_grid"])
+    comp = _CTX["component"]
+    truth = _CTX["oracle_values"]
+    return (lo[:, comp] <= truth) & (truth <= hi[:, comp])
 
 
 def _component(kind: SystemKind, component) -> int:
@@ -801,30 +787,34 @@ def l2_convergence(
     variance of the reference-sample estimator -- so the reference plays the
     role of the common (near-zero) large-sample limit.
 
-    ``n_list`` must be a non-empty list of integers >= 1 and ``bootstrap_b``
-    an integer >= 2; anything else raises :class:`ConfigError` before any
-    simulation runs.  Failed replications (guard trips, variance collapse)
-    are excluded from the averages and counted per sample size in the
-    metadata.
+    ``n_list`` must be a non-empty list of integers and ``bootstrap_n`` an
+    integer, each at least the number of groups the scenario's subjects are
+    split into, and ``bootstrap_b`` an integer >= 2; anything else raises
+    :class:`ConfigError` before any simulation runs.  Failed replications
+    (guard trips, variance collapse) are excluded from the averages and
+    counted per sample size in the metadata.
     """
     if target not in ("estimate", "variance"):
         raise ConfigError("target must be 'estimate' or 'variance'")
     kind = sc.system
     comp = _component(kind, component)
     horizon = sc.horizon
+    least = _min_subjects(kind)
     n_list = [int(v) for v in _numbers(n_list, "n_list", integer=True)]
-    if not n_list or min(n_list) < 1:
+    if not n_list or min(n_list) < least:
         raise ConfigError(
-            f"n_list must be a non-empty list of sample sizes >= 1, got {n_list!r}"
+            f"n_list must be a non-empty list of sample sizes >= {least}, "
+            f"got {n_list!r}"
         )
     if _number(bootstrap_b, "bootstrap_b", integer=True) < 2:
         raise ConfigError(f"bootstrap_b must be an integer >= 2, got {bootstrap_b!r}")
+    ref_n = 4 * max(n_list) if bootstrap_n is None else bootstrap_n
+    if _number(ref_n, "bootstrap_n", integer=True) < least:
+        raise ConfigError(f"bootstrap_n must be an integer >= {least}, got {ref_n!r}")
 
     if target == "estimate":
         target_path = oracle_parameter(sc.hazards, kind, fine_step=oracle_step)
-        target_component = comp
     else:
-        ref_n = bootstrap_n if bootstrap_n is not None else 4 * max(n_list)
         ref_sc = replace(sc, n=ref_n, seed=_child_seed(sc.seed, 1), k_replications=1)
         ref_ds = simulate_dataset(ref_sc)
         grid, cov = bootstrap_covariance(
@@ -841,28 +831,26 @@ def l2_convergence(
         target_path = StepPath.from_values(
             grid, np.concatenate([[0.0], cov[:, comp, comp] / ref_n]), horizon
         )
-        target_component = 0
 
     ctx = {
         "scenario": sc,
         "grid_step": grid_step,
         "component": comp,
-        "target": target,
+        "measure": _l2_estimate if target == "estimate" else _l2_variance,
         "target_path": target_path,
-        "target_component": target_component,
         "upto": horizon,
     }
     tasks = [
-        (i, j, n, _child_seed(sc.seed, 0, i, j))
+        (i, n, _child_seed(sc.seed, 0, i, j))
         for i, n in enumerate(n_list)
         for j in range(sc.k_replications)
     ]
-    results = _run_tasks(_conv_worker, tasks, ctx, n_jobs)
+    results = _run_tasks(tasks, ctx, n_jobs)
 
     sums = np.zeros(len(n_list))
     counts = np.zeros(len(n_list), dtype=int)
     failures = {n: 0 for n in n_list}
-    for idx, _, value, err in results:
+    for idx, value, err in results:
         if err is None:
             sums[idx] += value
             counts[idx] += 1
@@ -905,7 +893,9 @@ def coverage_study(
     builds the band at ``level``, and records per time-grid point whether the
     band covers the oracle parameter.  Rows carry the coverage proportion
     with a 95% Wilson interval; the requested level is echoed as a constant
-    reference column.  Times in ``t_grid`` must lie in ``[0, horizon]``.
+    reference column.  ``t_grid`` must be a non-empty 1-D list of times in
+    ``[0, horizon]``; anything else raises :class:`ConfigError` before any
+    simulation runs.
     """
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be strictly between 0 and 1")
@@ -915,6 +905,10 @@ def coverage_study(
     if t_grid is None:
         t_grid = np.linspace(0.2 * horizon, 0.8 * horizon, 13)
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not t_grid.size:
+        raise ConfigError(
+            f"t_grid must be a non-empty list of times, got {t_grid.tolist()!r}"
+        )
     outside = t_grid[~((t_grid >= 0.0) & (t_grid <= horizon))]
     if outside.size:
         raise ConfigError(
@@ -928,12 +922,13 @@ def coverage_study(
         "scenario": sc,
         "grid_step": grid_step,
         "component": comp,
+        "measure": _covered,
         "level": level,
         "t_grid": t_grid,
         "oracle_values": oracle_values,
     }
-    tasks = [(j, _child_seed(sc.seed, 0, j)) for j in range(sc.k_replications)]
-    results = _run_tasks(_cov_worker, tasks, ctx, n_jobs)
+    tasks = [(j, sc.n, _child_seed(sc.seed, 0, j)) for j in range(sc.k_replications)]
+    results = _run_tasks(tasks, ctx, n_jobs)
 
     hits = np.zeros(t_grid.size, dtype=int)
     used = 0

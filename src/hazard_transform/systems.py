@@ -59,6 +59,7 @@ class SystemKind:
     def __post_init__(self):
         if not isinstance(self.name, str) or self.name not in _CATALOG:
             raise ConfigError(f"unknown system name: {self.name!r}")
+        _number(self.n_causes, "n_causes", integer=True)
         if self.initial_value is not None:
             object.__setattr__(
                 self, "initial_value", tuple(float(v) for v in self.initial_value)
@@ -80,8 +81,6 @@ class SystemKind:
         if extra:
             raise ConfigError(f"unknown system config key(s): {sorted(extra)}")
         kwargs = dict(cfg)
-        if "n_causes" in cfg:
-            _number(cfg["n_causes"], "n_causes", integer=True)
         if cfg.get("prevalence") is not None:
             _number(cfg["prevalence"], "prevalence")
         if cfg.get("initial_value") is not None:

@@ -306,9 +306,10 @@ def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, case):
         (["converge", "--n-list", "0,50", "--k", 2], "n_list"),
         (["converge", "--target", "variance", "--n-list", 10, "--k", 1,
           "--bootstrap-b", 1], "bootstrap_b"),
+        (["coverage", "--n", 10, "--k", 2, "--t-grid", ","], "t_grid"),
     ],
     ids=["t-grid 5,-1", "t-grid past the horizon", "n-list 30.5", "n-list 0,50",
-         "bootstrap-b 1"],
+         "bootstrap-b 1", "t-grid ,"],
 )
 def test_study_flag_outside_its_domain_is_a_config_error(tmp_path, argv, key):
     proc = run_cli(
@@ -338,3 +339,25 @@ def test_component_outside_the_state_is_a_config_error(tmp_path, argv):
     assert err["type"] == "ConfigError"
     assert "component" in err["message"]
     assert not (tmp_path / "o").exists()
+
+
+def test_two_group_study_with_one_subject_is_a_config_error(tmp_path):
+    proc = run_cli(
+        "coverage", "--system", "relative_survival", "--hazard", "group1=constant:1",
+        "--hazard", "group0=constant:1", "--n", 1, "--k", 2, "--seed", 1,
+        "--out", tmp_path / "o", expect=1,
+    )
+    err = error_payload(proc)
+    assert err["type"] == "ConfigError"
+    assert "n >= 2" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_has_no_grid_step_flag(tmp_path):
+    proc = run_cli(
+        "simulate", "--hazard", "constant:1", "--n", 10, "--seed", 1,
+        "--grid-step", 123, "--out", tmp_path / "o", expect=2,
+    )
+    err = error_payload(proc)
+    assert err["type"] == "ConfigError"
+    assert "--grid-step" in err["message"]

@@ -527,6 +527,16 @@ def survival_scenario(n, seed, k=1):
     )
 
 
+def two_group_scenario(n, seed=1, k=1):
+    return Scenario(
+        system=SystemKind("relative_survival"),
+        hazards={"group1": ConstantHazard(1.0, 1.0), "group0": ConstantHazard(0.5, 1.0)},
+        n=n,
+        seed=seed,
+        k_replications=k,
+    )
+
+
 def failing_scenario(k=3):
     # Two test-negative subjects under rate 6 on [0, 1]: with near certainty
     # both have events, the second with a unit hazard increment, which drives
@@ -587,6 +597,35 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="seed"):
             survival_scenario(10, -1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 2.5),
+            ("n", True),
+            ("seed", 1.5),
+            ("seed", True),
+            ("k_replications", 2.5),
+            ("k_replications", True),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        fields = {"n": 10, "seed": 1, "k_replications": 1, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            Scenario(
+                system="survival", hazards={"event": ConstantHazard(1.0, 1.0)}, **fields
+            )
+
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        sc = survival_scenario(np.int64(10), np.uint64(1), k=np.int32(2))
+        assert json.loads(json.dumps(sc.describe()))["n"] == 10
+        assert all(type(v) is int for v in (sc.n, sc.seed, sc.k_replications))
+
+    def test_two_groups_need_a_subject_each(self):
+        with pytest.raises(ConfigError, match=r"n >= 2 subjects \(one per group\)"):
+            two_group_scenario(1)
+        ds = simulate_dataset(two_group_scenario(2))
+        assert sorted(r.group for r in ds.records) == [0, 1]
+
 
 class TestStudies:
     def test_convergence_rows_and_metadata(self):
@@ -607,6 +646,45 @@ class TestStudies:
         serial = l2_convergence(sc, [40, 80], n_jobs=1)
         parallel = l2_convergence(sc, [40, 80], n_jobs=2)
         assert serial.rows == parallel.rows
+
+    def test_variance_convergence_jobs_do_not_change_results(self):
+        sc = survival_scenario(40, 9, k=3)
+        kwargs = dict(target="variance", bootstrap_n=160, bootstrap_b=10)
+        serial = l2_convergence(sc, [40, 80], n_jobs=1, **kwargs)
+        parallel = l2_convergence(sc, [40, 80], n_jobs=2, **kwargs)
+        assert serial.rows == parallel.rows
+        assert serial.metadata == parallel.metadata
+
+    def test_no_more_worker_processes_than_replications(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class SerialPool:
+            """Records ``max_workers`` and runs the tasks in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        sc = survival_scenario(30, 3, k=4)
+        want = coverage_study(sc, t_grid=[0.5])
+        assert coverage_study(sc, t_grid=[0.5], n_jobs=64).rows == want.rows
+        assert pools == [4]
+        l2_convergence(sc, [30, 40], n_jobs=64)
+        assert pools == [4, 8]
+        coverage_study(survival_scenario(30, 3, k=1), t_grid=[0.5], n_jobs=2)
+        assert pools == [4, 8]
 
     def test_convergence_failure_protocol(self):
         res = l2_convergence(failing_scenario(k=3), [4])
@@ -672,6 +750,14 @@ class TestStudies:
         with pytest.raises(ConfigError, match=r"t_grid values must lie in \[0, 1.0\]"):
             coverage_study(survival_scenario(10, 1), t_grid=t_grid)
 
+    @pytest.mark.parametrize("t_grid", [[], [[0.3]], 0.5])
+    def test_coverage_times_not_a_non_empty_list_rejected(self, t_grid, monkeypatch):
+        monkeypatch.setattr(
+            simlab, "simulate_dataset", lambda *a: pytest.fail("a dataset was simulated")
+        )
+        with pytest.raises(ConfigError, match="t_grid must be a non-empty list"):
+            coverage_study(survival_scenario(10, 1), t_grid=t_grid)
+
     def test_coverage_times_at_the_window_ends_accepted(self):
         res = coverage_study(survival_scenario(20, 1, k=2), t_grid=[0.0, 1.0])
         assert [row[0] for row in res.rows] == [0.0, 1.0]
@@ -685,6 +771,17 @@ class TestStudies:
         )
         with pytest.raises(ConfigError, match="n_list"):
             l2_convergence(survival_scenario(10, 1), n_list)
+
+    def test_sample_sizes_below_the_group_count_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            simlab, "simulate_dataset", lambda *a: pytest.fail("a dataset was simulated")
+        )
+        sc = two_group_scenario(50)
+        with pytest.raises(ConfigError, match="n_list .* >= 2"):
+            l2_convergence(sc, [1, 50])
+        for bootstrap_n in (1, 2.5, True):
+            with pytest.raises(ConfigError, match="bootstrap_n must be an integer"):
+                l2_convergence(sc, [50], target="variance", bootstrap_n=bootstrap_n)
 
     @pytest.mark.parametrize("b", [1, 0, 2.5, True, None])
     def test_bad_bootstrap_b_rejected_before_any_simulation(self, b, monkeypatch):

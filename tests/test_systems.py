@@ -203,6 +203,11 @@ class TestKindValidation:
         with pytest.raises(ConfigError):
             make_system(SystemKind("cumulative_incidence", n_causes=0))
 
+    @pytest.mark.parametrize("n_causes", [2.5, True, "2"])
+    def test_cause_count_must_be_an_integer(self, n_causes):
+        with pytest.raises(ConfigError, match="n_causes must be an integer"):
+            SystemKind("cumulative_incidence", n_causes=n_causes)
+
     def test_headline_component_defaults(self):
         assert SystemKind("survival").headline_index == 0
         assert SystemKind("cumulative_incidence", n_causes=2).headline_index == 1
