@@ -17,9 +17,10 @@ the driver's sample-size scale; the transport sum is applied one component
 at a time, in column order.  Pointwise confidence intervals divide the
 diagonal by n and apply a normal quantile.
 
-The state has one kernel, ``_states``, shared by :func:`solve_plugin` and
-the stacked bootstrap: it takes the increments of any batch of drivers and
-returns every state, leaving the guards to one check of the finished path.
+The state has one kernel, ``_states``, shared by :func:`solve_plugin`, the
+stacked bootstrap and the blocks of study replications: it takes the
+increments of any batch of drivers and returns every state, leaving the
+guards to one check of the finished path.
 Linear systems carry a constant Jacobian tensor
 (``ParameterSystem.jacobians``, F(x)[:, j] = G_j x), and for them the state
 is the product integral
@@ -37,7 +38,9 @@ limits turn into vech maps, composed over the components in column order,
 plus n * vech(f f').  The maps are built for a block of ``SCAN_CHUNK`` jumps
 at a time from one batched evaluation of ``gradients`` and ``integrand`` and
 scanned like the product integral, the last value of a block carried into
-the next.
+the next; ``_covariances`` does so for any batch of drivers.  Both scans cut
+time at the same ``SCAN_CHUNK`` rows whatever the batch, so a driver solved
+in a stack gets the states and covariances of its solo solve.
 """
 
 from __future__ import annotations
@@ -71,6 +74,10 @@ __all__ = [
 #: starting from the previous block's last value, so a scan's working memory is
 #: a few (SCAN_CHUNK, p, p) arrays whatever the path length.
 SCAN_CHUNK = 1024
+
+#: Cap on the matrix entries of the time blocks whose prefix products one
+#: stacked scan of :func:`_product_integral` takes together.
+_SCAN_CELLS = 1 << 16
 
 
 def _prefix(elems, combine):
@@ -162,24 +169,41 @@ def _product_integral(jac, increments, x, out=None) -> np.ndarray:
     ``X_0 = x``, for the constant Jacobian tensor ``jac`` of shape (k, n, n).
 
     ``increments`` has shape ``(m, *batch, k)`` and ``x`` shape
-    ``(*batch, n)``; the batch axes (bootstrap resamples) ride along while
-    time stays on axis 0.  Returns the ``(m + 1, *batch, n)`` values, the
-    first row ``x``, written into ``out`` when given.  The prefix matrix
-    products are taken one block of about ``SCAN_CHUNK`` matrices at a time.
+    ``(*batch, n)`` or ``(n,)``; the batch axes (bootstrap resamples, study
+    replications) ride along while time stays on axis 0.  Returns the
+    ``(m + 1, *batch, n)`` values, the first row ``x``, written into ``out``
+    when given.
+
+    Time is cut into blocks of ``SCAN_CHUNK`` rows, whatever the batch: each
+    stacked driver is cut at the rows its solo solve is cut at and composed
+    in the same order, so it gets its solo states bit for bit.  The prefix
+    products within a block do not depend on the value carried into it, so
+    those of several full blocks, up to ``_SCAN_CELLS`` matrix entries, are
+    taken in one stacked scan; then each block's products are applied to the
+    value carried out of the block before it.
     """
     k, n = jac.shape[0], jac.shape[1]
     m, batch = increments.shape[0], increments.shape[1:-1]
     values = np.empty((m + 1, *batch, n)) if out is None else out
     values[0] = x
     eye = np.eye(n)
-    rows = max(1, SCAN_CHUNK // math.prod(batch))
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
+    group = max(1, _SCAN_CELLS // (SCAN_CHUNK * math.prod(batch) * n * n))
+    full = m - m % SCAN_CHUNK
+    span = group * SCAN_CHUNK
+    passes = [(lo, min(lo + span, full)) for lo in range(0, full, span)]
+    if full < m:
+        passes.append((full, m))
+    for lo, hi in passes:
+        count = max(1, (hi - lo) // SCAN_CHUNK)
+        rows = (hi - lo) // count
         steps = increments[lo:hi].reshape(-1, k) @ jac.reshape(k, n * n)
-        steps = steps.reshape(hi - lo, *batch, n, n)
+        steps = steps.reshape(count, rows, *batch, n, n)
         steps += eye
-        (products,) = _prefix((steps,), _compose_linear)
-        values[lo + 1 : hi + 1] = (products @ values[lo, ..., None])[..., 0]
+        (products,) = _prefix((np.moveaxis(steps, 0, 1),), _compose_linear)
+        for i in range(count):
+            a = lo + i * rows
+            carried = values[a, ..., None]
+            values[a + 1 : a + rows + 1] = (products[:, i] @ carried)[..., 0]
     return values
 
 
@@ -220,35 +244,53 @@ def solve_variance(
         if v.shape != (n, n) or not np.array_equal(v, v.T):
             raise ValueError("v0 must be a symmetric n x n matrix")
 
-    scale = float(meta.scale_n)
+    lefts = np.vstack([state.origin_value, state.values_at_jumps()[:-1]])
     stochastic = np.where(np.asarray(meta.deterministic_mask, dtype=bool), 0.0, 1.0)
+    return _covariances(
+        system, lefts[: driver.n_jumps], driver.increments, meta.scale_n, stochastic, v
+    )
+
+
+def _covariances(system, lefts, increments, scale, stochastic, v0) -> np.ndarray:
+    """Covariances ``V_k`` at every jump from ``V_0 = v0``, given the states
+    ``lefts`` at the jumps' left limits.
+
+    ``lefts`` has shape ``(m, *batch, n)`` and ``increments`` ``(m, *batch,
+    k)``; ``scale`` is the sample-size scale, a number or one per batch
+    entry, and ``stochastic`` is 1 for the driver components that carry
+    sampling noise and 0 for time grids.  Returns the ``(m, *batch, n, n)``
+    covariances.  Like :func:`_product_integral`, the scan cuts time at the
+    same ``SCAN_CHUNK`` rows whatever the batch, and builds the maps of all
+    batch entries in one evaluation, so each entry gets its solo solve.
+    """
     # Component j's update V -> V + (G_j V + V G_j') dA^j is a linear map of
     # vech(V) (upper triangle, p = n(n+1)/2 entries).  Each jump composes those
     # maps over j, then adds n * vech(f f'): an affine map V_k = L_k V_{k-1} +
     # c_k, scanned block by block.
-    k = system.driver_dim
+    n, k = system.state_dim, system.driver_dim
+    m, batch = increments.shape[0], increments.shape[1:-1]
     iu, ju = np.triu_indices(n)
-    m = driver.n_jumps
-    lefts = np.vstack([state.origin_value, state.values_at_jumps()[:-1]])[:m]
-    d_incr = driver.increments
-    out = np.empty((m, n, n))
-    carry = v[iu, ju]
-    eye = np.eye(iu.size)
+    p = iu.size
+    scale = np.asarray(scale, dtype=float)[..., None]
+    out = np.empty((m, *batch, n, n))
+    carry = v0[iu, ju]
+    eye = np.eye(p)
     ops = None
     for lo in range(0, m, SCAN_CHUNK):
         hi = min(lo + SCAN_CHUNK, m)
-        x, da = lefts[lo:hi], d_incr[lo:hi]
+        x, da = lefts[lo:hi].reshape(-1, n), increments[lo:hi].reshape(-1, k)
         if ops is None or any(op.ndim > 2 for op in ops):
             ops = _vech_maps(system, x)  # maps free of the state are built once
         maps = eye + da[:, 0, None, None] * ops[0]
         for j in range(1, k):
             maps = maps + da[:, j, None, None] * (ops[j] @ maps)
         fda = np.einsum("bij,bj->bi", system.integrand(x), da * stochastic)
-        shifts = scale * (fda[:, iu] * fda[:, ju])
+        shifts = scale * (fda[:, iu] * fda[:, ju]).reshape(hi - lo, *batch, p)
+        maps = maps.reshape(hi - lo, *batch, p, p)
         maps, shifts = _prefix((maps, shifts), _compose_affine)
-        block = (maps @ carry) + shifts
-        out[lo:hi, iu, ju] = block
-        out[lo:hi, ju, iu] = block
+        block = (maps @ carry[..., None])[..., 0] + shifts
+        out[lo:hi, ..., iu, ju] = block
+        out[lo:hi, ..., ju, iu] = block
         carry = block[-1]
     return out
 

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
+from statistics import NormalDist
 from typing import Mapping
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
 from .events import EventDataset
 from .hazards import _events, _grid_times, _RiskSet, _slot_sources, estimate_driver
 from .paths import StepPath
-from .plugin import _states, confidence_band, fit_plugin, solve_plugin
+from .plugin import SCAN_CHUNK, _covariances, _states, solve_plugin
 from .systems import SystemKind, driver_slots, make_system
 
 __all__ = [
@@ -419,22 +420,9 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence((seed, *key)).generate_state(1, np.uint64)[0])
 
 
-def _censor_times(rng, censor, n):
-    """Censoring times of ``n`` subjects; ``inf`` (and no draw) without
-    censoring."""
-    if censor is None:
-        return np.full(n, np.inf)
-    return censor.invert(rng.exponential(size=n))
-
-
-def _single_spell(rng, hazard, censor, horizon, n):
-    """Draw one spell per subject: event vs censoring vs horizon.
-
-    Returns the exit times and the event codes (1 event, 0 censored).
-    """
-    t_event = hazard.invert(rng.exponential(size=n))
-    exit_time = np.minimum(np.minimum(t_event, _censor_times(rng, censor, n)), horizon)
-    return exit_time, (t_event == exit_time).astype(np.int64)
+def _invert(spec, targets) -> np.ndarray:
+    """``spec.invert`` of an array of targets of any shape, in one call."""
+    return spec.invert(targets.ravel()).reshape(targets.shape)
 
 
 def _recurrent_times(rng, recurrent, follow):
@@ -445,14 +433,15 @@ def _recurrent_times(rng, recurrent, follow):
     as that time is ``< follow[i]``; the first exposure that lands at or past
     ``follow[i]`` ends the subject, and the next subject starts on the next
     draw.  The exposures are drawn in bulk and split per subject in clock
-    space against a clock bound, at first ``recurrent.cumulative(follow)``;
-    then every clock is inverted in one call.  Where an inverted time
-    disagrees with the split (a clock within rounding of its bound, or a
-    subclass whose ``invert`` does not match its ``cumulative``), the first
-    such clock moves its subject's bound: just past the clock if its time is
-    an event, onto it if not.  The split then starts again from that
-    subject's first draw, so the result equals the one-draw-at-a-time loop.
-    (A vector inversion gives each element what a scalar call gives:
+    space against the clock bound ``recurrent.cumulative(follow)``; then
+    every clock is inverted in one call.  Where an inverted time disagrees
+    with the split (a clock within rounding of its bound, or a subclass whose
+    ``invert`` does not match its ``cumulative``), the subjects before the
+    first such clock are kept, that clock's subject is finished one draw and
+    one inversion at a time, and the bulk split resumes from the next
+    subject.  So there is at most one bulk pass per disagreeing subject,
+    plus one, and the result equals the one-draw-at-a-time loop.  (A vector
+    inversion gives each element what a scalar call gives:
     :meth:`HazardSpec.invert` computes each element on its own.)
 
     Returns ``(counts, times)``: events per subject and all event times,
@@ -465,6 +454,12 @@ def _recurrent_times(rng, recurrent, follow):
     # scalar draws, and nothing draws from ``rng`` afterwards, so drawing too
     # many changes nothing.
     gaps = rng.exponential(size=n + int(2 * bound.sum()) + 16).tolist()
+
+    def gap(pos):
+        if pos == len(gaps):
+            gaps.extend(rng.exponential(size=n).tolist())
+        return gaps[pos]
+
     counts: list[int] = []
     times: list[float] = []
     pos = first = 0
@@ -474,9 +469,7 @@ def _recurrent_times(rng, recurrent, follow):
             starts.append(pos)
             clock = 0.0
             while True:
-                if pos == len(gaps):
-                    gaps.extend(rng.exponential(size=n).tolist())
-                clock += gaps[pos]
+                clock += gap(pos)
                 pos += 1
                 clocks.append(clock)
                 owner.append(i)
@@ -493,12 +486,102 @@ def _recurrent_times(rng, recurrent, follow):
         counts += (spells - 1).tolist()
         times += inv[keep & event].tolist()
         if done < n:
-            clock = clocks[misfit[0]]
-            bound[done] = np.nextafter(clock, np.inf) if event[misfit[0]] else clock
-            limit[done] = float(bound[done])
             pos = starts[done - first]
+            clock, events = 0.0, 0
+            while True:
+                clock += gap(pos)
+                pos += 1
+                t = float(recurrent.invert(clock)[0])
+                if not t < follow[done]:
+                    break
+                times.append(t)
+                events += 1
+            counts.append(events)
+            done += 1
         first = done
     return counts, times
+
+
+def _simulate(sc: Scenario, n: int, seeds) -> list[tuple]:
+    """Datasets of ``n`` subjects of the scenario, one per seed, as the
+    arguments of :meth:`EventDataset.from_columns`.
+
+    Each dataset draws from its own ``SeedSequence((seed,))`` stream, in the
+    same order whatever the other seeds are, and every hazard inverts the
+    draws of all seeds in one call, which gives each element what a call of
+    its own gives.
+    """
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed,))) for seed in seeds]
+    horizon = sc.horizon
+    name = sc.system.name
+    subject = np.arange(n)
+
+    def draws(size):
+        return np.array([rng.exponential(size=size) for rng in rngs])
+
+    def censor_times(size):
+        """Censoring times; ``inf`` (and no draw) without censoring."""
+        if sc.censor is None:
+            return np.full((len(rngs), size), np.inf)
+        return _invert(sc.censor, draws(size))
+
+    if name == "cumulative_incidence":
+        parts = [sc.hazards[f"cause{j + 1}"] for j in range(sc.system.n_causes)]
+        t_event = _invert(_SumHazard(parts), draws(n))
+        u_cause = np.array([rng.random(n) for rng in rngs])
+        exit_time = np.minimum(np.minimum(t_event, censor_times(n)), horizon)
+        # The cause is drawn from the cause rates at the event time.
+        hit = t_event == exit_time
+        rates = np.array([p.rate(t_event[hit]) for p in parts], dtype=float)
+        srate = rates.sum(axis=0)
+        probs = np.full(rates.shape, 1.0 / len(parts))
+        np.divide(rates, srate, out=probs, where=srate > 0)
+        below = np.cumsum(probs, axis=0) < u_cause[hit]
+        code = np.zeros(exit_time.shape, dtype=np.int64)
+        code[hit] = np.minimum(1 + below.sum(axis=0), len(parts))
+        group = None
+
+    elif name == "mean_frequency":
+        recurrent = sc.hazards["recurrent"]
+        t_term = _invert(sc.hazards["terminal"], draws(n))
+        follow = np.minimum(np.minimum(t_term, censor_times(n)), horizon)
+        last_code = np.where(t_term == follow, 2, 0)
+        columns = []
+        for rng, ends_at, last in zip(rngs, follow, last_code):
+            counts, times = _recurrent_times(rng, recurrent, ends_at)
+            # Each subject's spells run 0 -> t_1 -> ... -> t_k (code 1 each),
+            # then a last spell to its follow-up end (terminal 2, censored 0).
+            counts = np.asarray(counts)
+            times = np.asarray(times, dtype=float)
+            ends = np.cumsum(counts)
+            columns.append((
+                np.repeat(subject, counts + 1),
+                np.insert(times, ends - counts, 0.0),
+                np.insert(times, ends, ends_at),
+                np.insert(np.ones(times.size, dtype=np.int64), ends, last),
+                horizon,
+            ))
+        return columns
+
+    else:
+        # One spell per subject.  The slots split the subjects into groups of
+        # near-equal size; a single slot takes them all, with no group column.
+        slots = [s for s in driver_slots(sc.system) if not s.deterministic]
+        k = len(slots)
+        sizes = [n // k + (i < n % k) for i in range(k)]
+        exits, codes = [], []
+        for slot, size in zip(slots, sizes):
+            t_event = _invert(sc.hazards[slot.role], draws(size))
+            exits.append(np.minimum(np.minimum(t_event, censor_times(size)), horizon))
+            codes.append((t_event == exits[-1]).astype(np.int64))
+        exit_time = np.concatenate(exits, axis=1)
+        code = np.concatenate(codes, axis=1)
+        group = np.repeat([s.group for s in slots], sizes) if k > 1 else None
+
+    return [
+        (subject, np.zeros(n), exits_r, code_r, horizon, group)
+        for exits_r, code_r in zip(exit_time, code)
+    ]
 
 
 def simulate_dataset(sc: Scenario) -> EventDataset:
@@ -510,68 +593,8 @@ def simulate_dataset(sc: Scenario) -> EventDataset:
     draw successive gap exposures on the recurrent hazard's clock until the
     terminal event, censoring, or the horizon.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((sc.seed,)))
-    horizon = sc.horizon
-    name = sc.system.name
-    subject = np.arange(sc.n)
-
-    if name == "cumulative_incidence":
-        roles = [f"cause{j + 1}" for j in range(sc.system.n_causes)]
-        parts = [sc.hazards[r] for r in roles]
-        total = _SumHazard(parts)
-        t_event = total.invert(rng.exponential(size=sc.n))
-        u_cause = rng.random(sc.n)
-        t_cens = _censor_times(rng, sc.censor, sc.n)
-        exit_time = np.minimum(np.minimum(t_event, t_cens), horizon)
-        # The cause is drawn from the cause rates at the event time.
-        hit = t_event == exit_time
-        rates = np.array([p.rate(t_event[hit]) for p in parts], dtype=float)
-        srate = rates.sum(axis=0)
-        probs = np.full(rates.shape, 1.0 / len(parts))
-        np.divide(rates, srate, out=probs, where=srate > 0)
-        below = np.cumsum(probs, axis=0) < u_cause[hit]
-        code = np.zeros(sc.n, dtype=np.int64)
-        code[hit] = np.minimum(1 + below.sum(axis=0), len(parts))
-        group = None
-
-    elif name == "mean_frequency":
-        recurrent = sc.hazards["recurrent"]
-        terminal = sc.hazards["terminal"]
-        t_term = terminal.invert(rng.exponential(size=sc.n))
-        t_cens = _censor_times(rng, sc.censor, sc.n)
-        follow = np.minimum(np.minimum(t_term, t_cens), horizon)
-        counts, times = _recurrent_times(rng, recurrent, follow)
-        # Each subject's spells run 0 -> t_1 -> ... -> t_k (code 1 each),
-        # then a last spell to its follow-up end (terminal 2, censored 0).
-        counts = np.asarray(counts)
-        times = np.asarray(times, dtype=float)
-        ends = np.cumsum(counts)
-        last_code = np.where(t_term == follow, 2, 0)
-        return EventDataset.from_columns(
-            np.repeat(subject, counts + 1),
-            np.insert(times, ends - counts, 0.0),
-            np.insert(times, ends, follow),
-            np.insert(np.ones(times.size, dtype=np.int64), ends, last_code),
-            horizon,
-        )
-
-    else:
-        # One spell per subject.  The slots split the subjects into groups of
-        # near-equal size; a single slot takes them all, with no group column.
-        slots = [s for s in driver_slots(sc.system) if not s.deterministic]
-        k = len(slots)
-        sizes = [sc.n // k + (i < sc.n % k) for i in range(k)]
-        drawn = [
-            _single_spell(rng, sc.hazards[slot.role], sc.censor, horizon, size)
-            for slot, size in zip(slots, sizes)
-        ]
-        exit_time = np.concatenate([spell[0] for spell in drawn])
-        code = np.concatenate([spell[1] for spell in drawn])
-        group = np.repeat([s.group for s in slots], sizes) if k > 1 else None
-
-    return EventDataset.from_columns(
-        subject, np.zeros(sc.n), exit_time, code, horizon, group=group
-    )
+    (columns,) = _simulate(sc, sc.n, [sc.seed])
+    return EventDataset.from_columns(*columns)
 
 
 def _oracle_driver(sc_hazards, kind, horizon, step, start=0.0):
@@ -682,12 +705,29 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 
 # ---------------------------------------------------------------------------
-# Replication execution.  Workers read shared, read-only context from a
-# module global installed by the pool initializer (or directly for serial
-# runs), and every task carries its own derived seed, so results do not
-# depend on how tasks are distributed.
+# Replication execution.  Replications run in blocks of consecutive indices
+# whose size depends on the system only.  Workers read shared, read-only
+# context from a module global installed by the pool initializer (or directly
+# for serial runs), and every replication draws from its own derived seed, so
+# results do not depend on how the blocks are distributed.
 
 _CTX: dict = {}
+
+#: Cap on the vech-map entries of one time block of a study block's
+#: covariance scan, ``SCAN_CHUNK`` rows x replications x p x p for a state of
+#: ``n`` components, ``p = n(n+1)/2``: a block's scan takes a few MB
+#: whatever ``k`` is.  Relative survival (``n = 3``) gets blocks of 7.
+_STUDY_CELLS = 1 << 18
+
+#: Cap on the merged knots x replications of one pass of the block L2.
+_L2_CELLS = 1 << 16
+
+
+def _block_size(kind: SystemKind) -> int:
+    """Replications per study block: fixed by the system's state size."""
+    n = make_system(kind).state_dim
+    p = n * (n + 1) // 2
+    return max(1, _STUDY_CELLS // (SCAN_CHUNK * p * p))
 
 
 def _init_worker(ctx):
@@ -712,43 +752,189 @@ def _run_tasks(tasks, ctx, n_jobs: int):
         return list(pool.map(_replicate, tasks, chunksize=chunk))
 
 
+def _run_blocks(groups, ctx, n_jobs: int):
+    """Run the replications of each ``(key, n, seeds)`` group in blocks of
+    :func:`_block_size` consecutive seeds: ``(key, value, error)`` per
+    replication, in order."""
+    size = _block_size(ctx["scenario"].system)
+    tasks = [
+        (key, n, seeds[lo : lo + size])
+        for key, n, seeds in groups
+        for lo in range(0, len(seeds), size)
+    ]
+    return [result for block in _run_tasks(tasks, ctx, n_jobs) for result in block]
+
+
 def _replicate(task):
-    """Simulate ``n`` subjects of the shared scenario from ``seed``, estimate
-    the driver and apply the study's ``measure`` (one of the three below):
-    ``(key, value, None)``, or ``(key, None, error type name)`` on failure."""
-    key, n, seed = task
+    """Run one block ``(key, n, seeds)``: simulate ``n`` subjects of the
+    shared scenario from each seed, estimate each driver, solve the drivers
+    as one stack and apply the study's ``measure`` (one of the three below)
+    to it.  Returns ``(key, value, None)``, or ``(key, None, error type
+    name)`` on failure, per seed; a failing replication leaves the rest of
+    its block alone."""
+    key, n, seeds = task
+    sc = _CTX["scenario"]
     try:
-        sc = replace(_CTX["scenario"], n=n, seed=seed, k_replications=1)
-        ds = simulate_dataset(sc)
-        driver, meta = estimate_driver(ds, sc.system, grid_step=_CTX["grid_step"])
-        return key, _CTX["measure"](make_system(sc.system), driver, meta), None
+        columns = _simulate(sc, n, seeds)
     except HazardTransformError as exc:
-        return key, None, type(exc).__name__
+        return [(key, None, type(exc).__name__)] * len(seeds)
+    results = [None] * len(seeds)
+    drivers = []
+    for r, cols in enumerate(columns):
+        try:
+            ds = EventDataset.from_columns(*cols)
+            drivers.append(estimate_driver(ds, sc.system, grid_step=_CTX["grid_step"]))
+        except HazardTransformError as exc:
+            results[r] = (key, None, type(exc).__name__)
+    if drivers:
+        stack = _Stack(make_system(sc.system), drivers)
+        # With no replication left, the start state itself tripped a guard.
+        solved = _CTX["measure"](stack) if stack.ok.any() else stack.results([])
+        solved = iter(solved)
+        results = [res or (key, *next(solved)) for res in results]
+    return results
 
 
-def _l2_estimate(system, driver, meta) -> float:
-    path = solve_plugin(system, driver)
-    comp = _CTX["component"]
-    return l2_distance(_CTX["target_path"], path, comp, comp, _CTX["upto"])
+class _Stack:
+    """Drivers of a block's replications, padded at the end with zero
+    increments to the longest and solved as one stack by the state kernel.
+
+    Zero increments are identity steps, so each replication's own rows hold
+    its solo states; the rows after them repeat its last state to rounding,
+    and no measure reads them.  The attributes are ``times`` ``(B, M)``
+    (inf-padded), ``states`` ``(M + 1, B, n)``, ``own`` ``(M, B)`` (the rows
+    of each replication's own jumps), ``scale`` ``(B,)`` and ``errors``:
+    ``"GuardViolation"`` for a replication whose state is on or below a guard
+    at time 0 or at one of its own jumps, else None.
+    """
+
+    def __init__(self, system, drivers):
+        self.system = system
+        m = np.array([driver.n_jumps for driver, _ in drivers])
+        rows, count = m.max(), len(drivers)
+        self.times = np.full((count, rows), np.inf)
+        self.increments = np.zeros((rows, count, system.driver_dim))
+        for r, (driver, _) in enumerate(drivers):
+            self.times[r, : m[r]] = driver.times
+            self.increments[: m[r], r] = driver.increments
+        self.scale = np.array([meta.scale_n for _, meta in drivers], dtype=float)
+        mask = drivers[0][1].deterministic_mask
+        self.stochastic = np.where(np.asarray(mask, dtype=bool), 0.0, 1.0)
+        self.own = np.arange(rows)[:, None] < m
+        self.states = _states(system, self.increments, system.initial_value)
+        tripped = np.zeros(count, dtype=bool)
+        if system.guards:
+            idx, lower = zip(*system.guards)
+            low = (self.states[..., list(idx)] <= np.array(lower)).any(axis=-1)
+            low[1:] &= self.own
+            tripped = low.any(axis=0)
+        self.errors = ["GuardViolation" if trip else None for trip in tripped]
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Whether each replication has no error so far."""
+        return np.array([err is None for err in self.errors])
+
+    def covariances(self) -> np.ndarray:
+        """Covariances ``(M, B, n, n)`` at the jumps.  A replication that
+        tripped a guard is solved from its start state with zero increments
+        instead (its states may divide by zero, and the study does not read
+        its covariances)."""
+        lefts, increments = self.states[:-1], self.increments
+        tripped = ~self.ok
+        if tripped.any():
+            lefts, increments = lefts.copy(), increments.copy()
+            lefts[:, tripped] = self.system.initial_value
+            increments[:, tripped] = 0.0
+        n = self.system.state_dim
+        v0 = np.zeros((n, n))
+        return _covariances(
+            self.system, lefts, increments, self.scale, self.stochastic, v0
+        )
+
+    def results(self, values):
+        """``(value, error)`` per replication, from ``values`` of the ones
+        without an error, in order."""
+        values = iter(values)
+        return [
+            (None, err) if err is not None else (next(values), None)
+            for err in self.errors
+        ]
 
 
-def _l2_variance(system, driver, meta) -> float:
+def _l2_distances(knots_a, values_a, times, values, upto) -> np.ndarray:
+    """Exact integrals over ``[0, upto]`` of ``(a - b)^2``, for the step path
+    ``a`` with jump times ``knots_a`` and values ``values_a`` (from t = 0 on)
+    and each row ``b`` of the step paths with jump times ``times`` (inf past
+    a row's own) and values ``values`` ``(B, M + 1)``.
+
+    Each row is integrated over the merged jump times of ``a`` and ``b``,
+    ties and all (a tie spans no time), and summed in time order: a row's
+    result depends on that row alone, a few passes of ``_L2_CELLS`` merged
+    knots at a time.
+    """
+    out = np.empty(len(times))
+    width = knots_a.size + times.shape[1]
+    step = max(1, _L2_CELLS // width)
+    for lo in range(0, len(times), step):
+        t, v = times[lo : lo + step], values[lo : lo + step]
+        rows = len(t)
+        knots = np.concatenate([np.broadcast_to(knots_a, (rows, knots_a.size)), t], 1)
+        # A stable sort puts a's jump before an equal jump of b, so the knots
+        # count a's jumps right-continuously; b lags only across a tie.
+        order = np.argsort(knots, axis=1, kind="stable")
+        knots = np.minimum(np.take_along_axis(knots, order, axis=1), upto)
+        in_b = np.cumsum(order >= knots_a.size, axis=1)
+        in_a = np.arange(1, width + 1) - in_b
+        a = np.concatenate([np.full((rows, 1), values_a[0]), values_a[in_a]], 1)
+        b = np.concatenate([v[:, :1], np.take_along_axis(v, in_b, axis=1)], 1)
+        edges = np.concatenate(
+            [np.zeros((rows, 1)), knots, np.full((rows, 1), upto)], axis=1
+        )
+        terms = (a - b) ** 2 * np.diff(edges, axis=1)
+        out[lo : lo + step] = np.cumsum(terms, axis=1)[:, -1]
+    return out
+
+
+def _l2_estimate(stack):
+    ok = stack.ok
+    values = stack.states[:, ok, _CTX["component"]].T
+    distances = _l2_distances(*_CTX["target"], stack.times[ok], values, _CTX["upto"])
+    return stack.results(distances)
+
+
+def _l2_variance(stack):
     # Estimator-variance scale (the square of the band half-width): the
     # covariance recursion output divided by the sample size, so paths fitted
     # at different n live in comparable units and a large-sample reference is
     # close to the common limit of all of them.
-    fit = fit_plugin(system, driver, meta)
-    diag = fit.cov_diag()[:, _CTX["component"]] / fit.scale_n
-    path = StepPath.from_values(fit.times, diag, fit.state_path.horizon)
-    return l2_distance(_CTX["target_path"], path, 0, 0, _CTX["upto"])
-
-
-def _covered(system, driver, meta) -> np.ndarray:
-    band = confidence_band(fit_plugin(system, driver, meta), _CTX["level"])
-    _, lo, hi = band.value_at(_CTX["t_grid"])
+    ok = stack.ok
     comp = _CTX["component"]
-    truth = _CTX["oracle_values"]
-    return (lo[:, comp] <= truth) & (truth <= hi[:, comp])
+    diag = stack.covariances()[:, ok, comp, comp]
+    values = (np.vstack([np.zeros((1, diag.shape[1])), diag]) / stack.scale[ok]).T
+    distances = _l2_distances(*_CTX["target"], stack.times[ok], values, _CTX["upto"])
+    return stack.results(distances)
+
+
+def _covered(stack):
+    # The band X +/- z sqrt(V_ii / n) at t_grid, of the component studied, for
+    # every replication with no guard trip and no negative variance.
+    n = stack.system.state_dim
+    cov = stack.covariances()
+    diag = cov[..., range(n), range(n)]
+    negative = ((diag < 0) & stack.own[..., None]).any(axis=(0, 2))
+    for r in np.flatnonzero(negative & stack.ok):
+        stack.errors[r] = "NegativeVarianceError"
+    ok = np.flatnonzero(stack.ok)
+    comp, t_grid, truth = _CTX["component"], _CTX["t_grid"], _CTX["oracle_values"]
+    row = [np.searchsorted(stack.times[r], t_grid, side="right") for r in ok]
+    row = np.array(row, dtype=np.intp).reshape(ok.size, t_grid.size)
+    var = np.vstack([np.zeros((1, ok.size)), diag[:, ok, comp]])
+    var = np.take_along_axis(var, row.T, axis=0)
+    point = np.take_along_axis(stack.states[:, ok, comp], row.T, axis=0)
+    half = _CTX["z"] * np.sqrt(var / stack.scale[ok])
+    truth = truth[:, None]
+    return stack.results(((point - half <= truth) & (truth <= point + half)).T)
 
 
 def _component(kind: SystemKind, component) -> int:
@@ -793,6 +979,12 @@ def l2_convergence(
     :class:`ConfigError` before any simulation runs.  Failed replications
     (guard trips, variance collapse) are excluded from the averages and
     counted per sample size in the metadata.
+
+    The replications of each ``n`` run in blocks of consecutive indices, as
+    in :func:`coverage_study`.  Each distance is integrated over the merged
+    jump times of the two paths and summed in time order, so it agrees with
+    :func:`l2_distance`, which sums the distinct times pairwise, to rounding.
+    The results do not depend on ``n_jobs``.
     """
     if target not in ("estimate", "variance"):
         raise ConfigError("target must be 'estimate' or 'variance'")
@@ -813,7 +1005,10 @@ def l2_convergence(
         raise ConfigError(f"bootstrap_n must be an integer >= {least}, got {ref_n!r}")
 
     if target == "estimate":
-        target_path = oracle_parameter(sc.hazards, kind, fine_step=oracle_step)
+        oracle = oracle_parameter(sc.hazards, kind, fine_step=oracle_step)
+        reference = oracle.times, np.concatenate(
+            [oracle.origin_value[comp : comp + 1], oracle.values_at_jumps()[:, comp]]
+        )
     else:
         ref_sc = replace(sc, n=ref_n, seed=_child_seed(sc.seed, 1), k_replications=1)
         ref_ds = simulate_dataset(ref_sc)
@@ -828,24 +1023,21 @@ def l2_convergence(
         # returns the covariance of sqrt(n) * (X* - X_hat), so dividing by the
         # reference sample size yields the variance of the reference estimator
         # itself -- the same units as each replication's V_hat / n.
-        target_path = StepPath.from_values(
-            grid, np.concatenate([[0.0], cov[:, comp, comp] / ref_n]), horizon
-        )
+        reference = grid, np.concatenate([[0.0], cov[:, comp, comp] / ref_n])
 
     ctx = {
         "scenario": sc,
         "grid_step": grid_step,
         "component": comp,
         "measure": _l2_estimate if target == "estimate" else _l2_variance,
-        "target_path": target_path,
+        "target": reference,
         "upto": horizon,
     }
-    tasks = [
-        (i, n, _child_seed(sc.seed, 0, i, j))
+    groups = [
+        (i, n, [_child_seed(sc.seed, 0, i, j) for j in range(sc.k_replications)])
         for i, n in enumerate(n_list)
-        for j in range(sc.k_replications)
     ]
-    results = _run_tasks(tasks, ctx, n_jobs)
+    results = _run_blocks(groups, ctx, n_jobs)
 
     sums = np.zeros(len(n_list))
     counts = np.zeros(len(n_list), dtype=int)
@@ -896,6 +1088,21 @@ def coverage_study(
     reference column.  ``t_grid`` must be a non-empty 1-D list of times in
     ``[0, horizon]``; anything else raises :class:`ConfigError` before any
     simulation runs.
+
+    Replication ``j`` draws from its own seed, derived from ``(sc.seed, 0,
+    j)``.  The replications run in blocks of consecutive indices, whose size
+    depends only on the system's state size: about ``_STUDY_CELLS`` entries
+    of covariance maps per time block of a block's scan, so a block's working
+    set stays a few MB whatever ``k`` is (7 replications for a 3-component
+    state).  A block is one task of the ``n_jobs`` workers, so the results do
+    not depend on ``n_jobs``.  In a block, each hazard inverts every
+    replication's draws in one call, each replication gets its own driver,
+    and the drivers, padded at the end with zero increments, are solved as
+    one stack of states and covariances that gives each replication its solo
+    fit (bit for bit for a linear system).  Guard trips, negative variances
+    and the band at ``t_grid`` are found for the whole block at once; a
+    failing replication is counted under its error type, and the rest of its
+    block carries on.
     """
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be strictly between 0 and 1")
@@ -923,12 +1130,12 @@ def coverage_study(
         "grid_step": grid_step,
         "component": comp,
         "measure": _covered,
-        "level": level,
+        "z": NormalDist().inv_cdf(0.5 * (1.0 + level)),
         "t_grid": t_grid,
         "oracle_values": oracle_values,
     }
-    tasks = [(j, sc.n, _child_seed(sc.seed, 0, j)) for j in range(sc.k_replications)]
-    results = _run_tasks(tasks, ctx, n_jobs)
+    seeds = [_child_seed(sc.seed, 0, j) for j in range(sc.k_replications)]
+    results = _run_blocks([(0, sc.n, seeds)], ctx, n_jobs)
 
     hits = np.zeros(t_grid.size, dtype=int)
     used = 0
@@ -962,9 +1169,11 @@ def coverage_study(
     )
 
 
-#: Cap on the grid rows times resamples of one block of bootstrap resamples:
-#: a block's stacked driver and states take a few MB whatever ``b`` is.
-_BOOTSTRAP_ROWS = 1 << 16
+#: Cap on the grid rows times resamples of one block of bootstrap resamples,
+#: and on the matrix entries of one ``SCAN_CHUNK``-row time block of its
+#: product-integral scan: a block's stacked driver, states and scan take a
+#: few MB whatever ``b`` is.
+_BOOTSTRAP_ROWS = 1 << 15
 
 
 def _draws(ds: EventDataset, seed: int, b: int):
@@ -1082,8 +1291,9 @@ def bootstrap_covariance(
     has no jump or is frozen.  A block of resamples is then solved at once,
     stacked, by the plugin state kernel: one product-integral scan for a
     linear system, one step per grid row for a nonlinear one.  A block holds
-    about ``_BOOTSTRAP_ROWS`` grid rows, so memory stays near the
-    ``(len(times), state_dim, b)`` array of the deltas.  The results agree
+    about ``_BOOTSTRAP_ROWS`` grid rows, and its scan about as many matrix
+    entries per time block, so memory stays near the ``(len(times),
+    state_dim, b)`` array of the deltas.  The results agree
     with refitting each resample on its own jump times to rounding, and
     exactly for a nonlinear system, whose zero steps change nothing.  A
     resample whose path trips a guard raises :class:`GuardViolation`; when
@@ -1112,7 +1322,8 @@ def bootstrap_covariance(
     values = np.empty((m + 1, system.state_dim, b))
     states = values.transpose(0, 2, 1)
     draws = _draws(ds, seed, b)
-    block = max(1, _BOOTSTRAP_ROWS // (m + 1))
+    scan = min(m, SCAN_CHUNK) * system.state_dim**2
+    block = max(1, _BOOTSTRAP_ROWS // max(m + 1, scan))
     for lo in range(0, b, block):
         hi = min(lo + block, b)
         incr = stack.increments(draws, lo, hi - lo)

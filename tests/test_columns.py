@@ -233,6 +233,57 @@ def test_recurrent_simulation_redoes_subjects_split_wrongly_in_clock_space(
     assert simulate_dataset(sc).records == reference_simulate(sc).records
 
 
+def misfit_subjects(sc):
+    """Subjects whose record-loop clocks disagree with the clock-space split:
+    some clock of theirs is below ``recurrent.cumulative(follow)`` while its
+    inverted time is not before ``follow``, or the other way round.  (No
+    censoring.)"""
+    rng = np.random.default_rng(np.random.SeedSequence((sc.seed,)))
+    recurrent = sc.hazards["recurrent"]
+    t_term = sc.hazards["terminal"].invert(rng.exponential(size=sc.n))
+    follow = np.minimum(t_term, sc.horizon)
+    misfits = 0
+    for end in follow:
+        bound, clock, fits = recurrent.cumulative(end), 0.0, True
+        while True:
+            clock += rng.exponential()
+            event = float(recurrent.invert(clock)[0]) < end
+            fits = fits and event == (clock < bound)
+            if not event:
+                break
+        misfits += not fits
+    return misfits
+
+
+def test_recurrent_split_takes_one_bulk_pass_per_misfit_subject():
+    # Subjects with several times the events the clock bound predicts: each
+    # is finished on its own, so the bulk split (one vector inversion per
+    # pass) runs at most once per such subject, plus once.  Splitting again
+    # after every disagreeing clock took three times as many passes.
+    calls = []
+
+    class Counted(Rescaled):
+        factor = 0.2
+
+        def invert(self, targets):
+            calls.append(np.ndim(targets))
+            return super().invert(targets)
+
+    sc = Scenario(
+        system="mean_frequency",
+        hazards={"recurrent": Counted(3.0, H), "terminal": ConstantHazard(3.0, H)},
+        n=320,
+        seed=2,
+    )
+    got = simulate_dataset(sc)
+    passes = calls.count(1)
+    calls.clear()
+    misfits = misfit_subjects(sc)
+    assert 100 < misfits < sc.n
+    assert passes <= misfits + 1
+    assert got.records == reference_simulate(sc).records
+
+
 # ---------------------------------------------------------------------------
 # Reference: the bootstrap that rebuilt every resample record by record.
 
