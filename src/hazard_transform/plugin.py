@@ -46,7 +46,6 @@ in a stack gets the states and covariances of its solo solve.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -74,10 +73,6 @@ __all__ = [
 #: starting from the previous block's last value, so a scan's working memory is
 #: a few (SCAN_CHUNK, p, p) arrays whatever the path length.
 SCAN_CHUNK = 1024
-
-#: Cap on the matrix entries of the time blocks whose prefix products one
-#: stacked scan of :func:`_product_integral` takes together.
-_SCAN_CELLS = 1 << 16
 
 
 def _prefix(elems, combine):
@@ -176,34 +171,20 @@ def _product_integral(jac, increments, x, out=None) -> np.ndarray:
 
     Time is cut into blocks of ``SCAN_CHUNK`` rows, whatever the batch: each
     stacked driver is cut at the rows its solo solve is cut at and composed
-    in the same order, so it gets its solo states bit for bit.  The prefix
-    products within a block do not depend on the value carried into it, so
-    those of several full blocks, up to ``_SCAN_CELLS`` matrix entries, are
-    taken in one stacked scan; then each block's products are applied to the
-    value carried out of the block before it.
+    in the same order, so it gets its solo states bit for bit.
     """
     k, n = jac.shape[0], jac.shape[1]
     m, batch = increments.shape[0], increments.shape[1:-1]
     values = np.empty((m + 1, *batch, n)) if out is None else out
     values[0] = x
     eye = np.eye(n)
-    group = max(1, _SCAN_CELLS // (SCAN_CHUNK * math.prod(batch) * n * n))
-    full = m - m % SCAN_CHUNK
-    span = group * SCAN_CHUNK
-    passes = [(lo, min(lo + span, full)) for lo in range(0, full, span)]
-    if full < m:
-        passes.append((full, m))
-    for lo, hi in passes:
-        count = max(1, (hi - lo) // SCAN_CHUNK)
-        rows = (hi - lo) // count
+    for lo in range(0, m, SCAN_CHUNK):
+        hi = min(lo + SCAN_CHUNK, m)
         steps = increments[lo:hi].reshape(-1, k) @ jac.reshape(k, n * n)
-        steps = steps.reshape(count, rows, *batch, n, n)
+        steps = steps.reshape(hi - lo, *batch, n, n)
         steps += eye
-        (products,) = _prefix((np.moveaxis(steps, 0, 1),), _compose_linear)
-        for i in range(count):
-            a = lo + i * rows
-            carried = values[a, ..., None]
-            values[a + 1 : a + rows + 1] = (products[:, i] @ carried)[..., 0]
+        (products,) = _prefix((steps,), _compose_linear)
+        values[lo + 1 : hi + 1] = (products @ values[lo, ..., None])[..., 0]
     return values
 
 

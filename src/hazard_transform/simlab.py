@@ -713,21 +713,25 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 _CTX: dict = {}
 
-#: Cap on the vech-map entries of one time block of a study block's
-#: covariance scan, ``SCAN_CHUNK`` rows x replications x p x p for a state of
-#: ``n`` components, ``p = n(n+1)/2``: a block's scan takes a few MB
-#: whatever ``k`` is.  Relative survival (``n = 3``) gets blocks of 7.
-_STUDY_CELLS = 1 << 18
+#: Most replications in one study block.  Blocks this small still leave a
+#: study of a few dozen replications several tasks for ``n_jobs`` workers.
+_STUDY_BLOCK = 8
 
-#: Cap on the merged knots x replications of one pass of the block L2.
-_L2_CELLS = 1 << 16
+#: Cap on the float64 entries one study block holds at once (4 MB).
+_STUDY_CELLS = 1 << 19
 
 
-def _block_size(kind: SystemKind) -> int:
-    """Replications per study block: fixed by the system's state size."""
-    n = make_system(kind).state_dim
-    p = n * (n + 1) // 2
-    return max(1, _STUDY_CELLS // (SCAN_CHUNK * p * p))
+def _block_size(kind: SystemKind, n: int) -> int:
+    """Replications per study block of ``n`` subjects, fixed by the state
+    size and ``n``: at most ``_STUDY_BLOCK``, and no more than fit in
+    ``_STUDY_CELLS`` at about ``(32 + dim^2) n`` entries per replication
+    (draws, dataset, driver, stacked states and covariances) plus its
+    ``SCAN_CHUNK`` rows of ``p x p`` covariance scan maps, ``p = dim(dim +
+    1)/2``.  A single replication past the cap runs alone."""
+    dim = make_system(kind).state_dim
+    p = dim * (dim + 1) // 2
+    per_replication = (32 + dim * dim) * n + SCAN_CHUNK * p * p
+    return max(1, min(_STUDY_BLOCK, _STUDY_CELLS // per_replication))
 
 
 def _init_worker(ctx):
@@ -756,10 +760,11 @@ def _run_blocks(groups, ctx, n_jobs: int):
     """Run the replications of each ``(key, n, seeds)`` group in blocks of
     :func:`_block_size` consecutive seeds: ``(key, value, error)`` per
     replication, in order."""
-    size = _block_size(ctx["scenario"].system)
+    kind = ctx["scenario"].system
     tasks = [
         (key, n, seeds[lo : lo + size])
         for key, n, seeds in groups
+        for size in [_block_size(kind, n)]
         for lo in range(0, len(seeds), size)
     ]
     return [result for block in _run_tasks(tasks, ctx, n_jobs) for result in block]
@@ -802,16 +807,18 @@ class _Stack:
     Zero increments are identity steps, so each replication's own rows hold
     its solo states; the rows after them repeat its last state to rounding,
     and no measure reads them.  The attributes are ``times`` ``(B, M)``
-    (inf-padded), ``states`` ``(M + 1, B, n)``, ``own`` ``(M, B)`` (the rows
-    of each replication's own jumps), ``scale`` ``(B,)`` and ``errors``:
+    (inf-padded), ``n_jumps`` ``(B,)``, ``states`` ``(M + 1, B, n)``, ``own``
+    ``(M, B)`` (the rows of each replication's own jumps), ``scale`` ``(B,)``,
+    the drivers' common ``horizon`` and ``errors``:
     ``"GuardViolation"`` for a replication whose state is on or below a guard
     at time 0 or at one of its own jumps, else None.
     """
 
     def __init__(self, system, drivers):
         self.system = system
-        m = np.array([driver.n_jumps for driver, _ in drivers])
+        m = self.n_jumps = np.array([driver.n_jumps for driver, _ in drivers])
         rows, count = m.max(), len(drivers)
+        self.horizon = drivers[0][0].horizon
         self.times = np.full((count, rows), np.inf)
         self.increments = np.zeros((rows, count, system.driver_dim))
         for r, (driver, _) in enumerate(drivers):
@@ -862,45 +869,22 @@ class _Stack:
         ]
 
 
-def _l2_distances(knots_a, values_a, times, values, upto) -> np.ndarray:
-    """Exact integrals over ``[0, upto]`` of ``(a - b)^2``, for the step path
-    ``a`` with jump times ``knots_a`` and values ``values_a`` (from t = 0 on)
-    and each row ``b`` of the step paths with jump times ``times`` (inf past
-    a row's own) and values ``values`` ``(B, M + 1)``.
-
-    Each row is integrated over the merged jump times of ``a`` and ``b``,
-    ties and all (a tie spans no time), and summed in time order: a row's
-    result depends on that row alone, a few passes of ``_L2_CELLS`` merged
-    knots at a time.
-    """
-    out = np.empty(len(times))
-    width = knots_a.size + times.shape[1]
-    step = max(1, _L2_CELLS // width)
-    for lo in range(0, len(times), step):
-        t, v = times[lo : lo + step], values[lo : lo + step]
-        rows = len(t)
-        knots = np.concatenate([np.broadcast_to(knots_a, (rows, knots_a.size)), t], 1)
-        # A stable sort puts a's jump before an equal jump of b, so the knots
-        # count a's jumps right-continuously; b lags only across a tie.
-        order = np.argsort(knots, axis=1, kind="stable")
-        knots = np.minimum(np.take_along_axis(knots, order, axis=1), upto)
-        in_b = np.cumsum(order >= knots_a.size, axis=1)
-        in_a = np.arange(1, width + 1) - in_b
-        a = np.concatenate([np.full((rows, 1), values_a[0]), values_a[in_a]], 1)
-        b = np.concatenate([v[:, :1], np.take_along_axis(v, in_b, axis=1)], 1)
-        edges = np.concatenate(
-            [np.zeros((rows, 1)), knots, np.full((rows, 1), upto)], axis=1
-        )
-        terms = (a - b) ** 2 * np.diff(edges, axis=1)
-        out[lo : lo + step] = np.cumsum(terms, axis=1)[:, -1]
-    return out
+def _target_distances(stack, values, component):
+    """``l2_distance`` from the target path of each replication without an
+    error, whose path has the ``values`` ``(M + 1, B, ...)`` on its own
+    rows."""
+    target, upto = _CTX["target_path"], _CTX["upto"]
+    distances = []
+    for r in np.flatnonzero(stack.ok):
+        m = stack.n_jumps[r]
+        times = stack.times[r, :m]
+        path = StepPath.from_values(times, values[: m + 1, r], stack.horizon)
+        distances.append(l2_distance(target, path, component, component, upto))
+    return stack.results(distances)
 
 
 def _l2_estimate(stack):
-    ok = stack.ok
-    values = stack.states[:, ok, _CTX["component"]].T
-    distances = _l2_distances(*_CTX["target"], stack.times[ok], values, _CTX["upto"])
-    return stack.results(distances)
+    return _target_distances(stack, stack.states, _CTX["component"])
 
 
 def _l2_variance(stack):
@@ -908,12 +892,9 @@ def _l2_variance(stack):
     # covariance recursion output divided by the sample size, so paths fitted
     # at different n live in comparable units and a large-sample reference is
     # close to the common limit of all of them.
-    ok = stack.ok
     comp = _CTX["component"]
-    diag = stack.covariances()[:, ok, comp, comp]
-    values = (np.vstack([np.zeros((1, diag.shape[1])), diag]) / stack.scale[ok]).T
-    distances = _l2_distances(*_CTX["target"], stack.times[ok], values, _CTX["upto"])
-    return stack.results(distances)
+    diag = stack.covariances()[:, :, comp, comp] / stack.scale
+    return _target_distances(stack, np.vstack([np.zeros((1, diag.shape[1])), diag]), 0)
 
 
 def _covered(stack):
@@ -981,10 +962,8 @@ def l2_convergence(
     counted per sample size in the metadata.
 
     The replications of each ``n`` run in blocks of consecutive indices, as
-    in :func:`coverage_study`.  Each distance is integrated over the merged
-    jump times of the two paths and summed in time order, so it agrees with
-    :func:`l2_distance`, which sums the distinct times pairwise, to rounding.
-    The results do not depend on ``n_jobs``.
+    in :func:`coverage_study`, and each distance is the :func:`l2_distance`
+    of its replication's path, so the results do not depend on ``n_jobs``.
     """
     if target not in ("estimate", "variance"):
         raise ConfigError("target must be 'estimate' or 'variance'")
@@ -1005,10 +984,7 @@ def l2_convergence(
         raise ConfigError(f"bootstrap_n must be an integer >= {least}, got {ref_n!r}")
 
     if target == "estimate":
-        oracle = oracle_parameter(sc.hazards, kind, fine_step=oracle_step)
-        reference = oracle.times, np.concatenate(
-            [oracle.origin_value[comp : comp + 1], oracle.values_at_jumps()[:, comp]]
-        )
+        target_path = oracle_parameter(sc.hazards, kind, fine_step=oracle_step)
     else:
         ref_sc = replace(sc, n=ref_n, seed=_child_seed(sc.seed, 1), k_replications=1)
         ref_ds = simulate_dataset(ref_sc)
@@ -1023,14 +999,16 @@ def l2_convergence(
         # returns the covariance of sqrt(n) * (X* - X_hat), so dividing by the
         # reference sample size yields the variance of the reference estimator
         # itself -- the same units as each replication's V_hat / n.
-        reference = grid, np.concatenate([[0.0], cov[:, comp, comp] / ref_n])
+        target_path = StepPath.from_values(
+            grid, np.concatenate([[0.0], cov[:, comp, comp] / ref_n]), horizon
+        )
 
     ctx = {
         "scenario": sc,
         "grid_step": grid_step,
         "component": comp,
         "measure": _l2_estimate if target == "estimate" else _l2_variance,
-        "target": reference,
+        "target_path": target_path,
         "upto": horizon,
     }
     groups = [
@@ -1090,12 +1068,13 @@ def coverage_study(
     simulation runs.
 
     Replication ``j`` draws from its own seed, derived from ``(sc.seed, 0,
-    j)``.  The replications run in blocks of consecutive indices, whose size
-    depends only on the system's state size: about ``_STUDY_CELLS`` entries
-    of covariance maps per time block of a block's scan, so a block's working
-    set stays a few MB whatever ``k`` is (7 replications for a 3-component
-    state).  A block is one task of the ``n_jobs`` workers, so the results do
-    not depend on ``n_jobs``.  In a block, each hazard inverts every
+    j)``.  The replications run in blocks of consecutive indices, at most
+    ``_STUDY_BLOCK`` (8), and fewer where the state size and the sample size
+    call for it: a block holds about ``_STUDY_CELLS`` float64 entries (4 MB)
+    at most, whatever ``k`` is, unless one replication alone needs more (see
+    :func:`_block_size`).  A block is one task of the ``n_jobs``
+    workers and its size never depends on ``n_jobs``, so neither do the
+    results.  In a block, each hazard inverts every
     replication's draws in one call, each replication gets its own driver,
     and the drivers, padded at the end with zero increments, are solved as
     one stack of states and covariances that gives each replication its solo

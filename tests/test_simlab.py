@@ -677,13 +677,9 @@ class TestStudies:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        sc = survival_scenario(30, 3, k=4)
+        # A task is a block of replications: four full blocks, four processes.
+        sc = survival_scenario(30, 3, k=4 * simlab._STUDY_BLOCK)
         want = coverage_study(sc, t_grid=[0.5])
-        # A task is a block of replications; survival's blocks hold all 4.
-        assert coverage_study(sc, t_grid=[0.5], n_jobs=64).rows == want.rows
-        assert pools == []
-        # With blocks of one replication, one process per replication.
-        monkeypatch.setattr(simlab, "_STUDY_CELLS", 1)
         assert coverage_study(sc, t_grid=[0.5], n_jobs=64).rows == want.rows
         assert pools == [4]
         l2_convergence(sc, [30, 40], n_jobs=64)
