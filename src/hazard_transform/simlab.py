@@ -706,7 +706,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 # ---------------------------------------------------------------------------
 # Replication execution.  Replications run in blocks of consecutive indices
-# whose size depends on the system only.  Workers read shared, read-only
+# whose size depends on the system and the sample size only.  Workers read shared, read-only
 # context from a module global installed by the pool initializer (or directly
 # for serial runs), and every replication draws from its own derived seed, so
 # results do not depend on how the blocks are distributed.
