@@ -20,10 +20,12 @@ diagonal by n and apply a normal quantile.
 The state has one kernel, ``_states``, shared by :func:`solve_plugin`, the
 stacked bootstrap and the blocks of study replications: it takes the
 increments of any batch of drivers and returns every state, leaving the
-guards to one check of the finished path.
-Linear systems carry a constant Jacobian tensor
-(``ParameterSystem.jacobians``, F(x)[:, j] = G_j x), and for them the state
-is the product integral
+guards to one check of the finished paths, ``ParameterSystem._guard_trips``,
+which gives each path the error of its earliest failing row.  Negative
+variances likewise have one check, ``_negative_variances``, shared by
+:func:`confidence_band` and the study blocks.  Linear systems carry a
+constant Jacobian tensor (``ParameterSystem.jacobians``, F(x)[:, j] = G_j
+x), and for them the state is the product integral
 
     X_{tau_k} = (I + B_k) ... (I + B_1) X_0,    B_k = sum_j G_j dA^j_{tau_k},
 
@@ -132,9 +134,8 @@ def solve_plugin(
     )
     if x.shape != (system.state_dim,):
         raise ValueError(f"initial state must have shape ({system.state_dim},)")
-    system.check_guards(x, time=0.0)
     values = _states(system, driver.increments, x)
-    system.check_guard_path(driver.times, values[1:])
+    system.check_guard_path(np.concatenate([[0.0], driver.times]), values)
     return StepPath.from_values(driver.times.copy(), values, driver.horizon)
 
 
@@ -145,7 +146,9 @@ def _states(system: ParameterSystem, increments, x0, out=None) -> np.ndarray:
     resamples) ride along while time stays on axis 0.  Returns the
     ``(m + 1, *batch, n)`` values, the first row ``x0``, written into ``out``
     when given.  Guards are not checked: rows after a guard trip are computed
-    like any other and left to the caller's ``check_guard_path`` to reject.
+    like any other, and the caller's ``ParameterSystem._guard_trips`` (or
+    ``check_guard_path``) call, which covers the initial state too, rejects
+    the path.
     """
     if system.jacobians is not None:
         return _product_integral(system.jacobians, increments, x0, out)
@@ -374,16 +377,33 @@ def confidence_band(fit: PluginFit, level: float) -> ConfidenceBand:
         raise ValueError("level must be strictly between 0 and 1")
     diag = fit.cov_diag()
     times = np.concatenate([[0.0], fit.times])
-    for i, label in enumerate(fit.state_labels):
-        bad = diag[:, i] < 0
-        if bad.any():
-            raise NegativeVarianceError(times[bad], label)
+    (error,) = _negative_variances(times, diag, fit.state_labels)
+    if error is not None:
+        raise error
     z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     half = z * np.sqrt(diag / fit.scale_n)
     point = np.vstack([fit.state_path.origin_value, fit.state_path.values_at_jumps()])
     return ConfidenceBand(
         times=times, point=point, lower=point - half, upper=point + half, level=level
     )
+
+
+def _negative_variances(times, diag, labels, rows=None) -> list:
+    """The negative variances of each batch entry of the diagonals ``diag``,
+    shape ``(m, *batch, n)``, at ``times`` (broadcast to ``(m, *batch)``),
+    entries in C order: a :class:`NegativeVarianceError` for the entry's first
+    component (of ``labels``) with a negative entry, listing every time where
+    it is, or None.  With ``rows`` (shape ``batch``), only an entry's first
+    ``rows`` rows count.  NaN is not negative."""
+    m, errors = diag.shape[0], [None] * int(np.prod(diag.shape[1:-1]))
+    negative = (diag < 0).reshape(m, len(errors), diag.shape[-1])
+    if rows is not None:
+        negative &= (np.arange(m)[:, None] < np.reshape(rows, -1))[..., None]
+    times = np.broadcast_to(times, diag.shape[:-1]).reshape(m, len(errors))
+    for e in np.flatnonzero(negative.any(axis=(0, 2))):
+        i = negative[:, e].any(axis=0).argmax()
+        errors[e] = NegativeVarianceError(times[negative[:, e, i], e], labels[i])
+    return errors
 
 
 def write_fit(fit: PluginFit, band: ConfidenceBand, base) -> None:

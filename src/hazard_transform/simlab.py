@@ -18,18 +18,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    GuardViolation,
-    HazardTransformError,
-    _number,
-    _numbers,
-)
+from .errors import ConfigError, DataError, HazardTransformError, _number, _numbers
 from .events import EventDataset
 from .hazards import _events, _grid_times, _RiskSet, _slot_sources, estimate_driver
 from .paths import StepPath
-from .plugin import SCAN_CHUNK, _covariances, _states, solve_plugin
+from .plugin import SCAN_CHUNK, _covariances, _negative_variances, _states, solve_plugin
 from .systems import SystemKind, driver_slots, make_system
 
 __all__ = [
@@ -727,10 +720,15 @@ def _block_size(kind: SystemKind, n: int) -> int:
     ``_STUDY_CELLS`` at about ``(32 + dim^2) n`` entries per replication
     (draws, dataset, driver, stacked states and covariances) plus its
     ``SCAN_CHUNK`` rows of ``p x p`` covariance scan maps, ``p = dim(dim +
-    1)/2``.  A single replication past the cap runs alone."""
-    dim = make_system(kind).state_dim
+    1)/2``: one such array for constant Jacobians, and ``driver_dim + 1``
+    (the maps of each component and their composition) for a system whose
+    Jacobians depend on the state.  A single replication past the cap runs
+    alone."""
+    system = make_system(kind)
+    dim = system.state_dim
     p = dim * (dim + 1) // 2
-    per_replication = (32 + dim * dim) * n + SCAN_CHUNK * p * p
+    maps = 1 if system.jacobians is not None else system.driver_dim + 1
+    per_replication = (32 + dim * dim) * n + maps * SCAN_CHUNK * p * p
     return max(1, min(_STUDY_BLOCK, _STUDY_CELLS // per_replication))
 
 
@@ -792,10 +790,7 @@ def _replicate(task):
         except HazardTransformError as exc:
             results[r] = (key, None, type(exc).__name__)
     if drivers:
-        stack = _Stack(make_system(sc.system), drivers)
-        # With no replication left, the start state itself tripped a guard.
-        solved = _CTX["measure"](stack) if stack.ok.any() else stack.results([])
-        solved = iter(solved)
+        solved = iter(_CTX["measure"](_Stack(make_system(sc.system), drivers)))
         results = [res or (key, *next(solved)) for res in results]
     return results
 
@@ -807,11 +802,12 @@ class _Stack:
     Zero increments are identity steps, so each replication's own rows hold
     its solo states; the rows after them repeat its last state to rounding,
     and no measure reads them.  The attributes are ``times`` ``(B, M)``
-    (inf-padded), ``n_jumps`` ``(B,)``, ``states`` ``(M + 1, B, n)``, ``own``
-    ``(M, B)`` (the rows of each replication's own jumps), ``scale`` ``(B,)``,
-    the drivers' common ``horizon`` and ``errors``:
-    ``"GuardViolation"`` for a replication whose state is on or below a guard
-    at time 0 or at one of its own jumps, else None.
+    (inf-padded), ``n_jumps`` ``(B,)``, ``states`` ``(M + 1, B, n)``,
+    ``scale`` ``(B,)``, the drivers' common ``horizon`` and ``errors``: per
+    replication, the error its solo fit raises so far, or None.  The
+    constructor records each guard trip (at time 0 or at one of the
+    replication's own jumps) as ``check_guard_path`` raises it; a measure
+    may add negative variances.
     """
 
     def __init__(self, system, drivers):
@@ -827,15 +823,9 @@ class _Stack:
         self.scale = np.array([meta.scale_n for _, meta in drivers], dtype=float)
         mask = drivers[0][1].deterministic_mask
         self.stochastic = np.where(np.asarray(mask, dtype=bool), 0.0, 1.0)
-        self.own = np.arange(rows)[:, None] < m
         self.states = _states(system, self.increments, system.initial_value)
-        tripped = np.zeros(count, dtype=bool)
-        if system.guards:
-            idx, lower = zip(*system.guards)
-            low = (self.states[..., list(idx)] <= np.array(lower)).any(axis=-1)
-            low[1:] &= self.own
-            tripped = low.any(axis=0)
-        self.errors = ["GuardViolation" if trip else None for trip in tripped]
+        times = np.vstack([np.zeros(count), self.times.T])
+        self.errors = system._guard_trips(times, self.states, m + 1)
 
     @property
     def ok(self) -> np.ndarray:
@@ -843,28 +833,22 @@ class _Stack:
         return np.array([err is None for err in self.errors])
 
     def covariances(self) -> np.ndarray:
-        """Covariances ``(M, B, n, n)`` at the jumps.  A replication that
-        tripped a guard is solved from its start state with zero increments
-        instead (its states may divide by zero, and the study does not read
-        its covariances)."""
-        lefts, increments = self.states[:-1], self.increments
-        tripped = ~self.ok
-        if tripped.any():
-            lefts, increments = lefts.copy(), increments.copy()
-            lefts[:, tripped] = self.system.initial_value
-            increments[:, tripped] = 0.0
-        n = self.system.state_dim
-        v0 = np.zeros((n, n))
-        return _covariances(
-            self.system, lefts, increments, self.scale, self.stochastic, v0
-        )
+        """Covariances ``(M, B, n, n)`` at the jumps, solved for the
+        replications without an error and NaN for the others (whose states
+        may divide by zero, and which no measure reads)."""
+        ok, n = self.ok, self.system.state_dim
+        args = self.states[:-1, ok], self.increments[:, ok], self.scale[ok]
+        cov = _covariances(self.system, *args, self.stochastic, np.zeros((n, n)))
+        out = np.full((*self.increments.shape[:2], n, n), np.nan)
+        out[:, ok] = cov
+        return out
 
     def results(self, values):
-        """``(value, error)`` per replication, from ``values`` of the ones
-        without an error, in order."""
+        """``(value, error type name)`` per replication, from ``values`` of
+        the ones without an error, in order."""
         values = iter(values)
         return [
-            (None, err) if err is not None else (next(values), None)
+            (None, type(err).__name__) if err is not None else (next(values), None)
             for err in self.errors
         ]
 
@@ -900,12 +884,10 @@ def _l2_variance(stack):
 def _covered(stack):
     # The band X +/- z sqrt(V_ii / n) at t_grid, of the component studied, for
     # every replication with no guard trip and no negative variance.
-    n = stack.system.state_dim
-    cov = stack.covariances()
-    diag = cov[..., range(n), range(n)]
-    negative = ((diag < 0) & stack.own[..., None]).any(axis=(0, 2))
-    for r in np.flatnonzero(negative & stack.ok):
-        stack.errors[r] = "NegativeVarianceError"
+    n, labels = stack.system.state_dim, stack.system.state_labels
+    diag = stack.covariances()[..., range(n), range(n)]
+    found = _negative_variances(stack.times.T, diag, labels, stack.n_jumps)
+    stack.errors = [err or neg for err, neg in zip(stack.errors, found)]
     ok = np.flatnonzero(stack.ok)
     comp, t_grid, truth = _CTX["component"], _CTX["t_grid"], _CTX["oracle_values"]
     row = [np.searchsorted(stack.times[r], t_grid, side="right") for r in ok]
@@ -1274,10 +1256,12 @@ def bootstrap_covariance(
     entries per time block, so memory stays near the ``(len(times),
     state_dim, b)`` array of the deltas.  The results agree
     with refitting each resample on its own jump times to rounding, and
-    exactly for a nonlinear system, whose zero steps change nothing.  A
-    resample whose path trips a guard raises :class:`GuardViolation`; when
-    several do, the lowest-numbered one is reported, and its message names
-    it (``bootstrap resample <r>: guard violation ...``).
+    exactly for a nonlinear system, whose zero steps change nothing.  Each
+    block's paths get one batched guard check, which gives every resample
+    the :class:`GuardViolation` of its earliest failing row; the block's
+    lowest-numbered tripping resample is raised, its message naming it
+    (``bootstrap resample <r>: guard violation ...``), so the trip reported
+    is the lowest of all ``b``.
     """
     if b < 2:
         raise ValueError("bootstrap needs b >= 2 replicates")
@@ -1307,12 +1291,11 @@ def bootstrap_covariance(
         hi = min(lo + block, b)
         incr = stack.increments(draws, lo, hi - lo)
         _states(system, incr, system.initial_value, out=states[:, lo:hi])
-        for r in range(lo, hi):
-            try:
-                system.check_guard_path(times, states[1:, r])
-            except GuardViolation as err:
+        trips = system._guard_trips(times[:, None], states[1:, lo:hi])
+        for r, err in enumerate(trips, start=lo):
+            if err is not None:
                 err.args = (f"bootstrap resample {r}: {err}",)
-                raise
+                raise err
 
     pos = np.searchsorted(times, time_grid, side="right")
     deltas = values[1:] if np.array_equal(pos, np.arange(1, m + 1)) else values[pos]

@@ -129,12 +129,31 @@ class ParameterSystem:
     def check_guard_path(self, times: np.ndarray, values: np.ndarray) -> None:
         """:meth:`check_guards` on every row of ``values`` (the states at
         ``times``) in one pass; raises for the earliest failing row."""
-        if not self.guards:
-            return
-        idx, lower = zip(*self.guards)
-        bad = np.flatnonzero((values[:, list(idx)] <= np.array(lower)).any(axis=1))
-        if bad.size:
-            self.check_guards(values[bad[0]], time=float(times[bad[0]]))
+        (error,) = self._guard_trips(times, values)
+        if error is not None:
+            raise error
+
+    def _guard_trips(self, times, states, rows=None) -> list:
+        """The guard trip of each batch entry of ``states``, shape ``(m,
+        *batch, n)``, at ``times`` (broadcast to ``(m, *batch)``), entries in
+        C order: the :class:`GuardViolation` :meth:`check_guards` raises at
+        the entry's earliest failing row, or None.  With ``rows`` (shape
+        ``batch``), only an entry's first ``rows`` rows count.  The clean
+        path is array passes; Python work is spent on failing entries only."""
+        m, errors = states.shape[0], [None] * int(np.prod(states.shape[1:-1]))
+        idx, lower = [i for i, _ in self.guards], [b for _, b in self.guards]
+        vals = states[..., idx].reshape(m, len(errors), len(idx))
+        low = vals <= np.array(lower)
+        if rows is not None:
+            low &= (np.arange(m)[:, None] < np.reshape(rows, -1))[..., None]
+        row_low = low.any(axis=2)
+        times = np.broadcast_to(times, states.shape[:-1]).reshape(m, len(errors))
+        for e in np.flatnonzero(row_low.any(axis=0)):
+            row = row_low[:, e].argmax()
+            g = low[row, e].argmax()
+            value, time = float(vals[row, e, g]), float(times[row, e])
+            errors[e] = GuardViolation(self.state_labels[idx[g]], value, time)
+        return errors
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hazard_transform import EventDataset
+from hazard_transform import EventDataset, NegativeVarianceError
 
 
 def take_subjects(ds: EventDataset, idx) -> EventDataset:
@@ -54,3 +54,15 @@ def bisect_invert(spec, targets) -> np.ndarray:
             hi = np.where(below, hi, mid)
         out[active] = 0.5 * (lo + hi)
     return out
+
+
+def first_negative_variance(times, diag, labels):
+    """The negative-variance check one component at a time, the reference for
+    the batched kernel: a :class:`NegativeVarianceError` for the first
+    component ``i`` (of ``labels``) whose variances ``diag[:, i]`` are
+    negative anywhere, listing ``times`` where they are, or None."""
+    for i, label in enumerate(labels):
+        bad = diag[:, i] < 0
+        if bad.any():
+            return NegativeVarianceError(times[bad], label)
+    return None

@@ -5,8 +5,8 @@ of consecutive indices, solved as one stack.  Each replication must come out
 as it does alone: ``simulate_dataset``, ``estimate_driver``, ``fit_plugin``
 and ``confidence_band`` on its own seed.  Linear systems match bit for bit,
 ``ler`` and ``screening`` within the scan rule of ``test_scan.py`` (1e-12 of
-the largest magnitude), and a failing replication fails with the same error
-type while the rest of its block carries on.
+the largest magnitude), and a failing replication records the error its solo
+fit raises while the rest of its block carries on.
 """
 
 import tracemalloc
@@ -23,6 +23,7 @@ from hazard_transform import (
     ConstantHazard,
     HazardTransformError,
     LinearHazard,
+    NegativeVarianceError,
     Scenario,
     StepPath,
     SystemKind,
@@ -149,7 +150,7 @@ def test_coverage_blocks_equal_solo_replications(name, n, k, block, seed):
 def test_stacked_fits_equal_solo_fits(name):
     # Five replications of uneven length stacked: the states and covariances
     # of each replication's own rows against its solo fit, and the guard
-    # trips against solo_plugin's.
+    # trips against solve_plugin's: same type, component, time and value.
     kind, _ = SYSTEMS[name]
     sc = scenario(name, 12, 1, 5)
     system = make_system(kind)
@@ -158,13 +159,17 @@ def test_stacked_fits_equal_solo_fits(name):
     ]
     assert len({driver.n_jumps for driver, _ in drivers}) > 1
     stack = simlab._Stack(system, drivers)
-    cov = stack.covariances() if stack.ok.any() else None
+    cov = stack.covariances()
     linear = system.jacobians is not None
     for r, (driver, meta) in enumerate(drivers):
         try:
             state = solve_plugin(system, driver)
         except HazardTransformError as exc:
-            assert stack.errors[r] == type(exc).__name__
+            err = stack.errors[r]
+            assert type(err) is type(exc)
+            assert (err.component, err.time, err.value) == (
+                exc.component, exc.time, exc.value
+            )
             continue
         assert stack.errors[r] is None
         m = driver.n_jumps
@@ -184,7 +189,19 @@ def test_stacked_fits_equal_solo_fits(name):
         pad = stack.states[m + 1 :, r]
         np.testing.assert_allclose(pad, np.broadcast_to(got[-1], pad.shape), rtol=1e-14)
     if name == "ler":
-        assert stack.errors == ["GuardViolation"] * 5
+        assert not stack.ok.any()
+
+
+def init_coverage(sc, oracle_step=None):
+    """Install the worker context of a coverage study of ``sc`` (headline
+    component, level 0.9 at ``T_GRID``)."""
+    comp = sc.system.headline_index
+    truth = oracle_parameter(sc.hazards, sc.system, oracle_step).value_at(T_GRID)
+    simlab._init_worker({
+        "scenario": sc, "grid_step": None, "component": comp,
+        "measure": simlab._covered, "z": NormalDist().inv_cdf(0.95),
+        "t_grid": T_GRID, "oracle_values": truth[:, comp],
+    })
 
 
 def test_failures_in_the_middle_of_a_block_leave_the_rest_alone():
@@ -201,6 +218,59 @@ def test_failures_in_the_middle_of_a_block_leave_the_rest_alone():
     assert res.metadata["failures"] == {"GuardViolation": 3, "NegativeVarianceError": 1}
     assert res.metadata["failures"] == failures and used == 2
     assert [row[1] for row in res.rows] == (hits / used).tolist()
+    # The block's records: replication 4's lists the times and component of
+    # the solo band's error.
+    system = make_system(kind)
+    drivers = [
+        estimate_driver(simulate_dataset(replace(sc, seed=s, k_replications=1)), kind)
+        for s in (simlab._child_seed(28, 0, j) for j in range(6))
+    ]
+    stack = simlab._Stack(system, drivers)
+    init_coverage(sc, ORACLE_STEP)
+    simlab._covered(stack)
+    with pytest.raises(NegativeVarianceError) as want:
+        confidence_band(fit_plugin(system, *drivers[4]), LEVEL)
+    got = stack.errors[4]
+    assert type(got) is NegativeVarianceError
+    assert (got.component, got.times) == (want.value.component, want.value.times)
+    assert str(got) == str(want.value)
+    assert [err and type(err).__name__ for err in stack.errors] == kinds
+
+
+@pytest.mark.parametrize(
+    "measure", [simlab._covered, simlab._l2_estimate, simlab._l2_variance]
+)
+def test_a_block_with_every_replication_failed(measure):
+    # ler's natural start is on its guard, so all five replications of the
+    # stack trip at time 0.  Each measure returns their error type names and
+    # solves no covariance for them: a solve from that start divides by
+    # zero, which the suite's warning filter turns into an error.
+    kind, _ = SYSTEMS["ler"]
+    sc = scenario("ler", 12, 5, 5)
+    drivers = [
+        estimate_driver(simulate_dataset(replace(sc, seed=s)), kind) for s in range(5)
+    ]
+    stack = simlab._Stack(make_system(kind), drivers)
+    assert not stack.ok.any()
+    target = StepPath.from_values(np.array([0.5]), np.zeros((2, 1)), 1.0)
+    simlab._init_worker({
+        "component": 0, "target_path": target, "upto": 1.0,
+        "t_grid": T_GRID, "oracle_values": np.zeros(T_GRID.size), "z": 1.0,
+    })
+    assert measure(stack) == [(None, "GuardViolation")] * 5
+
+
+def test_failing_study_is_the_same_for_any_number_of_jobs():
+    # The seed-28 screening study (three guard trips and a negative variance
+    # in six replications) in one process and in two.
+    sc = scenario("screening", 6, 6, 28)
+    one, two = (
+        coverage_study(sc, LEVEL, T_GRID, oracle_step=ORACLE_STEP, n_jobs=jobs)
+        for jobs in (1, 2)
+    )
+    assert one.metadata["failures"] == {"GuardViolation": 3, "NegativeVarianceError": 1}
+    assert two.metadata["failures"] == one.metadata["failures"]
+    assert two.rows == one.rows
 
 
 @pytest.mark.parametrize(
@@ -264,25 +334,26 @@ def test_convergence_blocks_equal_solo_distances(name, target):
 
 @pytest.mark.parametrize(
     "name,n,size",
-    [("relative_survival", 500, 8), ("survival", 5000, 3), ("survival", 20000, 1)],
+    [
+        ("relative_survival", 500, 8),
+        ("survival", 5000, 3),
+        ("survival", 20000, 1),
+        ("screening", 500, 1),
+    ],
 )
 def test_one_block_working_set_stays_within_the_cap(name, n, size):
     # The bench coverage scenario (relative_survival, n 500) takes full
     # blocks; a one-component state at large n takes fewer replications per
-    # block instead of holding more of its long paths.  The traced peak of
-    # one block (draws, datasets, drivers, the stacked solve and the band)
-    # stays within 1.5 times the byte size of the study cap (0.88, 0.44 and
-    # 0.61 times when written).
+    # block instead of holding more of its long paths, and screening, whose
+    # covariance scan rebuilds its maps per driver component, runs alone.
+    # The traced peak of one block (draws, datasets, drivers, the stacked
+    # solve and the band) stays within 1.5 times the byte size of the study
+    # cap (0.93, 0.44, 0.61 and 0.44 times when written; screening's block
+    # of 4 at n 500 reached 1.75).
     kind, hazards = SYSTEMS[name]
     sc = Scenario(system=kind, hazards=hazards, n=n, seed=1, k_replications=size)
     assert simlab._block_size(kind, n) == size
-    comp = kind.headline_index
-    truth = oracle_parameter(hazards, kind).value_at(T_GRID)[:, comp]
-    simlab._init_worker({
-        "scenario": sc, "grid_step": None, "component": comp,
-        "measure": simlab._covered, "z": NormalDist().inv_cdf(0.95),
-        "t_grid": T_GRID, "oracle_values": truth,
-    })
+    init_coverage(sc)
     seeds = [simlab._child_seed(1, 0, j) for j in range(size)]
     simlab._replicate((0, n, seeds))  # warm caches (piece tables, vech tensor)
     tracemalloc.start()

@@ -20,8 +20,9 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hazard_transform
 from hazard_transform import plugin
@@ -43,9 +44,10 @@ from hazard_transform import (
     solve_variance,
 )
 from hazard_transform.plugin import SCAN_CHUNK
+from hazard_transform.systems import GUARD_EPS
 from hazard_transform.simlab import _draws
 
-from helpers import take_subjects
+from helpers import first_negative_variance, take_subjects
 
 #: Largest deviation allowed between scan and loop, relative to the largest
 #: magnitude in the loop's output.
@@ -450,6 +452,92 @@ def test_small_sample_failures_are_typed_and_never_clamped(case):
         half = NormalDist().inv_cdf(0.95) * np.sqrt(diag / fit.scale_n)
         np.testing.assert_array_equal(band.lower, band.point - half)
         np.testing.assert_array_equal(band.upper, band.point + half)
+
+
+#: Screening with three guards out of index order, two of them on one
+#: component, so a row can fail several at once.
+GUARDED = replace(
+    make_system(SCREENING), guards=((2, 0.5), (0, 0.25), (1, GUARD_EPS), (2, 0.25))
+)
+FAILURE_SYSTEMS = {"screening": make_system(SCREENING), "guarded": GUARDED}
+FAILURE_SYSTEMS["unguarded"] = make_system("led")
+
+#: The guard bounds, values either side of them, and NaN.
+STATE_VALUES = st.sampled_from(
+    [0.25, 0.5, GUARD_EPS, 0.0, -1.0, 0.75, np.nextafter(0.5, 1.0), np.nan]
+)
+VARIANCE_VALUES = st.sampled_from([-1.0, -1e-300, -0.0, 0.0, 0.5, np.nan])
+
+
+@st.composite
+def failure_batches(draw):
+    """A system name, states ``(m, *batch, n)`` and variance diagonals of the
+    same shape, their times (one per row, or one per row and entry) and
+    the rows each entry keeps (None: all)."""
+    name = draw(st.sampled_from(sorted(FAILURE_SYSTEMS)))
+    n = FAILURE_SYSTEMS[name].state_dim
+    batch = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    m = draw(st.integers(1, 5))
+    states = draw(hnp.arrays(float, (m, *batch, n), elements=STATE_VALUES))
+    diag = draw(hnp.arrays(float, (m, *batch, n), elements=VARIANCE_VALUES))
+    shared = draw(st.booleans())
+    times_shape = (m, *(1 if shared else b for b in batch))
+    times = draw(hnp.arrays(float, times_shape, elements=st.floats(0.0, 10.0)))
+    rows = draw(st.none() | hnp.arrays(np.intp, batch, elements=st.integers(0, m)))
+    return name, states, diag, times, rows
+
+
+def record(err):
+    if err is None:
+        return None
+    fields = ("component", "value", "time", "times")
+    return type(err), str(err), [getattr(err, f, None) for f in fields]
+
+
+def loop_guard_trip(system, times, states):
+    """``check_guards`` row by row: the first error, or None."""
+    for t, x in zip(times, states):
+        try:
+            system.check_guards(x, time=float(t))
+        except GuardViolation as err:
+            return err
+    return None
+
+
+SCREENING_X = [0.8, 0.7, 0.6, 0.5]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(failure_batches())
+# Row 1 fails both screening guards: cum_ppv, the first, is reported.
+@example(("screening", np.array([[SCREENING_X], [[0.0, GUARD_EPS, 0.6, 0.5]]]),
+          np.zeros((2, 1, 4)), np.array([[0.5], [1.0]]), None))
+# A NaN row trips nothing; the row on a bound after it does.
+@example(("guarded", np.array([[np.nan] * 4, [0.75, 0.75, 0.5, 0.75]]),
+          np.full((2, 4), np.nan), np.array([0.5, 1.0]), None))
+# The second entry keeps one row, which hides its trip and negative variance.
+@example(("screening", np.array([[SCREENING_X] * 2, [SCREENING_X, [0.0] * 4]]),
+          np.array([[[0.0] * 4] * 2, [[-1.0] * 4] * 2]), np.array([[0.5], [1.0]]),
+          np.array([2, 1])))
+def test_failure_kernels_equal_the_row_loops(case):
+    # The guard kernel against check_guards on every kept row of each entry,
+    # and the negative-variance kernel against the per-component loop on the
+    # same rows: same error type, fields and message, or None, per entry.
+    name, states, diag, times, rows = case
+    system = FAILURE_SYSTEMS[name]
+    batch = states.shape[1:-1]
+    times_full = np.broadcast_to(times, states.shape[:-1])
+    trips = system._guard_trips(times, states, rows)
+    negatives = plugin._negative_variances(times, diag, system.state_labels, rows)
+    entries = list(np.ndindex(batch))
+    assert len(trips) == len(negatives) == len(entries)
+    labels = system.state_labels
+    for trip, negative, e in zip(trips, negatives, entries):
+        kept = (slice(None if rows is None else rows[e]), *e)
+        want = loop_guard_trip(system, times_full[kept], states[kept])
+        assert record(trip) == record(want)
+        want = first_negative_variance(times_full[kept], diag[kept], labels)
+        assert record(negative) == record(want)
 
 
 # ---------------------------------------------------------------------------
