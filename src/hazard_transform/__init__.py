@@ -41,55 +41,17 @@ def _single_blas_thread_for_cli(argv, environ) -> None:
 # Before the first import that loads NumPy.
 _single_blas_thread_for_cli(_sys.argv, _os.environ)
 
-from .errors import (
-    ConfigError,
-    DataError,
-    GuardViolation,
-    HazardTransformError,
-    NegativeVarianceError,
-)
-from .events import (
-    EventDataset,
-    EventRecord,
-    at_risk,
-    counting_path,
-    parse_dataset,
-    write_dataset,
-)
-from .hazards import (
-    aalen_additive,
-    estimate_driver,
-    nelson_aalen,
-    time_grid_driver,
-)
-from .paths import (
-    DriverMeta,
-    StepPath,
-    merge_drivers,
-    read_path,
-    restrict_path,
-    write_path,
-)
-from .plugin import (
-    ConfidenceBand,
-    PluginFit,
-    confidence_band,
-    fit_plugin,
-    read_fit,
-    solve_plugin,
-    solve_variance,
-    write_fit,
-)
-from .systems import (
-    ParameterSystem,
-    SystemKind,
-    driver_slots,
-    eval_gradient,
-    eval_integrand,
-    make_system,
-)
+from . import errors, events, hazards, paths, plugin, systems
+from .errors import *
+from .events import *
+from .hazards import *
+from .paths import *
+from .plugin import *
+from .systems import *
 
 #: Names served from ``simlab`` on first use: ``estimate`` never loads it.
+#: The one literal list of public names here; it must equal
+#: ``simlab.__all__``, which cannot be read without loading ``simlab``.
 _SIMLAB_NAMES = (
     "HazardSpec",
     "ConstantHazard",
@@ -99,7 +61,6 @@ _SIMLAB_NAMES = (
     "Scenario",
     "simulate_dataset",
     "oracle_parameter",
-    "sup_distance",
     "l2_distance",
     "StudyResult",
     "write_study",
@@ -111,50 +72,15 @@ _SIMLAB_NAMES = (
 
 __version__ = "0.1.0"
 
+# Each module's ``__all__`` declares its public names; ``hazards`` also
+# re-exports ``merge_drivers``, so the union keeps one copy of each.
 __all__ = [
     "__version__",
-    # errors
-    "HazardTransformError",
-    "ConfigError",
-    "DataError",
-    "GuardViolation",
-    "NegativeVarianceError",
-    # paths
-    "StepPath",
-    "DriverMeta",
-    "merge_drivers",
-    "restrict_path",
-    "read_path",
-    "write_path",
-    # events
-    "EventRecord",
-    "EventDataset",
-    "at_risk",
-    "counting_path",
-    "parse_dataset",
-    "write_dataset",
-    # systems
-    "SystemKind",
-    "ParameterSystem",
-    "make_system",
-    "driver_slots",
-    "eval_integrand",
-    "eval_gradient",
-    # hazards
-    "nelson_aalen",
-    "aalen_additive",
-    "time_grid_driver",
-    "estimate_driver",
-    # plugin
-    "solve_plugin",
-    "solve_variance",
-    "PluginFit",
-    "fit_plugin",
-    "ConfidenceBand",
-    "confidence_band",
-    "write_fit",
-    "read_fit",
-    # simlab, loaded on first use
+    *dict.fromkeys(
+        name
+        for module in (errors, paths, events, systems, hazards, plugin)
+        for name in module.__all__
+    ),
     *_SIMLAB_NAMES,
 ]
 

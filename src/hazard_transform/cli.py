@@ -441,8 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) is not None and getattr(args, "seed", 0) < 0:
-        _emit_error(ConfigError("seed must be a nonnegative integer"))
     try:
         args.func(args)
     except (HazardTransformError, ValueError, OSError) as exc:

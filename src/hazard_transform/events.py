@@ -1,10 +1,8 @@
-"""Event-history datasets: records, parsing, counting processes, risk sets.
+"""Event-history datasets: records, columns, CSV parsing and writing.
 
 A record is one observation spell ``(entry, exit]`` for a subject, ending in
 an event (positive code) or censoring (code 0).  Subjects may contribute
-several consecutive spells (recurrent events).  The at-risk convention is
-left-continuous: a subject is at risk at time ``t`` when ``entry < t <= exit``,
-so it counts as at risk at its own event time.
+several consecutive spells (recurrent events).
 
 A dataset keeps its spells as NumPy columns; the tuple of :class:`EventRecord`
 objects is a view built from them on first access.
@@ -22,15 +20,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .paths import StepPath
 
 __all__ = [
     "EventRecord",
     "EventDataset",
     "parse_dataset",
     "write_dataset",
-    "counting_path",
-    "at_risk",
 ]
 
 _NO_GROUP = np.iinfo(np.int64).min
@@ -241,42 +236,6 @@ def _frozen(column: np.ndarray) -> np.ndarray:
     view = column.view()
     view.flags.writeable = False
     return view
-
-
-def at_risk(dataset: EventDataset, t: float, group: int | None = None) -> int:
-    """Number of subjects under observation just before ``t``.
-
-    Uses the left-continuous convention ``entry < t <= exit``; a subject is in
-    the risk set at its own event time.
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    mask = (dataset._entry < t) & (t <= dataset._exit) & dataset._group_mask(group)
-    return int(np.count_nonzero(mask))
-
-
-def counting_path(
-    dataset: EventDataset, cause: int, group: int | None = None
-) -> StepPath:
-    """Aggregated counting process ``N_t`` for one event cause.
-
-    Tied event times become a single jump of integer size.  Events after the
-    dataset horizon are not counted.
-    """
-    if cause < 1:
-        raise ValueError("cause must be a positive event code")
-    mask = (
-        (dataset._code == cause)
-        & (dataset._exit <= dataset.horizon)
-        & dataset._group_mask(group)
-    )
-    times, counts = np.unique(dataset._exit[mask], return_counts=True)
-    return StepPath(
-        times=times,
-        increments=counts.astype(float).reshape(-1, 1),
-        origin_value=np.zeros(1),
-        horizon=dataset.horizon,
-    )
 
 
 _REQUIRED = ("id", "entry", "exit", "event")

@@ -162,7 +162,7 @@ def aalen_additive(
     else:
         design[:] = dataset._covariates
 
-    event_mask = (dataset._code == cause) & (dataset._exit <= dataset.horizon)
+    event_mask = _events(dataset, cause, None)
     times = np.unique(dataset._exit[event_mask])
 
     increments = np.zeros((times.size, k))

@@ -34,7 +34,6 @@ __all__ = [
     "Scenario",
     "simulate_dataset",
     "oracle_parameter",
-    "sup_distance",
     "l2_distance",
     "l2_convergence",
     "coverage_study",
@@ -635,19 +634,6 @@ def oracle_parameter(
     return solve_plugin(make_system(system), driver, x0_override=x0_override)
 
 
-def sup_distance(a: StepPath, b: StepPath, component: int | None = None) -> float:
-    """Exact sup-norm distance between two step paths on their window."""
-    if a.horizon != b.horizon:
-        raise ValueError("paths must share a horizon")
-    knots = np.concatenate([[0.0], np.union1d(a.times, b.times)])
-    va = a.value_at(knots)
-    vb = b.value_at(knots)
-    if component is not None:
-        va = va[:, [component]]
-        vb = vb[:, [component]]
-    return float(np.abs(va - vb).max())
-
-
 def l2_distance(
     a: StepPath, b: StepPath, component_a: int, component_b: int, upto: float
 ) -> float:
@@ -835,10 +821,15 @@ class _Stack:
     def covariances(self) -> np.ndarray:
         """Covariances ``(M, B, n, n)`` at the jumps, solved for the
         replications without an error and NaN for the others (whose states
-        may divide by zero, and which no measure reads)."""
+        may divide by zero, and which no measure reads).  A block without
+        errors is solved on views of its arrays, with no copy."""
         ok, n = self.ok, self.system.state_dim
-        args = self.states[:-1, ok], self.increments[:, ok], self.scale[ok]
+        clean = ok.all()
+        pick = slice(None) if clean else ok
+        args = self.states[:-1, pick], self.increments[:, pick], self.scale[pick]
         cov = _covariances(self.system, *args, self.stochastic, np.zeros((n, n)))
+        if clean:
+            return cov
         out = np.full((*self.increments.shape[:2], n, n), np.nan)
         out[:, ok] = cov
         return out

@@ -13,9 +13,8 @@ mean frequency of recurrent events, and screening-test accuracy.  Six of them
 are linear, ``F(x)[:, j] = G_j x`` with constant ``G_j``, and are given as
 data: the tensor of the ``G_j``.
 
-States that appear in denominators carry guard bounds; evaluating or solving
-below a guard raises :class:`~hazard_transform.errors.GuardViolation` rather
-than clamping.
+States that appear in denominators carry guard bounds; solving below a guard
+raises :class:`~hazard_transform.errors.GuardViolation` rather than clamping.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ __all__ = [
     "DriverSlot",
     "make_system",
     "driver_slots",
-    "eval_integrand",
-    "eval_gradient",
     "GUARD_EPS",
 ]
 
@@ -438,27 +435,3 @@ def driver_slots(kind: SystemKind | str) -> tuple[DriverSlot, ...]:
     kind = _as_kind(kind)
     _, slots = _CATALOG[kind.name]
     return slots(kind) if callable(slots) else slots
-
-
-def eval_integrand(system: ParameterSystem, x) -> np.ndarray:
-    """Evaluate ``F(x)`` after checking shape and guard bounds."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (system.state_dim,):
-        raise ValueError(
-            f"state must have shape ({system.state_dim},), got {x.shape}"
-        )
-    system.check_guards(x)
-    return system.integrand(x)
-
-
-def eval_gradient(system: ParameterSystem, x, j: int) -> np.ndarray:
-    """Jacobian of the j-th integrand column (driver components numbered from 1)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (system.state_dim,):
-        raise ValueError(
-            f"state must have shape ({system.state_dim},), got {x.shape}"
-        )
-    if not 1 <= j <= system.driver_dim:
-        raise ValueError(f"driver index must be in 1..{system.driver_dim}, got {j}")
-    system.check_guards(x)
-    return system.gradients[j - 1](x).copy()

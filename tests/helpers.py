@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hazard_transform import EventDataset, NegativeVarianceError
+from hazard_transform import EventDataset, NegativeVarianceError, StepPath
 
 
 def take_subjects(ds: EventDataset, idx) -> EventDataset:
@@ -66,3 +66,32 @@ def first_negative_variance(times, diag, labels):
         if bad.any():
             return NegativeVarianceError(times[bad], label)
     return None
+
+
+def _spells(ds: EventDataset, group):
+    return [r for r in ds.records if group is None or r.group == group]
+
+
+def at_risk(ds: EventDataset, t: float, group=None) -> int:
+    """Spells of ``group`` under observation just before ``t``, counted from
+    the records (``entry < t <= exit``: a subject is at risk at its own event
+    time); the reference for Nelson-Aalen's risk set."""
+    return sum(r.entry_time < t <= r.exit_time for r in _spells(ds, group))
+
+
+def counting_path(ds: EventDataset, cause: int, group=None) -> StepPath:
+    """Counting process ``N_t`` of the ``cause`` events of ``group`` by the
+    horizon, from the records; tied event times make one jump of integer
+    size.  The reference for Nelson-Aalen's ``dN``."""
+    exits = [
+        r.exit_time
+        for r in _spells(ds, group)
+        if r.event_code == cause and r.exit_time <= ds.horizon
+    ]
+    times, counts = np.unique(np.array(exits, dtype=float), return_counts=True)
+    return StepPath(
+        times=times,
+        increments=counts.astype(float).reshape(-1, 1),
+        origin_value=np.zeros(1),
+        horizon=ds.horizon,
+    )

@@ -361,3 +361,24 @@ def test_simulate_has_no_grid_step_flag(tmp_path):
     err = error_payload(proc)
     assert err["type"] == "ConfigError"
     assert "--grid-step" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", 10],
+        ["converge", "--n-list", 10, "--k", 1],
+        ["coverage", "--n", 10, "--k", 2],
+    ],
+    ids=["simulate", "converge", "coverage"],
+)
+def test_negative_seed_is_a_config_error(tmp_path, argv):
+    proc = run_cli(
+        *argv, "--hazard", "constant:1", "--seed", -1, "--out", tmp_path / "o",
+        expect=1,
+    )
+    assert error_payload(proc) == {
+        "type": "ConfigError",
+        "message": "seed must be a nonnegative integer",
+    }
+    assert not (tmp_path / "o").exists()

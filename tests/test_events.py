@@ -1,4 +1,5 @@
-"""Event records, datasets, risk sets, counting paths, and CSV parsing."""
+"""Event records, datasets and CSV parsing; the risk set and the event
+counts, read through Nelson-Aalen's increments ``dN / Y``."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ from hazard_transform import (
     DataError,
     EventDataset,
     EventRecord,
-    at_risk,
-    counting_path,
+    nelson_aalen,
     parse_dataset,
     write_dataset,
 )
@@ -97,22 +97,34 @@ class TestValidation:
 
 class TestAtRisk:
     def test_all_at_risk_at_earliest_exit(self):
-        ds = make_dataset(THREE_SUBJECTS)
-        assert at_risk(ds, 1.0) == 3
+        path, _ = nelson_aalen(make_dataset(THREE_SUBJECTS), cause=1)
+        assert path.times[0] == 1.0
+        assert path.increments[0, 0] == 1 / 3
 
     def test_risk_set_shrinks_after_an_exit(self):
-        ds = make_dataset(THREE_SUBJECTS)
-        assert at_risk(ds, 1.2) == 2
+        # s1 dies at 1.0 and s2 is censored at 1.5: s3 alone is at risk at 2.0.
+        path, _ = nelson_aalen(make_dataset(THREE_SUBJECTS), cause=1)
+        np.testing.assert_array_equal(path.times, [1.0, 2.0])
+        np.testing.assert_array_equal(path.increments[:, 0], [1 / 3, 1.0])
 
     def test_beyond_all_exits_nobody_is_at_risk(self):
-        ds = make_dataset(THREE_SUBJECTS)
-        assert at_risk(ds, 2.5) == 0
+        # Nobody is at risk after a's exit until b enters: the path freezes
+        # there and b's event is dropped.
+        ds = make_dataset([("a", 0.0, 1.0, 0), ("b", 2.0, 2.5, 1)], horizon=3.0)
+        path, meta = nelson_aalen(ds, cause=1)
+        assert path.n_jumps == 0
+        assert meta.truncation_time == 1.0
 
     def test_entry_time_is_exclusive_exit_inclusive(self):
-        ds = make_dataset([("late", 1.0, 3.0, 1)], horizon=3.0)
-        assert at_risk(ds, 1.0) == 0  # not yet entered at its own entry time
-        assert at_risk(ds, 1.01) == 1
-        assert at_risk(ds, 3.0) == 1  # still at risk at its exit time
+        ds = make_dataset(
+            [("early", 0.0, 1.0, 1), ("late", 1.0, 3.0, 1)], horizon=3.0
+        )
+        path, meta = nelson_aalen(ds, cause=1)
+        np.testing.assert_array_equal(path.times, [1.0, 3.0])
+        # Not yet entered at its own entry time: early alone is at risk at
+        # 1.0.  Still at risk at its exit time: late alone at 3.0.
+        np.testing.assert_array_equal(path.increments[:, 0], [1.0, 1.0])
+        assert meta.truncation_time is None
 
     def test_group_filter(self):
         ds = EventDataset(
@@ -122,10 +134,13 @@ class TestAtRisk:
             ),
             horizon=2.0,
         )
-        assert at_risk(ds, 0.5, group=1) == 1
-        assert at_risk(ds, 0.5) == 2
+        path, _ = nelson_aalen(ds, cause=1, group=1)
+        np.testing.assert_array_equal(path.times, [1.0])
+        np.testing.assert_array_equal(path.increments[:, 0], [1.0])
+        path, _ = nelson_aalen(ds, cause=1)
+        np.testing.assert_array_equal(path.increments[:, 0], [1 / 2, 1.0])
         with pytest.raises(ValueError, match="unknown group"):
-            at_risk(ds, 0.5, group=9)
+            nelson_aalen(ds, cause=1, group=9)
 
 
 def test_subjects_in_group_counts_each_subject_once():
@@ -149,18 +164,18 @@ def test_subjects_in_group_counts_each_subject_once():
 class TestCountingPath:
     def test_unit_jumps_at_each_event(self):
         ds = make_dataset([("a", 0.0, 1.0, 1), ("b", 0.0, 2.0, 1)])
-        path = counting_path(ds, cause=1)
+        path, _ = nelson_aalen(ds, cause=1)
         np.testing.assert_array_equal(path.times, [1.0, 2.0])
-        np.testing.assert_allclose(path.increments.ravel(), [1.0, 1.0])
+        np.testing.assert_array_equal(path.increments[:, 0], [1 / 2, 1 / 1])
 
     def test_absent_cause_gives_constant_zero_path(self):
         ds = make_dataset(THREE_SUBJECTS)
-        path = counting_path(ds, cause=2)
+        path, _ = nelson_aalen(ds, cause=2)
         assert path.n_jumps == 0
         assert path.value_at(1.7) == pytest.approx(0.0)
 
     def test_tied_events_aggregate_into_one_jump(self):
         ds = make_dataset([("a", 0.0, 1.0, 1), ("b", 0.0, 1.0, 1), ("c", 0.0, 2.0, 0)])
-        path = counting_path(ds, cause=1)
+        path, _ = nelson_aalen(ds, cause=1)
         np.testing.assert_array_equal(path.times, [1.0])
-        np.testing.assert_allclose(path.increments.ravel(), [2.0])
+        np.testing.assert_array_equal(path.increments[:, 0], [2 / 3])

@@ -44,7 +44,7 @@ from hazard_transform import (
 from hazard_transform import events, paths
 from hazard_transform.simlab import _ResampleDrivers
 
-from helpers import take_subjects
+from helpers import at_risk, counting_path, take_subjects
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -403,8 +403,8 @@ def test_stacked_resample_drivers_equal_the_gathered_drivers():
 
 
 def reference_nelson_aalen(ds, cause, group):
-    """Nelson-Aalen from the public definitions: ``counting_path`` for dN,
-    ``at_risk`` for Y, and the freeze found from the records."""
+    """Nelson-Aalen from its definition on the records: ``counting_path``
+    for dN, ``at_risk`` for Y, and the freeze."""
     records = [r for r in ds.records if group is None or r.group == group]
     exits = sorted({r.exit_time for r in records if r.exit_time < ds.horizon})
     freeze = next(
@@ -415,14 +415,14 @@ def reference_nelson_aalen(ds, cause, group):
         ),
         None,
     )
-    counts = events.counting_path(ds, cause, group)
+    counts = counting_path(ds, cause, group)
     times, dn = counts.times, counts.increments[:, 0]
     if freeze is not None:
         keep = times <= freeze
         if keep.all():
             freeze = None
         times, dn = times[keep], dn[keep]
-    y = np.array([events.at_risk(ds, t, group) for t in times], dtype=float)
+    y = np.array([at_risk(ds, t, group) for t in times], dtype=float)
     label = f"cause{cause}" if group is None else f"cause{cause}|group{group}"
     meta = DriverMeta(
         scale_n=len({r.subject_id for r in records}),
@@ -448,7 +448,7 @@ def check_nelson_aalen_reference(seen, ds):
             assert meta == want
             if meta.truncation_time is not None:
                 seen.add("freeze")
-            if (events.counting_path(ds, cause, group).increments > 1).any():
+            if (counting_path(ds, cause, group).increments > 1).any():
                 seen.add("ties")
     first_entry = np.full(ds.n_subjects, np.inf)
     np.minimum.at(first_entry, ds._subject, ds._entry)

@@ -630,6 +630,18 @@ def test_every_public_name_resolves_from_a_cold_import():
     )
 
 
+def test_public_names_are_the_union_of_the_module_lists():
+    # The package declares no public name of its own: the lazy simlab names
+    # must match simlab's list, and the rest come from the eager modules.
+    from hazard_transform import errors, events, hazards, paths, simlab, systems
+
+    assert set(hazard_transform._SIMLAB_NAMES) == set(simlab.__all__)
+    modules = (errors, paths, events, systems, hazards, plugin, simlab)
+    union = {name for module in modules for name in module.__all__}
+    assert set(hazard_transform.__all__) == union | {"__version__"}
+    assert len(hazard_transform.__all__) == len(set(hazard_transform.__all__))
+
+
 @pytest.mark.parametrize(
     "argv, capped",
     [

@@ -32,7 +32,6 @@ from hazard_transform import (
     oracle_parameter,
     simulate_dataset,
     solve_plugin,
-    sup_distance,
     wilson_interval,
     write_study,
 )
@@ -472,27 +471,18 @@ class TestDistances:
     def test_hand_built_paths(self):
         a = step_path_1d([0.5], [1.0], horizon=1.0)
         b = step_path_1d([], [], horizon=1.0)
-        assert sup_distance(a, b) == 1.0
         assert l2_distance(a, b, 0, 0, upto=1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_identical_paths_have_zero_distance(self):
         a = step_path_1d([0.2, 0.8], [0.4, 1.0], horizon=1.0)
-        assert sup_distance(a, a) == 0.0
         assert l2_distance(a, a, 0, 0, upto=1.0) == 0.0
 
     def test_component_selection(self):
         times = np.array([0.5])
         a = StepPath(times, np.array([[1.0, 0.3]]), np.zeros(2), 1.0)
         b = StepPath(times, np.array([[0.0, 0.3]]), np.zeros(2), 1.0)
-        assert sup_distance(a, b, component=1) == 0.0
-        assert sup_distance(a, b, component=0) == 1.0
         assert l2_distance(a, b, 1, 1, upto=1.0) == 0.0
-
-    def test_sup_requires_matching_horizons(self):
-        a = step_path_1d([0.5], [1.0], horizon=1.0)
-        b = step_path_1d([0.5], [1.0], horizon=2.0)
-        with pytest.raises(ValueError, match="horizon"):
-            sup_distance(a, b)
+        assert l2_distance(a, b, 0, 0, upto=1.0) == 0.5
 
 
 class TestWilson:

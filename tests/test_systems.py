@@ -8,8 +8,6 @@ from hazard_transform import (
     GuardViolation,
     SystemKind,
     driver_slots,
-    eval_gradient,
-    eval_integrand,
     make_system,
 )
 
@@ -93,7 +91,7 @@ class TestShapes:
         for kind in all_kinds():
             system = make_system(kind)
             x = SAMPLERS[kind.name](rng)
-            f = eval_integrand(system, x)
+            f = system.integrand(x)
             assert f.shape == (system.state_dim, system.driver_dim)
             assert len(system.state_labels) == system.state_dim
             assert len(system.driver_labels) == system.driver_dim
@@ -104,44 +102,40 @@ class TestShapes:
 class TestIntegrandValues:
     def test_survival_integrand_is_negated_state(self):
         system = make_system(SystemKind("survival"))
-        np.testing.assert_allclose(eval_integrand(system, [0.9]), [[-0.9]])
+        np.testing.assert_allclose(system.integrand(np.array([0.9])), [[-0.9]])
 
     def test_relative_survival_integrand_at_unit_state(self):
         system = make_system(SystemKind("relative_survival"))
-        got = eval_integrand(system, [1.0, 1.0, 1.0])
+        got = system.integrand(np.array([1.0, 1.0, 1.0]))
         np.testing.assert_allclose(got, [[-1.0, 0.0], [0.0, -1.0], [-1.0, 1.0]])
 
     def test_screening_sensitivity_row_at_symmetric_state(self):
         system = make_system(
             SystemKind("screening", prevalence=0.5, initial_value=[0.5, 0.5, 0.5, 0.5])
         )
-        got = eval_integrand(system, [0.5, 0.5, 0.5, 0.5])
+        x = np.array([0.5, 0.5, 0.5, 0.5])
+        system.check_guards(x)
+        got = system.integrand(x)
         np.testing.assert_allclose(got[2], [0.25, -0.25])
 
     def test_rmst_accumulates_survival_against_time(self):
         system = make_system(SystemKind("rmst"))
-        got = eval_integrand(system, [0.3, 0.8])
+        got = system.integrand(np.array([0.3, 0.8]))
         np.testing.assert_allclose(got, [[0.8, 0.0], [0.0, -0.8]])
 
 
 class TestGradientValues:
     def test_survival_gradient_is_constant_minus_one(self):
         system = make_system(SystemKind("survival"))
-        np.testing.assert_allclose(eval_gradient(system, [0.37], 1), [[-1.0]])
+        np.testing.assert_allclose(system.gradients[0](np.array([0.37])), [[-1.0]])
 
     def test_relative_survival_first_driver_gradient(self):
         system = make_system(SystemKind("relative_survival"))
         expect = np.zeros((3, 3))
         expect[0, 0] = -1.0
         expect[2, 2] = -1.0
-        np.testing.assert_allclose(eval_gradient(system, [0.5, 0.6, 0.7], 1), expect)
-
-    def test_gradient_index_is_one_based_and_checked(self):
-        system = make_system(SystemKind("survival"))
-        with pytest.raises(ValueError):
-            eval_gradient(system, [0.5], 0)
-        with pytest.raises(ValueError):
-            eval_gradient(system, [0.5], 2)
+        got = system.gradients[0](np.array([0.5, 0.6, 0.7]))
+        np.testing.assert_allclose(got, expect)
 
     def test_every_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -151,7 +145,7 @@ class TestGradientValues:
                 x = SAMPLERS[kind.name](rng)
                 for j in range(1, system.driver_dim + 1):
                     fd = finite_difference_gradient(system, x, j - 1)
-                    got = eval_gradient(system, x, j)
+                    got = system.gradients[j - 1](x)
                     np.testing.assert_allclose(
                         got, fd, rtol=1e-6, atol=1e-6,
                         err_msg=f"{kind.name}, driver {j}",
@@ -162,7 +156,7 @@ class TestGuards:
     def test_ratio_denominator_guard_trips_with_component_name(self):
         system = make_system(SystemKind("ler"))
         with pytest.raises(GuardViolation) as exc_info:
-            eval_integrand(system, [1.0, 1.0, 1.0, 0.0, 0.0])
+            system.check_guards(np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
         assert "rmst_2" in str(exc_info.value)
 
     def test_screening_rejects_a_baseline_on_the_guard(self):
