@@ -72,11 +72,10 @@ _SIMLAB_NAMES = (
 
 __version__ = "0.1.0"
 
-# Each module's ``__all__`` declares its public names; ``hazards`` also
-# re-exports ``merge_drivers``, so the union keeps one copy of each.
+# Each public name is declared once, in its module's ``__all__``.
 __all__ = [
     "__version__",
-    *dict.fromkeys(
+    *(
         name
         for module in (errors, paths, events, systems, hazards, plugin)
         for name in module.__all__

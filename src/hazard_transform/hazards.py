@@ -4,24 +4,29 @@ Every estimator returns a ``(StepPath, DriverMeta)`` pair so that drivers can
 be merged component-wise and fed to the plugin solver.  Increments use the
 left-continuous risk set (``entry < t <= exit``); tied event times collapse
 into one jump.
+
+Nelson-Aalen has one kernel, ``_block_driver``, which builds the merged
+drivers of a block of study replications in one risk-set pass, each on its
+own jump times; :func:`nelson_aalen` and :func:`estimate_driver` are its call
+on a single dataset.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
 from .events import EventDataset
-from .paths import DriverMeta, StepPath, merge_drivers
+from .paths import DriverMeta, StepPath
 from .systems import SystemKind, driver_slots
 
 __all__ = [
     "nelson_aalen",
     "aalen_additive",
     "time_grid_driver",
-    "merge_drivers",
     "estimate_driver",
 ]
 
@@ -30,33 +35,129 @@ __all__ = [
 RANK_RCOND = 1e-10
 
 
-class _RiskSet:
-    """Weighted risk set of one group's spells on a jump grid ``times``.
+class _Spells(NamedTuple):
+    """The spells of a block of ``count`` replications as flat columns.
 
-    The grid is binned once against the spells' sorted entry and exit times.
-    A call with subject weights ``w`` (default: each spell once) returns
-    ``(at_risk, cut, freeze)``: the weight of the spells at risk at each grid
-    time (left-continuous, ``entry < t <= exit``), and the freeze.  A sample
-    freezes at the first of its own exits before the horizon after which no
-    spell is at risk (``entry <= t < exit``); ``cut`` is the number of grid
-    times up to the freeze, and ``freeze`` its time, or None when it cuts no
-    grid time.
+    ``rep`` numbers each spell's replication ``0 .. count - 1`` (None for a
+    single replication), ``subject`` its subject within the replication
+    (``0, 1, ...`` in order of first appearance), and ``group`` is None when
+    no spell has a group.  The columns are those of
+    :class:`~hazard_transform.events.EventDataset`, one replication after
+    another.
     """
 
-    def __init__(self, dataset: EventDataset, group: int | None, times: np.ndarray):
-        mask = dataset._group_mask(group)
-        self.subject = dataset._subject[mask]
+    rep: np.ndarray | None
+    subject: np.ndarray
+    entry: np.ndarray
+    exit: np.ndarray
+    code: np.ndarray
+    group: np.ndarray | None
+    horizon: float
+    count: int = 1
+
+    @classmethod
+    def of(cls, dataset: EventDataset) -> "_Spells":
+        return cls(
+            None,
+            dataset._subject,
+            dataset._entry,
+            dataset._exit,
+            dataset._code,
+            dataset._group,
+            dataset.horizon,
+        )
+
+
+class _Keys:
+    """Sort keys of the ``(replication, time)`` pairs of a block.
+
+    For a single replication the times are their own keys.  Otherwise a key
+    is ``rep * size + rank``, with ``rank`` the time's place among the
+    block's ``size`` distinct times: keys sort by replication, then by time,
+    and tie exactly where the times tie.  So one ``searchsorted`` over a
+    block's keys counts, per replication, what the same call on that
+    replication's times alone counts, once the replications before it
+    cancel out.  :meth:`of` keys a block's entry times, exit times and the
+    time grid of every replication.
+    """
+
+    def __init__(self, count: int = 1, distinct=None):
+        self.count = count
+        self._distinct = distinct
+
+    @classmethod
+    def of(cls, spells: _Spells, grid):
+        """``(keys, entry, exit, grid)``: the keys of each spell's entry and
+        exit time in its replication, and of the ``grid`` times in each
+        replication, one replication after another."""
+        if spells.rep is None:
+            return cls(), spells.entry, spells.exit, grid
+        times = np.concatenate([spells.entry, spells.exit, grid])
+        distinct, rank = np.unique(times, return_inverse=True)
+        rank = rank.reshape(-1)
+        n, size = spells.entry.size, distinct.size
+        every = np.arange(spells.count)[:, None] * size
+        return (
+            cls(spells.count, distinct),
+            spells.rep * size + rank[:n],
+            spells.rep * size + rank[n : 2 * n],
+            (every + rank[2 * n :]).reshape(-1),
+        )
+
+    def rep(self, keys):
+        if self._distinct is None:
+            return np.zeros(keys.size, dtype=np.intp)
+        return keys // self._distinct.size
+
+    def time(self, keys):
+        if self._distinct is None:
+            return keys
+        return self._distinct[keys % self._distinct.size]
+
+
+def _run_ends(x) -> np.ndarray:
+    """Whether each entry of the sorted ``x`` ends a run of ties."""
+    ends = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=ends[:-1])
+    return ends
+
+
+class _RiskSet:
+    """Weighted risk set of one group's spells on jump grids, per replication.
+
+    Spells and grid ``times`` come as :class:`_Keys` of ``(replication,
+    time)`` pairs; the grid keys are sorted.  Each spell is counted in its own
+    replication only: a replication's spells enter and leave before the next
+    replication's first key, so their counts cancel.  A call with subject
+    weights ``w`` (one replication only; default: each spell once) returns
+    ``(at_risk, frozen, freeze)``: the weight of the spells at risk at each
+    grid time (left-continuous, ``entry < t <= exit``), whether the grid time
+    lies past its replication's freeze, and each replication's freeze time
+    (``inf`` where it cuts no grid time).  A sample freezes at the first of
+    its own exits before the horizon after which no spell is at risk
+    (``entry <= t < exit``).
+    """
+
+    def __init__(self, keys, subject, entry, exit_, horizon, times):
+        self.subject = subject
         self.times = times
-        self._spells = dataset._entry[mask], dataset._exit[mask]
-        entry, exit_ = np.sort(self._spells[0]), np.sort(self._spells[1])
+        self._keys = keys
+        self._spells = entry, exit_
+        entry, exit_ = np.sort(entry), np.sort(exit_)
         # The distinct exits before the horizon end runs of ties in exit_.
-        k = exit_.searchsorted(dataset.horizon)
-        last = np.flatnonzero(exit_[:k] != np.append(exit_[1:], np.inf)[:k])
+        last = np.flatnonzero(_run_ends(exit_) & (keys.time(exit_) < horizon))
         self._ends = exit_[last]
         # Weight at risk at t is (weight of entries < t) - (of exits < t);
         # just after an exit time, (of entries <= t) - (of exits <= t).
         self._at = entry.searchsorted(times), exit_.searchsorted(times)
         self._after = entry.searchsorted(self._ends, "right"), last + 1
+
+    @classmethod
+    def of(cls, dataset: EventDataset, group: int | None, times) -> "_RiskSet":
+        """The risk set of one dataset's ``group`` on the sorted ``times``."""
+        mask = dataset._group_mask(group)
+        spells = dataset._subject[mask], dataset._entry[mask], dataset._exit[mask]
+        return cls(_Keys(), *spells, dataset.horizon, times)
 
     @cached_property
     def _sorted_subjects(self):
@@ -74,12 +175,135 @@ class _RiskSet:
             at_risk = entered[a] - left[b]
             # Only an end time where the sample's exit weight grows is its own.
             empty = (entered[c] == left[d]) & (np.diff(left[d], prepend=0) > 0)
-        frozen = np.flatnonzero(empty)
-        if not frozen.size:
-            return at_risk.astype(float), self.times.size, None
-        freeze = float(self._ends[frozen[0]])
-        cut = int(self.times.searchsorted(freeze, "right"))
-        return at_risk.astype(float), cut, freeze if cut < self.times.size else None
+        keys = self._keys
+        freeze = np.full(keys.count, np.inf)
+        first = self._ends[empty]
+        if not first.size:
+            return at_risk.astype(float), np.zeros(self.times.size, bool), freeze
+        # Each replication's first empty end; a grid time is frozen when the
+        # last such end before it is its own replication's.
+        rep = keys.rep(first)
+        first = first[np.append(True, rep[1:] != rep[:-1])]
+        before = first[np.maximum(first.searchsorted(self.times) - 1, 0)]
+        frozen = (before < self.times) & (keys.rep(before) == keys.rep(self.times))
+        freeze[keys.rep(self.times[frozen])] = keys.time(before[frozen])
+        return at_risk.astype(float), frozen, freeze
+
+
+class _BlockDriver(NamedTuple):
+    """The drivers of a block of replications, padded at the end to the
+    longest: jump ``times`` ``(B, M)`` padded with ``inf``, ``increments``
+    ``(M, B, k)`` padded with zeros, ``n_jumps`` and the sample-size
+    ``scale`` ``(B,)``, each replication's ``truncation`` time (``inf`` for
+    none), the components' ``deterministic`` flags and the ``horizon``."""
+
+    times: np.ndarray
+    increments: np.ndarray
+    n_jumps: np.ndarray
+    scale: np.ndarray
+    truncation: np.ndarray
+    deterministic: tuple[bool, ...]
+    horizon: float
+
+    @classmethod
+    def of(cls, drivers) -> "_BlockDriver":
+        """The block of solo ``(StepPath, DriverMeta)`` drivers."""
+        paths, metas = zip(*drivers)
+        n_jumps = np.array([path.n_jumps for path in paths])
+        truncation = [meta.truncation_time for meta in metas]
+        return cls(
+            *_pad(
+                n_jumps,
+                np.concatenate([path.times for path in paths]),
+                np.concatenate([path.increments for path in paths]),
+            ),
+            n_jumps,
+            np.array([meta.scale_n for meta in metas]),
+            np.array([np.inf if t is None else t for t in truncation]),
+            metas[0].deterministic_mask,
+            paths[0].horizon,
+        )
+
+
+def _pad(n_jumps, times, increments):
+    """Times ``(B, M)`` padded with ``inf`` and increments ``(M, B, k)``
+    padded with zeros, from the jump rows of ``B`` replications, sorted by
+    replication, then time, replication ``r`` having ``n_jumps[r]`` rows."""
+    count, rows = n_jumps.size, int(n_jumps.max(initial=0))
+    own = np.arange(rows) < n_jumps[:, None]
+    padded_times = np.full((count, rows), np.inf)
+    padded_times[own] = times
+    padded = np.zeros((rows, count, increments.shape[1]))
+    for j in range(increments.shape[1]):  # a column at a time: several times faster
+        padded[..., j].T[own] = increments[:, j]
+    return padded_times, padded
+
+
+def _subjects(rep, subject, count: int) -> np.ndarray:
+    """Distinct subjects of each replication among the spells given."""
+    width = int(subject.max(initial=-1)) + 1
+    seen = np.zeros(count * width, dtype=bool)
+    seen[subject if rep is None else rep * width + subject] = True
+    return np.count_nonzero(seen.reshape(count, width), axis=1)
+
+
+def _block_driver(spells: _Spells, sources, grid_step=None) -> _BlockDriver:
+    """The drivers of a block of replications in one risk-set pass.
+
+    ``sources`` names each driver component in column order: ``(cause,
+    group)`` for a Nelson-Aalen component, None for the time grid (step
+    ``grid_step``, by default horizon/1000).  Each replication gets, bit for
+    bit, the driver :func:`estimate_driver` gives for its own dataset: event
+    counts ``dN`` and at-risk counts ``Y`` are integers counted per
+    replication, so each ``dN / Y`` is its solo increment; each replication
+    freezes on its own, and its rows are the union of its own component
+    times, so padding only appends rows.
+    """
+    horizon, count, rep = spells.horizon, spells.count, spells.rep
+    step = horizon / 1000.0 if grid_step is None else grid_step
+    grid = _grid_times(horizon, step) if None in sources else np.empty(0)
+    keys, entry, exit_, grid_keys = _Keys.of(spells, grid)
+    parts = []
+    scale = np.zeros(count, dtype=np.int64)
+    truncation = np.full(count, np.inf)
+    for source in sources:
+        if source is None:
+            parts.append((grid_keys, np.tile(np.diff(grid, prepend=0.0), count)))
+            continue
+        cause, group = source
+        sel = slice(None) if group is None else spells.group == group
+        ends = exit_[sel]
+        events = (spells.code[sel] == cause) & (spells.exit[sel] <= horizon)
+        times, dn = np.unique(ends[events], return_counts=True)
+        subject = spells.subject[sel]
+        risk = _RiskSet(keys, subject, entry[sel], ends, horizon, times)
+        at_risk, frozen, freeze = risk()
+        keep = ~frozen
+        parts.append((times[keep], dn[keep] / at_risk[keep]))
+        r = None if rep is None else rep[sel]
+        scale += _subjects(r, subject, count)
+        np.minimum(truncation, freeze, out=truncation)
+
+    # Each replication's rows: the union of its components' times.
+    if len(parts) == 1:
+        rows, increments = parts[0][0], parts[0][1][:, None]
+    else:
+        # A sort, not np.unique, which hashes integer keys at several times
+        # the cost.
+        rows = np.sort(np.concatenate([k for k, _ in parts]))
+        rows = rows[_run_ends(rows)]
+        increments = np.zeros((rows.size, len(parts)))
+        for j, (k, values) in enumerate(parts):
+            increments[rows.searchsorted(k), j] = values
+    n_jumps = np.bincount(keys.rep(rows), minlength=count)
+    return _BlockDriver(
+        *_pad(n_jumps, keys.time(rows), increments),
+        n_jumps,
+        np.maximum(scale, 1),
+        truncation,
+        tuple(source is None for source in sources),
+        horizon,
+    )
 
 
 def _events(dataset: EventDataset, cause: int, group: int | None) -> np.ndarray:
@@ -98,6 +322,48 @@ def _slot_sources(kind: SystemKind, group_map=None, cause_map=None):
         yield slot, cause, group
 
 
+def _block_sources(kind: SystemKind, group_map=None, cause_map=None) -> list:
+    """The ``sources`` of :func:`_block_driver` for the slots of ``kind``."""
+    return [
+        None if slot.deterministic else (cause, group)
+        for slot, cause, group in _slot_sources(kind, group_map, cause_map)
+    ]
+
+
+def _driver(dataset: EventDataset, sources, grid_step=None):
+    """The merged driver of one dataset: :func:`_block_driver` for a block
+    of one replication, as a ``(StepPath, DriverMeta)`` pair."""
+    if len(dataset) == 0:
+        raise DataError("dataset has no subjects")
+    labels = []
+    for source in sources:
+        if source is None:
+            labels.append("time")
+            continue
+        cause, group = source
+        if cause < 1:
+            raise ValueError("cause must be a positive event code")
+        if group is not None:
+            dataset._group_mask(group)  # an unknown group raises ValueError
+        label = f"cause{cause}" if group is None else f"cause{cause}|group{group}"
+        labels.append(label)
+    block = _block_driver(_Spells.of(dataset), sources, grid_step)
+    path = StepPath(
+        times=block.times[0],
+        increments=block.increments[:, 0],
+        origin_value=np.zeros(len(sources)),
+        horizon=dataset.horizon,
+    )
+    truncation = float(block.truncation[0])
+    meta = DriverMeta(
+        scale_n=int(block.scale[0]),
+        component_labels=tuple(labels),
+        deterministic_mask=block.deterministic,
+        truncation_time=truncation if truncation < np.inf else None,
+    )
+    return path, meta
+
+
 def nelson_aalen(
     dataset: EventDataset, cause: int, group: int | None = None
 ) -> tuple[StepPath, DriverMeta]:
@@ -107,33 +373,12 @@ def nelson_aalen(
     within the group; ``Y`` is the group's left-continuous risk set.  The path
     is frozen at the first time the risk set empties: later events (possible
     under delayed entry) are dropped and reported via ``truncation_time``.
-    ``Y`` and the freeze come from the weighted risk-set kernel with unit
-    weights; a bootstrap resample's drivers come from the same kernel with
-    its draw counts as weights.
+    This is the one-replication call of the block kernel that the study
+    replications use; ``Y`` and the freeze come from its risk-set kernel
+    with unit weights, and a bootstrap resample's drivers come from the same
+    kernel with its draw counts as weights.
     """
-    if len(dataset) == 0:
-        raise DataError("dataset has no subjects")
-    if cause < 1:
-        raise ValueError("cause must be a positive event code")
-    events = _events(dataset, cause, group)
-    times, dn = np.unique(dataset._exit[events], return_counts=True)
-    at_risk, cut, truncation = _RiskSet(dataset, group, times)()
-    increments = (dn[:cut] / at_risk[:cut]).reshape(-1, 1)
-
-    label = f"cause{cause}" if group is None else f"cause{cause}|group{group}"
-    path = StepPath(
-        times=times[:cut],
-        increments=increments,
-        origin_value=np.zeros(1),
-        horizon=dataset.horizon,
-    )
-    meta = DriverMeta(
-        scale_n=dataset.subjects_in_group(group),
-        component_labels=(label,),
-        deterministic_mask=(False,),
-        truncation_time=truncation,
-    )
-    return path, meta
+    return _driver(dataset, [(cause, group)])
 
 
 def aalen_additive(
@@ -247,15 +492,10 @@ def estimate_driver(
     Consults :func:`~hazard_transform.systems.driver_slots` for the component
     layout: Nelson-Aalen per hazard slot (with the slot's default cause/group,
     overridable via ``cause_map``/``group_map`` keyed by slot role) and a time
-    grid for Lebesgue slots (``grid_step`` defaults to horizon/1000).
+    grid for Lebesgue slots (``grid_step`` defaults to horizon/1000), on the
+    union of the components' jump times, as
+    :func:`~hazard_transform.paths.merge_drivers` merges them.
     """
     if isinstance(kind, str):
         kind = SystemKind(name=kind)
-    parts = []
-    for slot, cause, group in _slot_sources(kind, group_map, cause_map):
-        if slot.deterministic:
-            step = grid_step if grid_step is not None else dataset.horizon / 1000.0
-            parts.append(time_grid_driver(dataset.horizon, step))
-        else:
-            parts.append(nelson_aalen(dataset, cause=cause, group=group))
-    return merge_drivers(parts)
+    return _driver(dataset, _block_sources(kind, group_map, cause_map), grid_step)

@@ -71,19 +71,27 @@ __all__ = [
 ]
 
 
-#: Jumps per block of the scans.  Blocks are scanned one at a time, each
-#: starting from the previous block's last value, so a scan's working memory is
-#: a few (SCAN_CHUNK, p, p) arrays whatever the path length.
+#: Jumps per block of the scans.  Each block starts from the previous block's
+#: last value, so a scan's working memory is a few (SCAN_CHUNK, p, p) arrays
+#: whatever the path length.
 SCAN_CHUNK = 1024
+
+#: Most matrix entries of the blocks that the product-integral scan composes
+#: side by side (512 KB): several short blocks cost one pass of Python calls.
+_SIDE_BY_SIDE = 1 << 16
 
 
 def _prefix(elems, combine):
-    """Inclusive prefix compositions ``a_i o ... o a_0`` along axis 0.
+    """Inclusive prefix compositions ``a_i o ... o a_0`` along axis 0,
+    written over ``elems`` and returned.
 
     ``elems`` is a tuple of arrays (one element per row) and
-    ``combine(later, earlier)`` composes two such tuples row-wise.  Pairs are
-    composed, their prefixes found recursively, and the even rows filled in
-    from those: about two compositions per row, in log-depth array passes.
+    ``combine(later, earlier)`` composes two such tuples row-wise into new
+    arrays.  Pairs are composed, their prefixes found recursively, and the
+    even rows filled in from those: about two compositions per row, in
+    log-depth array passes.  Row ``i`` is read only before it is written, so
+    no output arrays are needed: a scan holds its elements and about half as
+    much again.
     """
     m = elems[0].shape[0]
     if m < 2:
@@ -92,17 +100,15 @@ def _prefix(elems, combine):
         tuple(e[1::2] for e in elems), tuple(e[0 : m - 1 : 2] for e in elems)
     )
     sub = _prefix(pairs, combine)
-    out = tuple(np.empty_like(e) for e in elems)
-    for o, e, p in zip(out, elems, sub):
-        o[0] = e[0]
-        o[1::2] = p
     if m > 2:
         evens = combine(
             tuple(e[2::2] for e in elems), tuple(p[: (m - 1) // 2] for p in sub)
         )
-        for o, ev in zip(out, evens):
-            o[2::2] = ev
-    return out
+        for e, ev in zip(elems, evens):
+            e[2::2] = ev
+    for e, p in zip(elems, sub):
+        e[1::2] = p
+    return elems
 
 
 def _compose_linear(later, earlier):
@@ -162,7 +168,7 @@ def _states(system: ParameterSystem, increments, x0, out=None) -> np.ndarray:
     return values
 
 
-def _product_integral(jac, increments, x, out=None) -> np.ndarray:
+def _product_integral(jac, increments, x, out=None, rows=None) -> np.ndarray:
     """States ``X_k = (I + B_k) X_{k-1}``, ``B_k = sum_j G_j dA^j_k``, from
     ``X_0 = x``, for the constant Jacobian tensor ``jac`` of shape (k, n, n).
 
@@ -170,25 +176,56 @@ def _product_integral(jac, increments, x, out=None) -> np.ndarray:
     ``(*batch, n)`` or ``(n,)``; the batch axes (bootstrap resamples, study
     replications) ride along while time stays on axis 0.  Returns the
     ``(m + 1, *batch, n)`` values, the first row ``x``, written into ``out``
-    when given.
+    when given.  With ``rows`` (indices into those values), returns only the
+    values at ``rows``: the products are composed as for every row, but
+    applied to the state only at the rows asked for and at each block's last
+    row, which carries into the next block.
 
     Time is cut into blocks of ``SCAN_CHUNK`` rows, whatever the batch: each
     stacked driver is cut at the rows its solo solve is cut at and composed
-    in the same order, so it gets its solo states bit for bit.
+    in the same order, so it gets its solo states bit for bit, and so do the
+    rows asked for.  Whole blocks are composed side by side, as one more
+    batch axis, up to ``_SIDE_BY_SIDE`` matrix entries at a time: a block's
+    products do not depend on the state carried into it.
     """
     k, n = jac.shape[0], jac.shape[1]
     m, batch = increments.shape[0], increments.shape[1:-1]
-    values = np.empty((m + 1, *batch, n)) if out is None else out
+    if rows is None:
+        values = np.empty((m + 1, *batch, n)) if out is None else out
+    else:
+        # Row 0, the rows asked for and each block's carry, in order.
+        need, back = np.unique(
+            np.concatenate([[0], rows, np.arange(SCAN_CHUNK, m, SCAN_CHUNK)]),
+            return_inverse=True,
+        )
+        values = np.empty((need.size, *batch, n))
     values[0] = x
     eye = np.eye(n)
-    for lo in range(0, m, SCAN_CHUNK):
-        hi = min(lo + SCAN_CHUNK, m)
-        steps = increments[lo:hi].reshape(-1, k) @ jac.reshape(k, n * n)
-        steps = steps.reshape(hi - lo, *batch, n, n)
+    cells = SCAN_CHUNK * int(np.prod(batch)) * n * n
+    group = SCAN_CHUNK * max(1, _SIDE_BY_SIDE // cells)
+    start = 0
+    while start < m:
+        stop = min(start + group, m)
+        if stop - start > SCAN_CHUNK:  # whole blocks only; a short last one alone
+            stop -= (stop - start) % SCAN_CHUNK
+        size = min(stop - start, SCAN_CHUNK)
+        da = increments[start:stop].reshape(-1, size, *increments.shape[1:])
+        steps = da.swapaxes(0, 1).reshape(-1, k) @ jac.reshape(k, n * n)
+        steps = steps.reshape(size, da.shape[0], *batch, n, n)
         steps += eye
         (products,) = _prefix((steps,), _compose_linear)
-        values[lo + 1 : hi + 1] = (products @ values[lo, ..., None])[..., 0]
-    return values
+        for c, lo in enumerate(range(start, stop, SCAN_CHUNK)):
+            hi = min(lo + SCAN_CHUNK, m)
+            if rows is None:
+                carry = values[lo, ..., None]
+                values[lo + 1 : hi + 1] = (products[:, c] @ carry)[..., 0]
+                continue
+            first, last = need.searchsorted([lo, hi], side="right")
+            carry = values[first - 1, ..., None]
+            chosen = products[need[first:last] - lo - 1, c]
+            values[first:last] = (chosen @ carry)[..., 0]
+        start = stop
+    return values if rows is None else values[back[1 : len(rows) + 1]]
 
 
 def solve_variance(

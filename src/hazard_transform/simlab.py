@@ -20,9 +20,26 @@ import numpy as np
 
 from .errors import ConfigError, DataError, HazardTransformError, _number, _numbers
 from .events import EventDataset
-from .hazards import _events, _grid_times, _RiskSet, _slot_sources, estimate_driver
+from .hazards import (
+    _block_driver,
+    _block_sources,
+    _BlockDriver,
+    _events,
+    _grid_times,
+    _RiskSet,
+    _slot_sources,
+    _Spells,
+    estimate_driver,
+)
 from .paths import StepPath
-from .plugin import SCAN_CHUNK, _covariances, _negative_variances, _states, solve_plugin
+from .plugin import (
+    SCAN_CHUNK,
+    _covariances,
+    _negative_variances,
+    _product_integral,
+    _states,
+    solve_plugin,
+)
 from .systems import SystemKind, driver_slots, make_system
 
 __all__ = [
@@ -494,9 +511,9 @@ def _recurrent_times(rng, recurrent, follow):
     return counts, times
 
 
-def _simulate(sc: Scenario, n: int, seeds) -> list[tuple]:
+def _simulate(sc: Scenario, n: int, seeds) -> _Spells:
     """Datasets of ``n`` subjects of the scenario, one per seed, as the
-    arguments of :meth:`EventDataset.from_columns`.
+    spells of one block, replication ``r`` drawn from ``seeds[r]``.
 
     Each dataset draws from its own ``SeedSequence((seed,))`` stream, in the
     same order whatever the other seeds are, and every hazard inverts the
@@ -551,9 +568,10 @@ def _simulate(sc: Scenario, n: int, seeds) -> list[tuple]:
                 np.insert(times, ends - counts, 0.0),
                 np.insert(times, ends, ends_at),
                 np.insert(np.ones(times.size, dtype=np.int64), ends, last),
-                horizon,
             ))
-        return columns
+        rep = np.repeat(np.arange(len(rngs)), [cols[0].size for cols in columns])
+        flat = map(np.concatenate, zip(*columns))
+        return _Spells(rep, *flat, None, horizon, len(rngs))
 
     else:
         # One spell per subject.  The slots split the subjects into groups of
@@ -570,10 +588,17 @@ def _simulate(sc: Scenario, n: int, seeds) -> list[tuple]:
         code = np.concatenate(codes, axis=1)
         group = np.repeat([s.group for s in slots], sizes) if k > 1 else None
 
-    return [
-        (subject, np.zeros(n), exits_r, code_r, horizon, group)
-        for exits_r, code_r in zip(exit_time, code)
-    ]
+    count = len(rngs)
+    return _Spells(
+        np.repeat(np.arange(count), n),
+        np.tile(subject, count),
+        np.zeros(count * n),
+        exit_time.ravel(),
+        code.ravel(),
+        None if group is None else np.tile(group, count),
+        horizon,
+        count,
+    )
 
 
 def simulate_dataset(sc: Scenario) -> EventDataset:
@@ -585,26 +610,38 @@ def simulate_dataset(sc: Scenario) -> EventDataset:
     draw successive gap exposures on the recurrent hazard's clock until the
     terminal event, censoring, or the horizon.
     """
-    (columns,) = _simulate(sc, sc.n, [sc.seed])
-    return EventDataset.from_columns(*columns)
+    spells = _simulate(sc, sc.n, [sc.seed])
+    return EventDataset.from_columns(
+        spells.subject,
+        spells.entry,
+        spells.exit,
+        spells.code,
+        spells.horizon,
+        group=spells.group,
+    )
+
+
+def _oracle_increments(hazards, kind, times, start=0.0) -> np.ndarray:
+    """Increments ``(len(times), k)`` of the exact cumulative hazards on the
+    grid ``times`` from ``start``; a time slot takes the grid's steps."""
+    slots = driver_slots(kind)
+    increments = np.empty((times.size, len(slots)))
+    ends = np.concatenate([[start], times])
+    for c, slot in enumerate(slots):
+        if slot.deterministic:
+            increments[:, c] = np.diff(ends)
+        else:
+            increments[:, c] = np.diff(hazards[slot.role].cumulative(ends))
+    return increments
 
 
 def _oracle_driver(sc_hazards, kind, horizon, step, start=0.0):
     """Exact cumulative hazards discretized on a fine grid (with time slots)."""
     times = _grid_times(horizon, step, start)
-    slots = driver_slots(kind)
-    increments = np.empty((times.size, len(slots)))
-    prev = np.concatenate([[start], times[:-1]])
-    for c, slot in enumerate(slots):
-        if slot.deterministic:
-            increments[:, c] = times - prev
-        else:
-            spec = sc_hazards[slot.role]
-            increments[:, c] = spec.cumulative(times) - spec.cumulative(prev)
     return StepPath(
         times=times,
-        increments=increments,
-        origin_value=np.zeros(len(slots)),
+        increments=_oracle_increments(sc_hazards, kind, times, start),
+        origin_value=np.zeros(len(driver_slots(kind))),
         horizon=horizon,
     )
 
@@ -632,6 +669,27 @@ def oracle_parameter(
         fine_step = (horizon - start) / 1e5
     driver = _oracle_driver(hazards, system, horizon, fine_step, start=start)
     return solve_plugin(make_system(system), driver, x0_override=x0_override)
+
+
+def _oracle_values(hazards, system: SystemKind, t_grid, fine_step=None):
+    """``oracle_parameter(hazards, system, fine_step).value_at(t_grid)``.
+
+    A system without guards and with constant Jacobians (every linear
+    system) has nothing to check on the path, so its product integral is
+    solved only up to the last grid row ``t_grid`` reads, and applied to the
+    state only at the rows read: the same operands cut at the same
+    ``SCAN_CHUNK`` rows give the same values bit for bit.
+    """
+    solver = make_system(system)
+    if solver.guards or solver.jacobians is None:
+        return oracle_parameter(hazards, system, fine_step).value_at(t_grid)
+    horizon = next(iter(hazards.values())).horizon
+    step = horizon / 1e5 if fine_step is None else fine_step
+    times = _grid_times(horizon, step)
+    rows = times.searchsorted(t_grid, side="right")
+    increments = _oracle_increments(hazards, system, times[: rows.max()])
+    x0 = solver.initial_value
+    return _product_integral(solver.jacobians, increments, x0, rows=rows)
 
 
 def l2_distance(
@@ -756,38 +814,56 @@ def _run_blocks(groups, ctx, n_jobs: int):
 
 def _replicate(task):
     """Run one block ``(key, n, seeds)``: simulate ``n`` subjects of the
-    shared scenario from each seed, estimate each driver, solve the drivers
-    as one stack and apply the study's ``measure`` (one of the three below)
-    to it.  Returns ``(key, value, None)``, or ``(key, None, error type
-    name)`` on failure, per seed; a failing replication leaves the rest of
-    its block alone."""
+    shared scenario from each seed, build the block's drivers in one
+    risk-set pass, solve them as one stack and apply the study's ``measure``
+    (one of the three below) to it.  Returns ``(key, value, None)``, or
+    ``(key, None, error type name)`` on failure, per seed; a failing
+    replication leaves the rest of its block alone."""
     key, n, seeds = task
     sc = _CTX["scenario"]
     try:
-        columns = _simulate(sc, n, seeds)
+        spells = _simulate(sc, n, seeds)
     except HazardTransformError as exc:
         return [(key, None, type(exc).__name__)] * len(seeds)
-    results = [None] * len(seeds)
-    drivers = []
-    for r, cols in enumerate(columns):
-        try:
-            ds = EventDataset.from_columns(*cols)
-            drivers.append(estimate_driver(ds, sc.system, grid_step=_CTX["grid_step"]))
-        except HazardTransformError as exc:
-            results[r] = (key, None, type(exc).__name__)
-    if drivers:
-        solved = iter(_CTX["measure"](_Stack(make_system(sc.system), drivers)))
+    rejected = _rejected(spells)
+    results = [(key, None, DataError.__name__) if bad else None for bad in rejected]
+    if not rejected.all():
+        spells = _without(spells, rejected)
+        block = _block_driver(spells, _block_sources(sc.system), _CTX["grid_step"])
+        solved = iter(_CTX["measure"](_Stack(make_system(sc.system), block)))
         results = [res or (key, *next(solved)) for res in results]
     return results
+
+
+def _rejected(spells: _Spells) -> np.ndarray:
+    """Per replication, whether its dataset fails the spell checks of
+    :class:`EventDataset` with a :class:`DataError`: a negative entry time
+    or event code, or an entry time not before its exit time."""
+    bad = (spells.entry < 0) | (spells.code < 0) | ~(spells.entry < spells.exit)
+    return np.bincount(spells.rep[bad], minlength=spells.count) > 0
+
+
+def _without(spells: _Spells, drop) -> _Spells:
+    """The spells of the replications not in ``drop``, renumbered in order."""
+    if not drop.any():
+        return spells
+    keep = ~drop[spells.rep]
+    rep = (np.cumsum(~drop) - 1)[spells.rep[keep]]
+    group = None if spells.group is None else spells.group[keep]
+    columns = spells.subject, spells.entry, spells.exit, spells.code
+    kept = [column[keep] for column in columns]
+    return _Spells(rep, *kept, group, spells.horizon, int(np.count_nonzero(~drop)))
 
 
 class _Stack:
     """Drivers of a block's replications, padded at the end with zero
     increments to the longest and solved as one stack by the state kernel.
 
-    Zero increments are identity steps, so each replication's own rows hold
-    its solo states; the rows after them repeat its last state to rounding,
-    and no measure reads them.  The attributes are ``times`` ``(B, M)``
+    ``drivers`` is the block's :class:`~hazard_transform.hazards._BlockDriver`
+    or a list of solo ``(StepPath, DriverMeta)`` drivers.  Zero increments
+    are identity steps, so each replication's own rows hold its solo states;
+    the rows after them repeat its last state to rounding, and no measure
+    reads them.  The attributes are ``times`` ``(B, M)``
     (inf-padded), ``n_jumps`` ``(B,)``, ``states`` ``(M + 1, B, n)``,
     ``scale`` ``(B,)``, the drivers' common ``horizon`` and ``errors``: per
     replication, the error its solo fit raises so far, or None.  The
@@ -797,21 +873,16 @@ class _Stack:
     """
 
     def __init__(self, system, drivers):
+        if not isinstance(drivers, _BlockDriver):
+            drivers = _BlockDriver.of(drivers)
         self.system = system
-        m = self.n_jumps = np.array([driver.n_jumps for driver, _ in drivers])
-        rows, count = m.max(), len(drivers)
-        self.horizon = drivers[0][0].horizon
-        self.times = np.full((count, rows), np.inf)
-        self.increments = np.zeros((rows, count, system.driver_dim))
-        for r, (driver, _) in enumerate(drivers):
-            self.times[r, : m[r]] = driver.times
-            self.increments[: m[r], r] = driver.increments
-        self.scale = np.array([meta.scale_n for _, meta in drivers], dtype=float)
-        mask = drivers[0][1].deterministic_mask
-        self.stochastic = np.where(np.asarray(mask, dtype=bool), 0.0, 1.0)
+        self.times, self.increments = drivers.times, drivers.increments
+        self.n_jumps, self.horizon = drivers.n_jumps, drivers.horizon
+        self.scale = drivers.scale.astype(float)
+        self.stochastic = np.where(np.asarray(drivers.deterministic), 0.0, 1.0)
         self.states = _states(system, self.increments, system.initial_value)
-        times = np.vstack([np.zeros(count), self.times.T])
-        self.errors = system._guard_trips(times, self.states, m + 1)
+        times = np.vstack([np.zeros(len(self.n_jumps)), self.times.T])
+        self.errors = system._guard_trips(times, self.states, self.n_jumps + 1)
 
     @property
     def ok(self) -> np.ndarray:
@@ -927,12 +998,12 @@ def l2_convergence(
     variance of the reference-sample estimator -- so the reference plays the
     role of the common (near-zero) large-sample limit.
 
-    ``n_list`` must be a non-empty list of integers and ``bootstrap_n`` an
-    integer, each at least the number of groups the scenario's subjects are
-    split into, and ``bootstrap_b`` an integer >= 2; anything else raises
-    :class:`ConfigError` before any simulation runs.  Failed replications
-    (guard trips, variance collapse) are excluded from the averages and
-    counted per sample size in the metadata.
+    ``n_list`` must be a non-empty list of distinct integers and
+    ``bootstrap_n`` an integer, each at least the number of groups the
+    scenario's subjects are split into, and ``bootstrap_b`` an integer >= 2;
+    anything else raises :class:`ConfigError` before any simulation runs.
+    Failed replications (guard trips, variance collapse) are excluded from
+    the averages and counted per sample size in the metadata.
 
     The replications of each ``n`` run in blocks of consecutive indices, as
     in :func:`coverage_study`, and each distance is the :func:`l2_distance`
@@ -950,6 +1021,9 @@ def l2_convergence(
             f"n_list must be a non-empty list of sample sizes >= {least}, "
             f"got {n_list!r}"
         )
+    if len(set(n_list)) < len(n_list):
+        # Failures are counted per sample size: a repeat would merge two.
+        raise ConfigError(f"n_list must not repeat a sample size, got {n_list!r}")
     if _number(bootstrap_b, "bootstrap_b", integer=True) < 2:
         raise ConfigError(f"bootstrap_b must be an integer >= 2, got {bootstrap_b!r}")
     ref_n = 4 * max(n_list) if bootstrap_n is None else bootstrap_n
@@ -1047,14 +1121,21 @@ def coverage_study(
     at most, whatever ``k`` is, unless one replication alone needs more (see
     :func:`_block_size`).  A block is one task of the ``n_jobs``
     workers and its size never depends on ``n_jobs``, so neither do the
-    results.  In a block, each hazard inverts every
-    replication's draws in one call, each replication gets its own driver,
-    and the drivers, padded at the end with zero increments, are solved as
-    one stack of states and covariances that gives each replication its solo
-    fit (bit for bit for a linear system).  Guard trips, negative variances
-    and the band at ``t_grid`` are found for the whole block at once; a
-    failing replication is counted under its error type, and the rest of its
-    block carries on.
+    results.  In a block, each hazard inverts every replication's draws in
+    one call, and one risk-set pass over the block's spells builds every
+    replication's Nelson-Aalen driver, on its own jump times and bit for bit
+    what :func:`estimate_driver` gives for its dataset alone.  The drivers,
+    padded at the end with zero increments, are solved as one stack of
+    states and covariances that gives each replication its solo fit (bit for
+    bit for a linear system).  A replication whose dataset would be
+    rejected, guard trips, negative variances and the band at ``t_grid`` are
+    found for the whole block at once; a failing replication is counted
+    under its error type, and the rest of its block carries on.
+
+    The truth is the :func:`oracle_parameter` path at ``t_grid``.  For a
+    system without guards (every linear one) the oracle is solved only up to
+    the last grid row ``t_grid`` reads and evaluated only at the rows read,
+    which gives the same values bit for bit.
     """
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be strictly between 0 and 1")
@@ -1074,8 +1155,7 @@ def coverage_study(
             f"t_grid values must lie in [0, {horizon}], got {outside.tolist()}"
         )
 
-    oracle = oracle_parameter(sc.hazards, kind, fine_step=oracle_step)
-    oracle_values = oracle.value_at(t_grid)[:, comp]
+    oracle_values = _oracle_values(sc.hazards, kind, t_grid, oracle_step)[:, comp]
 
     ctx = {
         "scenario": sc,
@@ -1185,7 +1265,7 @@ class _ResampleDrivers:
             (j, group, ds._subject[e], np.searchsorted(times, ds._exit[e]))
             for j, (group, e) in events.items()
         ]
-        self._risk = {g: _RiskSet(ds, g, times) for g, _ in events.values()}
+        self._risk = {g: _RiskSet.of(ds, g, times) for g, _ in events.values()}
 
     def increments(self, draws, first: int, count: int) -> np.ndarray:
         """Stacked driver increments ``(m, count, k)`` of resamples ``first``
@@ -1203,14 +1283,14 @@ class _ResampleDrivers:
                         f"bootstrap resample {first + r} has no subject of group "
                         f"{group!r}"
                     )
-                at_risk, cut, _ = risk_set(w)
+                at_risk, frozen, _ = risk_set(w)
                 # Where the resample has an event it is at risk, so a risk set
                 # of 0 only ever divides 0 events: the increment is 0 there.
-                risk[group] = np.maximum(at_risk, 1.0), cut
+                risk[group] = np.maximum(at_risk, 1.0), frozen
             for j, group, subject, bins in self._slots:
-                at_risk, cut = risk[group]
+                at_risk, frozen = risk[group]
                 out[:, r, j] = np.bincount(bins, w[subject], m) / at_risk
-                out[cut:, r, j] = 0.0
+                out[frozen, r, j] = 0.0
         return out
 
 

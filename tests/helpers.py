@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from hazard_transform import EventDataset, NegativeVarianceError, StepPath
+from hazard_transform import (
+    DriverMeta,
+    EventDataset,
+    NegativeVarianceError,
+    StepPath,
+    merge_drivers,
+    time_grid_driver,
+)
 
 
 def take_subjects(ds: EventDataset, idx) -> EventDataset:
@@ -95,3 +102,75 @@ def counting_path(ds: EventDataset, cause: int, group=None) -> StepPath:
         origin_value=np.zeros(1),
         horizon=ds.horizon,
     )
+
+
+def solo_nelson_aalen(ds: EventDataset, cause: int, group=None):
+    """Nelson-Aalen of one dataset from its sorted entry and exit times: the
+    per-dataset risk set the block kernel replaced, kept as its reference.
+    ``Y`` at each event time is (entries < t) - (exits < t); the path
+    freezes at the first exit before the horizon after which (entries <= t)
+    equals (exits <= t)."""
+    mask = ds._group_mask(group)
+    events = mask & (ds._code == cause) & (ds._exit <= ds.horizon)
+    times, dn = np.unique(ds._exit[events], return_counts=True)
+    entry, exit_ = np.sort(ds._entry[mask]), np.sort(ds._exit[mask])
+    k = exit_.searchsorted(ds.horizon)
+    last = np.flatnonzero(exit_[:k] != np.append(exit_[1:], np.inf)[:k])
+    ends = exit_[last]
+    at_risk = (entry.searchsorted(times) - exit_.searchsorted(times)).astype(float)
+    frozen = np.flatnonzero(entry.searchsorted(ends, "right") == last + 1)
+    cut, truncation = times.size, None
+    if frozen.size:
+        freeze = float(ends[frozen[0]])
+        cut = int(times.searchsorted(freeze, "right"))
+        truncation = freeze if cut < times.size else None
+    label = f"cause{cause}" if group is None else f"cause{cause}|group{group}"
+    path = StepPath(
+        times=times[:cut],
+        increments=(dn[:cut] / at_risk[:cut]).reshape(-1, 1),
+        origin_value=np.zeros(1),
+        horizon=ds.horizon,
+    )
+    meta = DriverMeta(
+        scale_n=ds.subjects_in_group(group),
+        component_labels=(label,),
+        deterministic_mask=(False,),
+        truncation_time=truncation,
+    )
+    return path, meta
+
+
+def solo_block(spells, sources, grid_step):
+    """A block's padded drivers built one replication at a time, the
+    reference for the block kernel: each replication's dataset, one
+    :func:`solo_nelson_aalen` per ``(cause, group)`` source and a time grid
+    per None, :func:`merge_drivers`, then each driver copied into the
+    padded arrays.  Returns ``(times, increments, n_jumps, scale,
+    truncation)`` with ``inf`` for no truncation."""
+    drivers = []
+    for r in range(spells.count):
+        own = spells.rep == r
+        ds = EventDataset.from_columns(
+            spells.subject[own],
+            spells.entry[own],
+            spells.exit[own],
+            spells.code[own],
+            spells.horizon,
+            group=None if spells.group is None else spells.group[own],
+        )
+        drivers.append(merge_drivers([
+            time_grid_driver(ds.horizon, grid_step)
+            if source is None
+            else solo_nelson_aalen(ds, *source)
+            for source in sources
+        ]))
+    n_jumps = np.array([path.n_jumps for path, _ in drivers])
+    times = np.full((spells.count, n_jumps.max()), np.inf)
+    increments = np.zeros((n_jumps.max(), spells.count, len(sources)))
+    for r, (path, _) in enumerate(drivers):
+        times[r, : n_jumps[r]] = path.times
+        increments[: n_jumps[r], r] = path.increments
+    scale = np.array([meta.scale_n for _, meta in drivers])
+    truncation = [meta.truncation_time for _, meta in drivers]
+    truncation = np.array([np.inf if t is None else t for t in truncation])
+    return times, increments, n_jumps, scale, truncation

@@ -304,12 +304,13 @@ def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, case):
         (["coverage", "--n", 10, "--k", 2, "--t-grid", "0.5,1.001"], "t_grid"),
         (["converge", "--n-list", "30.5,40", "--k", 1], "--n-list"),
         (["converge", "--n-list", "0,50", "--k", 2], "n_list"),
+        (["converge", "--n-list", "20,20", "--k", 2], "n_list"),
         (["converge", "--target", "variance", "--n-list", 10, "--k", 1,
           "--bootstrap-b", 1], "bootstrap_b"),
         (["coverage", "--n", 10, "--k", 2, "--t-grid", ","], "t_grid"),
     ],
     ids=["t-grid 5,-1", "t-grid past the horizon", "n-list 30.5", "n-list 0,50",
-         "bootstrap-b 1", "t-grid ,"],
+         "n-list 20,20", "bootstrap-b 1", "t-grid ,"],
 )
 def test_study_flag_outside_its_domain_is_a_config_error(tmp_path, argv, key):
     proc = run_cli(

@@ -42,9 +42,10 @@ from hazard_transform import (
     write_path,
 )
 from hazard_transform import events, paths
+from hazard_transform.hazards import _block_driver, _Spells
 from hazard_transform.simlab import _ResampleDrivers
 
-from helpers import at_risk, counting_path, take_subjects
+from helpers import at_risk, counting_path, solo_block, take_subjects
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -464,6 +465,133 @@ def test_nelson_aalen_matches_its_public_definition():
     seen = set()
     check_nelson_aalen_reference(seen)
     assert seen >= {"ties", "delayed entry", "groups", "freeze"}, seen
+
+
+@st.composite
+def replications(draw):
+    """One replication's spells as ``(subject, entry, exit, code, group)``
+    rows: subjects of groups 1 and 2 (at least one each), one to three
+    consecutive spells each, delayed entry, event codes 0 to 3."""
+    rows = []
+    for s in range(draw(st.integers(2, 5))):
+        group = s + 1 if s < 2 else draw(st.sampled_from([1, 2]))
+        entry = draw(st.sampled_from([0.0, 0.0, 0.1, 0.3]))
+        for _ in range(draw(st.integers(1, 3))):
+            exit_time = entry + draw(TIMES)
+            rows.append((s, entry, exit_time, draw(st.integers(0, 3)), group))
+            entry = exit_time
+    return rows
+
+
+def block_of(replications, horizon):
+    """The :class:`_Spells` of a block from each replication's rows."""
+    rep = np.repeat(np.arange(len(replications)), [len(r) for r in replications])
+    subject, entry, exit_, code, group = (
+        np.array(column) for column in zip(*(row for r in replications for row in r))
+    )
+    return _Spells(rep, subject, entry, exit_, code, group, horizon, len(replications))
+
+
+#: Driver sources: the time grid, or a ``(cause, group)`` Nelson-Aalen slot.
+SOURCES = [None, (1, None), (2, None), (3, None), (1, 1), (2, 2), (3, 1), (3, 2)]
+
+
+@st.composite
+def blocks(draw):
+    """``(spells, sources, grid_step)`` of a block of one to four
+    replications; times tie within and across them, and some exits lie past
+    the horizon."""
+    horizon = draw(st.sampled_from([1.0, 1.5, 3.0]))
+    spells = block_of(draw(st.lists(replications(), min_size=1, max_size=4)), horizon)
+    sources = draw(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=4))
+    return spells, sources, horizon / draw(st.sampled_from([1, 3, 7]))
+
+
+#: Group 1 is empty from 0.2 to 0.3, before an event at 0.8.
+GAP = [(0, 0.0, 0.2, 0, 1), (1, 0.3, 0.8, 1, 1), (2, 0.0, 1.0, 2, 2)]
+
+#: Replication 0's group 1 empties at 0.2 and again at 0.5, before its event
+#: at 0.9, so it freezes at 0.2; replication 1 is ``GAP`` with a subject
+#: that covers the gap, so it does not freeze.
+FREEZE_IN_ONE = (
+    block_of(
+        [
+            [(0, 0.0, 0.2, 0, 1), (1, 0.3, 0.5, 0, 1), (2, 0.6, 0.9, 1, 1)]
+            + [(3, 0.0, 1.0, 2, 2)],
+            GAP + [(3, 0.0, 1.0, 1, 1)],
+        ],
+        1.5,
+    ),
+    [(1, 1), (2, 2)],
+    0.5,
+)
+
+#: Replication 1's group 2 has no cause-2 event; replication 0's has one.
+EVENTLESS_GROUP = (
+    block_of([GAP, GAP[:2] + [(2, 0.0, 1.0, 0, 2)]], 1.5),
+    [None, (1, 1), (2, 2)],
+    0.5,
+)
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(case=blocks())
+@example(case=FREEZE_IN_ONE)
+@example(case=EVENTLESS_GROUP)
+def check_block_drivers(seen, case):
+    """Adds to ``seen`` the kinds of case met."""
+    spells, sources, grid_step = case
+    got = _block_driver(spells, sources, grid_step)
+    want = solo_block(spells, sources, grid_step)
+    fields = got.times, got.increments, got.n_jumps, got.scale, got.truncation
+    for a, b in zip(fields, want, strict=True):
+        assert_bitwise(a, b)
+    assert got.deterministic == tuple(source is None for source in sources)
+    events = (spells.code > 0) & (spells.exit <= spells.horizon)
+    pairs = {(r, t) for r, t in zip(spells.rep[events], spells.exit[events])}
+    if len(pairs) < events.sum():
+        seen.add("ties within")
+    if len({t for _, t in pairs}) < len(pairs):
+        seen.add("ties across")
+    if (spells.entry > 0).any():
+        seen.add("delayed entry")
+    if np.unique(spells.rep * 8 + spells.subject).size < spells.subject.size:
+        seen.add("several spells")
+    if any(s is not None and s[0] == 3 for s in sources) and (spells.code == 3).any():
+        seen.add("three causes")
+    if None in sources:
+        seen.add("time grid")
+    for source in sources:
+        if source is not None and source[1] is not None:
+            cause, group = source
+            hit = events & (spells.code == cause) & (spells.group == group)
+            if 0 < np.unique(spells.rep[hit]).size < spells.count:
+                seen.add("eventless group")
+    frozen = np.isfinite(got.truncation)
+    if frozen.any() and not frozen.all():
+        seen.add("freeze in one")
+
+
+def test_block_drivers_equal_the_per_replication_drivers():
+    """Every array the block kernel pads is bitwise what each
+    replication's own dataset, Nelson-Aalen and ``merge_drivers`` give."""
+    seen = set()
+    check_block_drivers(seen)
+    assert seen >= {
+        "ties within",
+        "ties across",
+        "delayed entry",
+        "several spells",
+        "three causes",
+        "time grid",
+        "eventless group",
+        "freeze in one",
+    }, seen
 
 
 def reference_validation_error(records):

@@ -17,6 +17,8 @@ from hazard_transform import simlab
 from hazard_transform import (
     ConfigError,
     ConstantHazard,
+    DataError,
+    EventDataset,
     LinearHazard,
     Scenario,
     StepPath,
@@ -467,6 +469,59 @@ class TestOracle:
         assert abs(float(path.value_at(1.0)[0]) - math.exp(-1.0)) < 1e-5
 
 
+#: One scenario per system without guards (every linear one), horizon 1.5.
+LINEAR_SCENARIOS = {
+    "survival": (SystemKind("survival"), {"event": LinearHazard(0.5, 1.0, 1.5)}),
+    "rmst": (SystemKind("rmst"), {"event": ConstantHazard(1.2, 1.5)}),
+    "relative_survival": (
+        SystemKind("relative_survival"),
+        {"group1": LinearHazard(1.5, -0.6, 1.5), "group0": LinearHazard(0.5, 1.0, 1.5)},
+    ),
+    "led": (
+        SystemKind("led"),
+        {"group1": ConstantHazard(1.0, 1.5), "group2": ConstantHazard(0.5, 1.5)},
+    ),
+    "cumulative_incidence": (
+        SystemKind("cumulative_incidence", n_causes=3),
+        {
+            "cause1": ConstantHazard(0.6, 1.5),
+            "cause2": LinearHazard(0.2, 0.5, 1.5),
+            "cause3": TableHazard((0.0, 0.5), (0.1, 0.9), 1.5),
+        },
+    ),
+    "mean_frequency": (
+        SystemKind("mean_frequency"),
+        {"recurrent": ConstantHazard(1.5, 1.5), "terminal": ConstantHazard(0.8, 1.5)},
+    ),
+}
+
+
+@pytest.mark.parametrize("t_grid", [[0.0, 0.7, 0.7, 0.2], [1.5, 0.3]])
+@pytest.mark.parametrize("oracle_step", [None, 7e-3])
+@pytest.mark.parametrize("name", sorted(LINEAR_SCENARIOS))
+def test_coverage_truth_is_the_oracle_path_bit_for_bit(
+    name, oracle_step, t_grid, monkeypatch
+):
+    # The study solves the oracle only at the rows t_grid reads, through
+    # many side-by-side SCAN_CHUNK blocks at the default step: its truth is
+    # still the whole path's value, with t = 0 (the initial state), the
+    # horizon (the last row) and a repeated time.
+    kind, hazards = LINEAR_SCENARIOS[name]
+    system = make_system(kind)
+    assert system.jacobians is not None and not system.guards
+    contexts = []
+    monkeypatch.setattr(
+        simlab, "_run_blocks", lambda groups, ctx, jobs: contexts.append(ctx) or []
+    )
+    sc = Scenario(system=kind, hazards=hazards, n=10, seed=1, k_replications=1)
+    for comp in range(system.state_dim):
+        coverage_study(sc, t_grid=t_grid, component=comp, oracle_step=oracle_step)
+        path = oracle_parameter(hazards, kind, fine_step=oracle_step)
+        want = path.value_at(np.array(t_grid))[:, comp]
+        got = contexts[-1]["oracle_values"]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestDistances:
     def test_hand_built_paths(self):
         a = step_path_1d([0.5], [1.0], horizon=1.0)
@@ -525,6 +580,48 @@ def two_group_scenario(n, seed=1, k=1):
         seed=seed,
         k_replications=k,
     )
+
+
+@pytest.mark.parametrize("study", ["coverage", "convergence"])
+def test_a_rejected_replication_is_a_data_error_and_its_block_carries_on(
+    study, monkeypatch
+):
+    # Replication 2's first spell is made to end where it starts, which its
+    # dataset rejects: the study counts it as a DataError, and the other
+    # replications of its block come out as they do in blocks of one.
+    sc = two_group_scenario(40, seed=3, k=5)
+    key = (0, 2) if study == "coverage" else (0, 0, 2)
+    bad = simlab._child_seed(sc.seed, *key)
+    simulate = simlab._simulate
+
+    def corrupt(sc, n, seeds):
+        spells = simulate(sc, n, seeds)
+        if bad in seeds:
+            first = np.flatnonzero(spells.rep == list(seeds).index(bad))[0]
+            spells.exit[first] = spells.entry[first]
+            own = spells.rep == list(seeds).index(bad)
+            with pytest.raises(DataError, match="entry_time >= exit_time"):
+                EventDataset.from_columns(
+                    spells.subject[own], spells.entry[own], spells.exit[own],
+                    spells.code[own], spells.horizon, group=spells.group[own],
+                )
+        return spells
+
+    monkeypatch.setattr(simlab, "_simulate", corrupt)
+    results = []
+    for size in (5, 1):
+        monkeypatch.setattr(simlab, "_block_size", lambda kind, n: size)
+        if study == "coverage":
+            results.append(coverage_study(sc, t_grid=[0.2, 0.5, 0.8]))
+        else:
+            results.append(l2_convergence(sc, [40], oracle_step=1e-3))
+    whole, alone = results
+    assert whole.rows == alone.rows
+    assert whole.metadata == alone.metadata
+    failures = whole.metadata["failures"]
+    assert failures == ({"DataError": 1} if study == "coverage" else {"40": 1})
+    if study == "coverage":
+        assert whole.metadata["replications_used"] == 4
 
 
 def failing_scenario(k=3):
@@ -753,7 +850,9 @@ class TestStudies:
         res = coverage_study(survival_scenario(20, 1, k=2), t_grid=[0.0, 1.0])
         assert [row[0] for row in res.rows] == [0.0, 1.0]
 
-    @pytest.mark.parametrize("n_list", [[], [0, 50], [30.5], [-1], [True], [10.0]])
+    @pytest.mark.parametrize(
+        "n_list", [[], [0, 50], [30.5], [-1], [True], [10.0], [20, 20]]
+    )
     def test_bad_sample_sizes_rejected_before_any_replication(
         self, n_list, monkeypatch
     ):
