@@ -8,7 +8,11 @@ into one jump.
 Nelson-Aalen has one kernel, ``_block_driver``, which builds the merged
 drivers of a block of study replications in one risk-set pass, each on its
 own jump times; :func:`nelson_aalen` and :func:`estimate_driver` are its call
-on a single dataset.
+on a single dataset.  Its risk sets come from :class:`_RiskSet`, from which
+``simlab._ResampleDrivers`` also builds the bootstrap's resample drivers,
+with each resample's draw counts as subject weights, and it merges the
+components as :func:`~hazard_transform.paths.merge_drivers` does, through
+one union helper.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import DataError
 from .events import EventDataset
-from .paths import DriverMeta, StepPath
+from .paths import DriverMeta, StepPath, _run_ends, _union
 from .systems import SystemKind, driver_slots
 
 __all__ = [
@@ -115,13 +119,6 @@ class _Keys:
         return self._distinct[keys % self._distinct.size]
 
 
-def _run_ends(x) -> np.ndarray:
-    """Whether each entry of the sorted ``x`` ends a run of ties."""
-    ends = np.ones(x.size, dtype=bool)
-    np.not_equal(x[1:], x[:-1], out=ends[:-1])
-    return ends
-
-
 class _RiskSet:
     """Weighted risk set of one group's spells on jump grids, per replication.
 
@@ -205,25 +202,6 @@ class _BlockDriver(NamedTuple):
     deterministic: tuple[bool, ...]
     horizon: float
 
-    @classmethod
-    def of(cls, drivers) -> "_BlockDriver":
-        """The block of solo ``(StepPath, DriverMeta)`` drivers."""
-        paths, metas = zip(*drivers)
-        n_jumps = np.array([path.n_jumps for path in paths])
-        truncation = [meta.truncation_time for meta in metas]
-        return cls(
-            *_pad(
-                n_jumps,
-                np.concatenate([path.times for path in paths]),
-                np.concatenate([path.increments for path in paths]),
-            ),
-            n_jumps,
-            np.array([meta.scale_n for meta in metas]),
-            np.array([np.inf if t is None else t for t in truncation]),
-            metas[0].deterministic_mask,
-            paths[0].horizon,
-        )
-
 
 def _pad(n_jumps, times, increments):
     """Times ``(B, M)`` padded with ``inf`` and increments ``(M, B, k)``
@@ -260,15 +238,15 @@ def _block_driver(spells: _Spells, sources, grid_step=None) -> _BlockDriver:
     times, so padding only appends rows.
     """
     horizon, count, rep = spells.horizon, spells.count, spells.rep
-    step = horizon / 1000.0 if grid_step is None else grid_step
-    grid = _grid_times(horizon, step) if None in sources else np.empty(0)
+    grid = _driver_grid(horizon, grid_step) if None in sources else np.empty(0)
     keys, entry, exit_, grid_keys = _Keys.of(spells, grid)
     parts = []
     scale = np.zeros(count, dtype=np.int64)
     truncation = np.full(count, np.inf)
     for source in sources:
         if source is None:
-            parts.append((grid_keys, np.tile(np.diff(grid, prepend=0.0), count)))
+            steps = np.tile(np.diff(grid, prepend=0.0), count)
+            parts.append((grid_keys, steps[:, None]))
             continue
         cause, group = source
         sel = slice(None) if group is None else spells.group == group
@@ -279,22 +257,13 @@ def _block_driver(spells: _Spells, sources, grid_step=None) -> _BlockDriver:
         risk = _RiskSet(keys, subject, entry[sel], ends, horizon, times)
         at_risk, frozen, freeze = risk()
         keep = ~frozen
-        parts.append((times[keep], dn[keep] / at_risk[keep]))
+        parts.append((times[keep], (dn[keep] / at_risk[keep])[:, None]))
         r = None if rep is None else rep[sel]
         scale += _subjects(r, subject, count)
         np.minimum(truncation, freeze, out=truncation)
 
     # Each replication's rows: the union of its components' times.
-    if len(parts) == 1:
-        rows, increments = parts[0][0], parts[0][1][:, None]
-    else:
-        # A sort, not np.unique, which hashes integer keys at several times
-        # the cost.
-        rows = np.sort(np.concatenate([k for k, _ in parts]))
-        rows = rows[_run_ends(rows)]
-        increments = np.zeros((rows.size, len(parts)))
-        for j, (k, values) in enumerate(parts):
-            increments[rows.searchsorted(k), j] = values
+    rows, increments = _union(parts)
     n_jumps = np.bincount(keys.rep(rows), minlength=count)
     return _BlockDriver(
         *_pad(n_jumps, keys.time(rows), increments),
@@ -313,20 +282,17 @@ def _events(dataset: EventDataset, cause: int, group: int | None) -> np.ndarray:
     return mask & (dataset._exit <= dataset.horizon)
 
 
-def _slot_sources(kind: SystemKind, group_map=None, cause_map=None):
-    """``(slot, cause, group)`` of each driver slot of ``kind`` in column
-    order; ``cause_map``/``group_map`` override a slot's defaults by role."""
-    for slot in driver_slots(kind):
-        cause = (cause_map or {}).get(slot.role, slot.cause)
-        group = (group_map or {}).get(slot.role, slot.group)
-        yield slot, cause, group
-
-
 def _block_sources(kind: SystemKind, group_map=None, cause_map=None) -> list:
-    """The ``sources`` of :func:`_block_driver` for the slots of ``kind``."""
+    """The ``sources`` of :func:`_block_driver` for the driver slots of
+    ``kind``, in column order: ``(cause, group)`` per hazard slot, with
+    ``cause_map``/``group_map`` overriding the slot's defaults by role, and
+    None per time grid."""
+    causes, groups = cause_map or {}, group_map or {}
     return [
-        None if slot.deterministic else (cause, group)
-        for slot, cause, group in _slot_sources(kind, group_map, cause_map)
+        None
+        if slot.deterministic
+        else (causes.get(slot.role, slot.cause), groups.get(slot.role, slot.group))
+        for slot in driver_slots(kind)
     ]
 
 
@@ -460,6 +426,12 @@ def _grid_times(horizon: float, step: float, start: float = 0.0) -> np.ndarray:
     if not times.size or times[-1] < horizon:
         times = np.append(times, horizon)
     return times
+
+
+def _driver_grid(horizon: float, grid_step=None) -> np.ndarray:
+    """The jump times of a driver's time grid: step ``grid_step``, by
+    default horizon/1000."""
+    return _grid_times(horizon, horizon / 1000.0 if grid_step is None else grid_step)
 
 
 def time_grid_driver(horizon: float, step: float) -> tuple[StepPath, DriverMeta]:

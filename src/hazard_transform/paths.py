@@ -167,6 +167,35 @@ def restrict_path(path: StepPath, start: float) -> StepPath:
     )
 
 
+def _run_ends(x) -> np.ndarray:
+    """Whether each entry of the sorted ``x`` ends a run of ties."""
+    ends = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=ends[:-1])
+    return ends
+
+
+def _union(parts):
+    """``(times, increments)`` of components on the union of their jump
+    times, from ``(times, increments)`` parts with sorted distinct times and
+    increments ``(m, k)``: each part's columns, in part order, hold its own
+    increments at its own times and zero elsewhere.  The increments are a
+    new array, also for one part.  Times may be any sortable keys, such as
+    the block kernel's ``(replication, time)`` keys."""
+    if len(parts) == 1:
+        times, increments = parts[0]
+        return times, increments.copy()
+    # A sort, not np.unique, which hashes integer keys at several times the
+    # cost.
+    times = np.sort(np.concatenate([t for t, _ in parts]))
+    times = times[_run_ends(times)]
+    increments = np.zeros((times.size, sum(v.shape[1] for _, v in parts)))
+    offset = 0
+    for t, values in parts:
+        increments[times.searchsorted(t), offset : offset + values.shape[1]] = values
+        offset += values.shape[1]
+    return times, increments
+
+
 def merge_drivers(parts):
     """Stack driver paths on the union of their jump times.
 
@@ -179,8 +208,10 @@ def merge_drivers(parts):
     Returns
     -------
     (StepPath, DriverMeta)
-        The merged driver.  ``scale_n`` is the total subject count over the
-        stochastic parts (1 if every part is deterministic).
+        The merged driver, on new increments even for one part.  ``scale_n``
+        is the total subject count over the stochastic parts (1 if every part
+        is deterministic).  The union is the one the Nelson-Aalen block
+        kernel puts its components on.
     """
     parts = list(parts)
     if not parts:
@@ -189,20 +220,8 @@ def merge_drivers(parts):
     for path, _ in parts:
         if path.horizon != horizon:
             raise ValueError("drivers must share the same horizon")
-
-    merged_times = parts[0][0].times
-    for path, _ in parts[1:]:
-        merged_times = np.union1d(merged_times, path.times)
-
-    dims = [path.dimension for path, _ in parts]
-    total_dim = sum(dims)
-    increments = np.zeros((merged_times.size, total_dim))
+    merged_times, increments = _union([(p.times, p.increments) for p, _ in parts])
     origin = np.concatenate([path.origin_value for path, _ in parts])
-    offset = 0
-    for path, _ in parts:
-        pos = np.searchsorted(merged_times, path.times)
-        increments[pos, offset : offset + path.dimension] = path.increments
-        offset += path.dimension
 
     labels: list[str] = []
     mask: list[bool] = []

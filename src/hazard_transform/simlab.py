@@ -23,11 +23,10 @@ from .events import EventDataset
 from .hazards import (
     _block_driver,
     _block_sources,
-    _BlockDriver,
+    _driver_grid,
     _events,
     _grid_times,
     _RiskSet,
-    _slot_sources,
     _Spells,
     estimate_driver,
 )
@@ -306,7 +305,8 @@ class TableHazard(HazardSpec):
 
 
 def hazard_from_config(cfg: dict) -> HazardSpec:
-    """Build a hazard spec from its dict form (see each class's to_config)."""
+    """Build a hazard spec from its dict form (see each class's to_config);
+    a key the form's ``to_config`` does not write is a :class:`ConfigError`."""
     if not isinstance(cfg, dict) or "form" not in cfg:
         raise ConfigError("hazard config must be a mapping with a 'form' key")
     form = cfg["form"]
@@ -317,20 +317,25 @@ def hazard_from_config(cfg: dict) -> HazardSpec:
             _number(value, f"hazard {key!r}")
     try:
         if form == "constant":
-            return ConstantHazard(rate_value=cfg["rate"], horizon=cfg["horizon"])
-        if form == "linear":
-            return LinearHazard(
+            spec = ConstantHazard(rate_value=cfg["rate"], horizon=cfg["horizon"])
+        elif form == "linear":
+            spec = LinearHazard(
                 intercept=cfg["intercept"], slope=cfg["slope"], horizon=cfg["horizon"]
             )
-        if form == "table":
-            return TableHazard(
+        elif form == "table":
+            spec = TableHazard(
                 knot_times=tuple(cfg["times"]),
                 knot_rates=tuple(cfg["rates"]),
                 horizon=cfg["horizon"],
             )
+        else:
+            raise ConfigError(f"unknown hazard form: {form!r}")
     except KeyError as exc:
         raise ConfigError(f"hazard config missing key: {exc}") from None
-    raise ConfigError(f"unknown hazard form: {form!r}")
+    unknown = sorted(map(str, set(cfg) - set(spec.to_config())))
+    if unknown:
+        raise ConfigError(f"unknown key(s) for a {form} hazard: {', '.join(unknown)}")
+    return spec
 
 
 class _SumHazard(HazardSpec):
@@ -743,10 +748,11 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 # ---------------------------------------------------------------------------
 # Replication execution.  Replications run in blocks of consecutive indices
-# whose size depends on the system and the sample size only.  Workers read shared, read-only
-# context from a module global installed by the pool initializer (or directly
-# for serial runs), and every replication draws from its own derived seed, so
-# results do not depend on how the blocks are distributed.
+# whose size depends only on the system, the sample size and the time grid.
+# Workers read shared, read-only context from a module global installed by
+# the pool initializer (or directly for serial runs), and every replication
+# draws from its own derived seed, so results do not depend on how the
+# blocks are distributed.
 
 _CTX: dict = {}
 
@@ -758,21 +764,22 @@ _STUDY_BLOCK = 8
 _STUDY_CELLS = 1 << 19
 
 
-def _block_size(kind: SystemKind, n: int) -> int:
-    """Replications per study block of ``n`` subjects, fixed by the state
-    size and ``n``: at most ``_STUDY_BLOCK``, and no more than fit in
-    ``_STUDY_CELLS`` at about ``(32 + dim^2) n`` entries per replication
-    (draws, dataset, driver, stacked states and covariances) plus its
-    ``SCAN_CHUNK`` rows of ``p x p`` covariance scan maps, ``p = dim(dim +
-    1)/2``: one such array for constant Jacobians, and ``driver_dim + 1``
-    (the maps of each component and their composition) for a system whose
-    Jacobians depend on the state.  A single replication past the cap runs
-    alone."""
+def _block_size(kind: SystemKind, n: int, grid: int = 0) -> int:
+    """Replications per study block of ``n`` subjects whose drivers have
+    ``grid`` time-grid rows (0 without a time slot), fixed by the state size,
+    ``n`` and ``grid``: at most ``_STUDY_BLOCK``, and no more than fit in
+    ``_STUDY_CELLS`` at about ``(32 + dim^2) (n + grid)`` entries per
+    replication (draws, dataset, driver, stacked states and covariances; a
+    driver has a row per jump and per grid step) plus its ``SCAN_CHUNK``
+    rows of ``p x p`` covariance scan maps, ``p = dim(dim + 1)/2``: one such
+    array for constant Jacobians, and ``driver_dim + 1`` (the maps of each
+    component and their composition) for a system whose Jacobians depend on
+    the state.  A single replication past the cap runs alone."""
     system = make_system(kind)
     dim = system.state_dim
     p = dim * (dim + 1) // 2
     maps = 1 if system.jacobians is not None else system.driver_dim + 1
-    per_replication = (32 + dim * dim) * n + maps * SCAN_CHUNK * p * p
+    per_replication = (32 + dim * dim) * (n + grid) + maps * SCAN_CHUNK * p * p
     return max(1, min(_STUDY_BLOCK, _STUDY_CELLS // per_replication))
 
 
@@ -798,17 +805,24 @@ def _run_tasks(tasks, ctx, n_jobs: int):
         return list(pool.map(_replicate, tasks, chunksize=chunk))
 
 
-def _run_blocks(groups, ctx, n_jobs: int):
-    """Run the replications of each ``(key, n, seeds)`` group in blocks of
-    :func:`_block_size` consecutive seeds: ``(key, value, error)`` per
-    replication, in order."""
-    kind = ctx["scenario"].system
-    tasks = [
+def _blocks(groups, ctx) -> list:
+    """The ``(key, n, seeds)`` groups cut into blocks of :func:`_block_size`
+    consecutive seeds, for the study whose worker context is ``ctx``."""
+    sc, grid = ctx["scenario"], 0
+    if None in _block_sources(sc.system):  # a time slot: a driver row per step
+        grid = _driver_grid(sc.horizon, ctx["grid_step"]).size
+    return [
         (key, n, seeds[lo : lo + size])
         for key, n, seeds in groups
-        for size in [_block_size(kind, n)]
+        for size in [_block_size(sc.system, n, grid)]
         for lo in range(0, len(seeds), size)
     ]
+
+
+def _run_blocks(groups, ctx, n_jobs: int):
+    """Run the replications of each ``(key, n, seeds)`` group in
+    :func:`_blocks`: ``(key, value, error)`` per replication, in order."""
+    tasks = _blocks(groups, ctx)
     return [result for block in _run_tasks(tasks, ctx, n_jobs) for result in block]
 
 
@@ -856,33 +870,26 @@ def _without(spells: _Spells, drop) -> _Spells:
 
 
 class _Stack:
-    """Drivers of a block's replications, padded at the end with zero
-    increments to the longest and solved as one stack by the state kernel.
+    """A block's drivers solved as one stack by the state kernel.
 
-    ``drivers`` is the block's :class:`~hazard_transform.hazards._BlockDriver`
-    or a list of solo ``(StepPath, DriverMeta)`` drivers.  Zero increments
-    are identity steps, so each replication's own rows hold its solo states;
-    the rows after them repeat its last state to rounding, and no measure
-    reads them.  The attributes are ``times`` ``(B, M)``
-    (inf-padded), ``n_jumps`` ``(B,)``, ``states`` ``(M + 1, B, n)``,
-    ``scale`` ``(B,)``, the drivers' common ``horizon`` and ``errors``: per
-    replication, the error its solo fit raises so far, or None.  The
-    constructor records each guard trip (at time 0 or at one of the
-    replication's own jumps) as ``check_guard_path`` raises it; a measure
-    may add negative variances.
+    ``driver`` is the :class:`~hazard_transform.hazards._BlockDriver` that
+    :func:`~hazard_transform.hazards._block_driver` builds for the block,
+    read in place: its ``times``, ``n_jumps``, ``scale`` and ``horizon``
+    are the stack's.  Its zero increments, which pad each replication to the
+    longest, are identity steps, so each replication's own rows hold its
+    solo states; the rows after them repeat its last state to rounding, and
+    no measure reads them.  The stack adds ``states`` ``(M + 1, B, n)`` and
+    ``errors``: per replication, the error its solo fit raises so far, or
+    None.  The constructor records each guard trip (at time 0 or at one of
+    the replication's own jumps) as ``check_guard_path`` raises it; a
+    measure may add negative variances.
     """
 
-    def __init__(self, system, drivers):
-        if not isinstance(drivers, _BlockDriver):
-            drivers = _BlockDriver.of(drivers)
-        self.system = system
-        self.times, self.increments = drivers.times, drivers.increments
-        self.n_jumps, self.horizon = drivers.n_jumps, drivers.horizon
-        self.scale = drivers.scale.astype(float)
-        self.stochastic = np.where(np.asarray(drivers.deterministic), 0.0, 1.0)
-        self.states = _states(system, self.increments, system.initial_value)
-        times = np.vstack([np.zeros(len(self.n_jumps)), self.times.T])
-        self.errors = system._guard_trips(times, self.states, self.n_jumps + 1)
+    def __init__(self, system, driver):
+        self.system, self.driver = system, driver
+        self.states = _states(system, driver.increments, system.initial_value)
+        times = np.vstack([np.zeros(len(driver.n_jumps)), driver.times.T])
+        self.errors = system._guard_trips(times, self.states, driver.n_jumps + 1)
 
     @property
     def ok(self) -> np.ndarray:
@@ -894,14 +901,15 @@ class _Stack:
         replications without an error and NaN for the others (whose states
         may divide by zero, and which no measure reads).  A block without
         errors is solved on views of its arrays, with no copy."""
-        ok, n = self.ok, self.system.state_dim
+        ok, n, driver = self.ok, self.system.state_dim, self.driver
         clean = ok.all()
         pick = slice(None) if clean else ok
-        args = self.states[:-1, pick], self.increments[:, pick], self.scale[pick]
-        cov = _covariances(self.system, *args, self.stochastic, np.zeros((n, n)))
+        args = self.states[:-1, pick], driver.increments[:, pick], driver.scale[pick]
+        stochastic = np.where(driver.deterministic, 0.0, 1.0)
+        cov = _covariances(self.system, *args, stochastic, np.zeros((n, n)))
         if clean:
             return cov
-        out = np.full((*self.increments.shape[:2], n, n), np.nan)
+        out = np.full((*driver.increments.shape[:2], n, n), np.nan)
         out[:, ok] = cov
         return out
 
@@ -919,12 +927,12 @@ def _target_distances(stack, values, component):
     """``l2_distance`` from the target path of each replication without an
     error, whose path has the ``values`` ``(M + 1, B, ...)`` on its own
     rows."""
-    target, upto = _CTX["target_path"], _CTX["upto"]
+    target, upto, driver = _CTX["target_path"], _CTX["upto"], stack.driver
     distances = []
     for r in np.flatnonzero(stack.ok):
-        m = stack.n_jumps[r]
-        times = stack.times[r, :m]
-        path = StepPath.from_values(times, values[: m + 1, r], stack.horizon)
+        m = driver.n_jumps[r]
+        times = driver.times[r, :m]
+        path = StepPath.from_values(times, values[: m + 1, r], driver.horizon)
         distances.append(l2_distance(target, path, component, component, upto))
     return stack.results(distances)
 
@@ -939,25 +947,25 @@ def _l2_variance(stack):
     # at different n live in comparable units and a large-sample reference is
     # close to the common limit of all of them.
     comp = _CTX["component"]
-    diag = stack.covariances()[:, :, comp, comp] / stack.scale
+    diag = stack.covariances()[:, :, comp, comp] / stack.driver.scale
     return _target_distances(stack, np.vstack([np.zeros((1, diag.shape[1])), diag]), 0)
 
 
 def _covered(stack):
     # The band X +/- z sqrt(V_ii / n) at t_grid, of the component studied, for
     # every replication with no guard trip and no negative variance.
-    n, labels = stack.system.state_dim, stack.system.state_labels
+    n, labels, driver = stack.system.state_dim, stack.system.state_labels, stack.driver
     diag = stack.covariances()[..., range(n), range(n)]
-    found = _negative_variances(stack.times.T, diag, labels, stack.n_jumps)
+    found = _negative_variances(driver.times.T, diag, labels, driver.n_jumps)
     stack.errors = [err or neg for err, neg in zip(stack.errors, found)]
     ok = np.flatnonzero(stack.ok)
     comp, t_grid, truth = _CTX["component"], _CTX["t_grid"], _CTX["oracle_values"]
-    row = [np.searchsorted(stack.times[r], t_grid, side="right") for r in ok]
+    row = [np.searchsorted(driver.times[r], t_grid, side="right") for r in ok]
     row = np.array(row, dtype=np.intp).reshape(ok.size, t_grid.size)
     var = np.vstack([np.zeros((1, ok.size)), diag[:, ok, comp]])
     var = np.take_along_axis(var, row.T, axis=0)
     point = np.take_along_axis(stack.states[:, ok, comp], row.T, axis=0)
-    half = _CTX["z"] * np.sqrt(var / stack.scale[ok])
+    half = _CTX["z"] * np.sqrt(var / driver.scale[ok])
     truth = truth[:, None]
     return stack.results(((point - half <= truth) & (truth <= point + half)).T)
 
@@ -1000,8 +1008,9 @@ def l2_convergence(
 
     ``n_list`` must be a non-empty list of distinct integers and
     ``bootstrap_n`` an integer, each at least the number of groups the
-    scenario's subjects are split into, and ``bootstrap_b`` an integer >= 2;
-    anything else raises :class:`ConfigError` before any simulation runs.
+    scenario's subjects are split into, ``bootstrap_b`` an integer >= 2 and
+    ``n_jobs`` an integer >= 1; anything else raises :class:`ConfigError`
+    before any simulation runs.
     Failed replications (guard trips, variance collapse) are excluded from
     the averages and counted per sample size in the metadata.
 
@@ -1026,6 +1035,8 @@ def l2_convergence(
         raise ConfigError(f"n_list must not repeat a sample size, got {n_list!r}")
     if _number(bootstrap_b, "bootstrap_b", integer=True) < 2:
         raise ConfigError(f"bootstrap_b must be an integer >= 2, got {bootstrap_b!r}")
+    if _number(n_jobs, "n_jobs", integer=True) < 1:
+        raise ConfigError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     ref_n = 4 * max(n_list) if bootstrap_n is None else bootstrap_n
     if _number(ref_n, "bootstrap_n", integer=True) < least:
         raise ConfigError(f"bootstrap_n must be an integer >= {least}, got {ref_n!r}")
@@ -1111,8 +1122,8 @@ def coverage_study(
     band covers the oracle parameter.  Rows carry the coverage proportion
     with a 95% Wilson interval; the requested level is echoed as a constant
     reference column.  ``t_grid`` must be a non-empty 1-D list of times in
-    ``[0, horizon]``; anything else raises :class:`ConfigError` before any
-    simulation runs.
+    ``[0, horizon]`` and ``n_jobs`` an integer >= 1; anything else raises
+    :class:`ConfigError` before any simulation runs.
 
     Replication ``j`` draws from its own seed, derived from ``(sc.seed, 0,
     j)``.  The replications run in blocks of consecutive indices, at most
@@ -1139,6 +1150,8 @@ def coverage_study(
     """
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be strictly between 0 and 1")
+    if _number(n_jobs, "n_jobs", integer=True) < 1:
+        raise ConfigError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     kind = sc.system
     comp = _component(kind, component)
     horizon = sc.horizon
@@ -1236,7 +1249,8 @@ class _ResampleDrivers:
 
     A resample that draws subject ``s`` ``w[s]`` times has the driver that
     :func:`estimate_driver` gives for the dataset repeating each of ``s``'s
-    spells ``w[s]`` times: ``dN`` sums ``w`` over each slot's event spells,
+    spells ``w[s]`` times: ``dN`` sums ``w`` over the event spells of each
+    ``(cause, group)`` source the block kernel reads (``_block_sources``),
     and the risk set and freeze come from ``nelson_aalen``'s own kernel,
     :class:`~hazard_transform.hazards._RiskSet`, with ``w`` as weights.  The
     grid :attr:`times` is the base driver's jump times plus any event times
@@ -1248,11 +1262,9 @@ class _ResampleDrivers:
     def __init__(self, ds, kind, driver, group_map=None, cause_map=None):
         self._n = ds.n_subjects
         events = {
-            j: (group, _events(ds, cause, group))
-            for j, (slot, cause, group) in enumerate(
-                _slot_sources(kind, group_map, cause_map)
-            )
-            if not slot.deterministic
+            j: (source[1], _events(ds, *source))
+            for j, source in enumerate(_block_sources(kind, group_map, cause_map))
+            if source is not None  # time grids
         }
         self.times = times = np.unique(
             np.concatenate([driver.times] + [ds._exit[e] for _, e in events.values()])

@@ -7,7 +7,6 @@ from hazard_transform import (
     EventDataset,
     NegativeVarianceError,
     StepPath,
-    merge_drivers,
     time_grid_driver,
 )
 
@@ -140,14 +139,32 @@ def solo_nelson_aalen(ds: EventDataset, cause: int, group=None):
     return path, meta
 
 
+def union_merge(paths):
+    """``(times, increments)`` of ``paths`` on the union of their jump
+    times, each path's columns zero where it has no jump: the chain of
+    ``union1d`` calls and the scatter that ``merge_drivers`` merged with
+    before it shared the block kernel's union, kept as the reference for
+    both."""
+    times = paths[0].times
+    for path in paths[1:]:
+        times = np.union1d(times, path.times)
+    increments = np.zeros((times.size, sum(path.dimension for path in paths)))
+    offset = 0
+    for path in paths:
+        pos = np.searchsorted(times, path.times)
+        increments[pos, offset : offset + path.dimension] = path.increments
+        offset += path.dimension
+    return times, increments
+
+
 def solo_block(spells, sources, grid_step):
     """A block's padded drivers built one replication at a time, the
     reference for the block kernel: each replication's dataset, one
     :func:`solo_nelson_aalen` per ``(cause, group)`` source and a time grid
-    per None, :func:`merge_drivers`, then each driver copied into the
-    padded arrays.  Returns ``(times, increments, n_jumps, scale,
+    per None, merged by :func:`union_merge`, then each driver copied into
+    the padded arrays.  Returns ``(times, increments, n_jumps, scale,
     truncation)`` with ``inf`` for no truncation."""
-    drivers = []
+    merged, scale, truncation = [], [], []
     for r in range(spells.count):
         own = spells.rep == r
         ds = EventDataset.from_columns(
@@ -158,19 +175,22 @@ def solo_block(spells, sources, grid_step):
             spells.horizon,
             group=None if spells.group is None else spells.group[own],
         )
-        drivers.append(merge_drivers([
+        parts = [
             time_grid_driver(ds.horizon, grid_step)
             if source is None
             else solo_nelson_aalen(ds, *source)
             for source in sources
-        ]))
-    n_jumps = np.array([path.n_jumps for path, _ in drivers])
+        ]
+        merged.append(union_merge([path for path, _ in parts]))
+        metas = [meta for _, meta in parts]
+        stochastic = [m.scale_n for m in metas if not all(m.deterministic_mask)]
+        scale.append(max(sum(stochastic), 1))
+        cuts = [m.truncation_time for m in metas if m.truncation_time is not None]
+        truncation.append(min(cuts, default=np.inf))
+    n_jumps = np.array([t.size for t, _ in merged])
     times = np.full((spells.count, n_jumps.max()), np.inf)
     increments = np.zeros((n_jumps.max(), spells.count, len(sources)))
-    for r, (path, _) in enumerate(drivers):
-        times[r, : n_jumps[r]] = path.times
-        increments[: n_jumps[r], r] = path.increments
-    scale = np.array([meta.scale_n for _, meta in drivers])
-    truncation = [meta.truncation_time for _, meta in drivers]
-    truncation = np.array([np.inf if t is None else t for t in truncation])
-    return times, increments, n_jumps, scale, truncation
+    for r, (t, values) in enumerate(merged):
+        times[r, : n_jumps[r]] = t
+        increments[: n_jumps[r], r] = values
+    return times, increments, n_jumps, np.array(scale), np.array(truncation)

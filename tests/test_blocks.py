@@ -41,6 +41,7 @@ from hazard_transform import (
     solve_variance,
 )
 from hazard_transform import simlab
+from hazard_transform.hazards import _block_driver, _block_sources, _driver_grid
 
 RTOL = 1e-12
 LEVEL = 0.9
@@ -82,7 +83,15 @@ SYSTEMS = {
 
 def blocks_of(size):
     """Patch the study block size to ``size`` replications."""
-    return mock.patch.object(simlab, "_block_size", lambda kind, n: size)
+    return mock.patch.object(simlab, "_block_size", lambda *args: size)
+
+
+def block_stack(sc, seeds):
+    """The solved stack of ``sc``'s replications drawn from ``seeds``, built
+    as a study block builds it: one draw, then the block kernel's drivers."""
+    spells = simlab._simulate(sc, sc.n, seeds)
+    driver = _block_driver(spells, _block_sources(sc.system), None)
+    return simlab._Stack(make_system(sc.system), driver)
 
 
 def solo(kind, sc, seed):
@@ -158,7 +167,7 @@ def test_stacked_fits_equal_solo_fits(name):
         estimate_driver(simulate_dataset(replace(sc, seed=s)), kind) for s in range(5)
     ]
     assert len({driver.n_jumps for driver, _ in drivers}) > 1
-    stack = simlab._Stack(system, drivers)
+    stack = block_stack(sc, range(5))
     cov = stack.covariances()
     linear = system.jacobians is not None
     for r, (driver, meta) in enumerate(drivers):
@@ -192,13 +201,13 @@ def test_stacked_fits_equal_solo_fits(name):
         assert not stack.ok.any()
 
 
-def init_coverage(sc, oracle_step=None):
+def init_coverage(sc, oracle_step=None, grid_step=None):
     """Install the worker context of a coverage study of ``sc`` (headline
     component, level 0.9 at ``T_GRID``)."""
     comp = sc.system.headline_index
     truth = oracle_parameter(sc.hazards, sc.system, oracle_step).value_at(T_GRID)
     simlab._init_worker({
-        "scenario": sc, "grid_step": None, "component": comp,
+        "scenario": sc, "grid_step": grid_step, "component": comp,
         "measure": simlab._covered, "z": NormalDist().inv_cdf(0.95),
         "t_grid": T_GRID, "oracle_values": truth[:, comp],
     })
@@ -221,11 +230,12 @@ def test_failures_in_the_middle_of_a_block_leave_the_rest_alone():
     # The block's records: replication 4's lists the times and component of
     # the solo band's error.
     system = make_system(kind)
+    seeds = [simlab._child_seed(28, 0, j) for j in range(6)]
     drivers = [
         estimate_driver(simulate_dataset(replace(sc, seed=s, k_replications=1)), kind)
-        for s in (simlab._child_seed(28, 0, j) for j in range(6))
+        for s in seeds
     ]
-    stack = simlab._Stack(system, drivers)
+    stack = block_stack(sc, seeds)
     init_coverage(sc, ORACLE_STEP)
     simlab._covered(stack)
     with pytest.raises(NegativeVarianceError) as want:
@@ -247,10 +257,7 @@ def test_a_block_with_every_replication_failed(measure):
     # zero, which the suite's warning filter turns into an error.
     kind, _ = SYSTEMS["ler"]
     sc = scenario("ler", 12, 5, 5)
-    drivers = [
-        estimate_driver(simulate_dataset(replace(sc, seed=s)), kind) for s in range(5)
-    ]
-    stack = simlab._Stack(make_system(kind), drivers)
+    stack = block_stack(sc, range(5))
     assert not stack.ok.any()
     target = StepPath.from_values(np.array([0.5]), np.zeros((2, 1)), 1.0)
     simlab._init_worker({
@@ -333,32 +340,46 @@ def test_convergence_blocks_equal_solo_distances(name, target):
 
 
 @pytest.mark.parametrize(
-    "name,n,size",
+    "name,n,grid_step,size",
     [
-        ("relative_survival", 500, 8),
-        ("survival", 5000, 3),
-        ("survival", 20000, 1),
-        ("screening", 500, 1),
+        ("relative_survival", 500, None, 8),
+        ("survival", 5000, None, 3),
+        ("survival", 20000, None, 1),
+        ("screening", 500, None, 1),
+        ("rmst", 200, 1e-4, 1),
+    ],
+    ids=[
+        "relative_survival-500-8",
+        "survival-5000-3",
+        "survival-20000-1",
+        "screening-500-1",
+        "rmst-200-grid1e-4-1",
     ],
 )
-def test_one_block_working_set_stays_within_the_cap(name, n, size):
+def test_one_block_working_set_stays_within_the_cap(name, n, grid_step, size):
     # The bench coverage scenario (relative_survival, n 500) takes full
     # blocks; a one-component state at large n takes fewer replications per
     # block instead of holding more of its long paths, and screening, whose
     # covariance scan rebuilds its maps per driver component, runs alone.
-    # The traced peak of one block (draws, datasets, drivers, the stacked
-    # solve and the band) stays within 1.5 times the byte size of the study
-    # cap (0.88-0.95, 0.44, 0.61 and 0.43-0.46 times over seeds 1 to 5 when
-    # written; screening's block of 4 at n 500 reached 1.75).
+    # rmst's time slot gives each driver a row per grid step, so a fine grid
+    # counts like many subjects.  The traced peak of one block (draws,
+    # datasets, drivers, the stacked solve and the band) stays within 1.5
+    # times the byte size of the study cap (0.88-0.95, 0.44, 0.61, 0.43-0.46
+    # and 0.26-0.27 times over seeds 1 to 5 when written; screening's block
+    # of 4 at n 500 reached 1.75, and rmst's block of 8 at this grid 1.98).
     kind, hazards = SYSTEMS[name]
     sc = Scenario(system=kind, hazards=hazards, n=n, seed=1, k_replications=size)
-    assert simlab._block_size(kind, n) == size
-    init_coverage(sc)
-    seeds = [simlab._child_seed(1, 0, j) for j in range(size)]
-    simlab._replicate((0, n, seeds))  # warm caches (piece tables, vech tensor)
+    grid = 0 if grid_step is None else _driver_grid(sc.horizon, grid_step).size
+    assert simlab._block_size(kind, n, grid) == size
+    init_coverage(sc, grid_step=grid_step)
+    # The first block of a study of 8 replications, as the study cuts it.
+    seeds = [simlab._child_seed(1, 0, j) for j in range(8)]
+    block = simlab._blocks([(0, n, seeds)], simlab._CTX)[0]
+    assert block == (0, n, seeds[:size])
+    simlab._replicate(block)  # warm caches (piece tables, vech tensor)
     tracemalloc.start()
     try:
-        results = simlab._replicate((0, n, seeds))
+        results = simlab._replicate(block)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

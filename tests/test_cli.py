@@ -297,6 +297,19 @@ def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, case):
     assert key in err["message"]
 
 
+def test_unknown_hazard_config_key_is_a_config_error(tmp_path):
+    # A misspelt key of a hazard entry used to be dropped without a word.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"hazards": {"event": {**HAZARD, "rat": 2}}, "n": 10}))
+    proc = run_cli(
+        "simulate", "--config", path, "--seed", 1, "--out", tmp_path / "o", expect=1
+    )
+    err = error_payload(proc)
+    assert err["type"] == "ConfigError"
+    assert err["message"].endswith("constant hazard: rat")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [
@@ -308,9 +321,11 @@ def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, case):
         (["converge", "--target", "variance", "--n-list", 10, "--k", 1,
           "--bootstrap-b", 1], "bootstrap_b"),
         (["coverage", "--n", 10, "--k", 2, "--t-grid", ","], "t_grid"),
+        (["coverage", "--n", 10, "--k", 2, "--jobs", 0], "n_jobs"),
+        (["converge", "--n-list", 10, "--k", 1, "--jobs", -5], "n_jobs"),
     ],
     ids=["t-grid 5,-1", "t-grid past the horizon", "n-list 30.5", "n-list 0,50",
-         "n-list 20,20", "bootstrap-b 1", "t-grid ,"],
+         "n-list 20,20", "bootstrap-b 1", "t-grid ,", "jobs 0", "jobs -5"],
 )
 def test_study_flag_outside_its_domain_is_a_config_error(tmp_path, argv, key):
     proc = run_cli(

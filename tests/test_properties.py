@@ -45,7 +45,7 @@ from hazard_transform import events, paths
 from hazard_transform.hazards import _block_driver, _Spells
 from hazard_transform.simlab import _ResampleDrivers
 
-from helpers import at_risk, counting_path, solo_block, take_subjects
+from helpers import at_risk, counting_path, solo_block, take_subjects, union_merge
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -942,6 +942,58 @@ def test_merge_drivers_stacks_the_parts_on_the_union_of_times(parts):
     truncations = [m.truncation_time for _, m in parts]
     truncations = [t for t in truncations if t is not None]
     assert meta.truncation_time == (min(truncations) if truncations else None)
+
+
+#: Two parts on disjoint times, the second with two columns.
+DISJOINT_PARTS = [
+    (
+        StepPath([0.5, 2.0], [[1.0], [2.0]], [0.0], 2.0),
+        DriverMeta(3, ("a",), (False,)),
+    ),
+    (
+        StepPath([1.0], [[3.0, 4.0]], [0.0, 1.0], 2.0),
+        DriverMeta(1, ("b", "c"), (True, True)),
+    ),
+]
+
+
+@PROPERTY
+@given(parts=driver_parts())
+@example(parts=DISJOINT_PARTS)
+def check_merge_against_the_union1d_reference(seen, parts):
+    """Adds to ``seen`` the kinds of case met."""
+    paths_ = [path for path, _ in parts]
+    merged, _ = merge_drivers(parts)
+    times, increments = union_merge(paths_)
+    assert_bitwise(merged.times, times)
+    assert_bitwise(merged.increments, increments)
+    for path in paths_:
+        assert not np.shares_memory(merged.increments, path.increments)
+    every = np.concatenate([path.times for path in paths_])
+    if len(parts) == 1:
+        seen.add("single part")
+    if any(path.n_jumps == 0 for path in paths_):
+        seen.add("empty part")
+    if any(path.dimension > 1 for path in paths_):
+        seen.add("several columns")
+    if np.unique(every).size < every.size:
+        seen.add("shared times")
+    if len(parts) > 1 and np.unique(every).size == every.size > 0:
+        seen.add("disjoint times")
+
+
+def test_merge_drivers_equals_the_union1d_reference():
+    """``merge_drivers`` and the block kernel share one union; this checks it
+    against the merge it replaced, kept independent in ``helpers``."""
+    seen = set()
+    check_merge_against_the_union1d_reference(seen)
+    assert seen >= {
+        "single part",
+        "empty part",
+        "several columns",
+        "shared times",
+        "disjoint times",
+    }, seen
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,22 @@ class TestHazardSpecs:
         with pytest.raises(ConfigError, match="missing key"):
             hazard_from_config({"form": "constant", "rate": 1.0})
 
+    @pytest.mark.parametrize(
+        "cfg,unknown",
+        [
+            ({"form": "linear", "intercept": 1, "slope": 0, "horizon": 1, "slop": 2},
+             "slop"),
+            ({"form": "constant", "rate": 1, "horizon": 1, "slope": 0}, "slope"),
+            ({"form": "table", "times": [0], "rates": [1], "horizon": 1, "rate": 1,
+              "knots": [0]}, "knots, rate"),
+        ],
+    )
+    def test_config_key_the_form_does_not_write_rejected(self, cfg, unknown):
+        # A misspelt key used to be dropped without a word.
+        match = rf"unknown key\(s\) for a {cfg['form']} hazard: {unknown}$"
+        with pytest.raises(ConfigError, match=match):
+            hazard_from_config(cfg)
+
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
@@ -610,7 +626,7 @@ def test_a_rejected_replication_is_a_data_error_and_its_block_carries_on(
     monkeypatch.setattr(simlab, "_simulate", corrupt)
     results = []
     for size in (5, 1):
-        monkeypatch.setattr(simlab, "_block_size", lambda kind, n: size)
+        monkeypatch.setattr(simlab, "_block_size", lambda *args: size)
         if study == "coverage":
             results.append(coverage_study(sc, t_grid=[0.2, 0.5, 0.8]))
         else:
@@ -882,6 +898,23 @@ class TestStudies:
             l2_convergence(
                 survival_scenario(10, 1), [10], target="variance", bootstrap_b=b
             )
+
+    @pytest.mark.parametrize("n_jobs", [0, -3, 2.5, "2", True, None])
+    @pytest.mark.parametrize("study", ["coverage", "convergence"])
+    def test_bad_n_jobs_rejected_before_any_work(self, study, n_jobs, monkeypatch):
+        # 0 and -3 used to run serially without a word, and 2.5 and "2" to
+        # fail with a TypeError, 2.5 only after the oracle was solved.
+        def fail(*args, **kwargs):
+            pytest.fail("the study simulated or solved its oracle")
+
+        for name in ("_simulate", "_oracle_values", "oracle_parameter"):
+            monkeypatch.setattr(simlab, name, fail)
+        sc = survival_scenario(10, 1)
+        with pytest.raises(ConfigError, match="n_jobs must be an integer"):
+            if study == "coverage":
+                coverage_study(sc, n_jobs=n_jobs)
+            else:
+                l2_convergence(sc, [10], n_jobs=n_jobs)
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ConfigError, match="target"):
