@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ConfigError, HazardTransformError, _number, _numbers
 from .events import parse_dataset, write_dataset
-from .hazards import estimate_driver
+from .hazards import _check_grid_step, estimate_driver
 from .paths import restrict_path
 from .plugin import _write_fit, confidence_band, fit_plugin
 from .systems import SystemKind, driver_slots, make_system
@@ -260,6 +260,7 @@ def cmd_estimate(args):
         }
 
     dataset = parse_dataset(data_path, horizon=_setting(cfg, "horizon", args.horizon))
+    _check_grid_step(grid_step, dataset.horizon)
     driver, meta = estimate_driver(
         dataset,
         kind,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError, _number
 from .events import EventDataset
 from .paths import DriverMeta, StepPath, _run_ends, _union
 from .systems import SystemKind, driver_slots
@@ -97,8 +97,7 @@ class _Keys:
         if spells.rep is None:
             return cls(), spells.entry, spells.exit, grid
         times = np.concatenate([spells.entry, spells.exit, grid])
-        distinct, rank = np.unique(times, return_inverse=True)
-        rank = rank.reshape(-1)
+        distinct, rank = _ranks(times)
         n, size = spells.entry.size, distinct.size
         every = np.arange(spells.count)[:, None] * size
         return (
@@ -117,6 +116,20 @@ class _Keys:
         if self._distinct is None:
             return keys
         return self._distinct[keys % self._distinct.size]
+
+
+def _ranks(times):
+    """``np.unique(times, return_inverse=True)`` for NaN-free ``times``: the
+    sorted distinct times and each time's place among them, from one argsort
+    and a mask of where runs of ties start."""
+    order = np.argsort(times)
+    ordered = times[order]
+    start = np.empty(ordered.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    rank = np.empty(times.size, dtype=np.intp)
+    rank[order] = np.cumsum(start) - 1
+    return ordered[start], rank
 
 
 class _RiskSet:
@@ -426,6 +439,15 @@ def _grid_times(horizon: float, step: float, start: float = 0.0) -> np.ndarray:
     if not times.size or times[-1] < horizon:
         times = np.append(times, horizon)
     return times
+
+
+def _check_grid_step(grid_step, horizon: float) -> None:
+    """Raise :class:`ConfigError` unless ``grid_step`` is None or a number in
+    ``(0, horizon]``, a step :func:`_driver_grid` accepts."""
+    if grid_step is not None and not 0 < _number(grid_step, "grid_step") <= horizon:
+        raise ConfigError(
+            f"grid_step must satisfy 0 < grid_step <= {horizon:g}, got {grid_step!r}"
+        )
 
 
 def _driver_grid(horizon: float, grid_step=None) -> np.ndarray:

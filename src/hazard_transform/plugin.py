@@ -18,31 +18,39 @@ at a time, in column order.  Pointwise confidence intervals divide the
 diagonal by n and apply a normal quantile.
 
 The state has one kernel, ``_states``, shared by :func:`solve_plugin`, the
-stacked bootstrap and the blocks of study replications: it takes the
-increments of any batch of drivers and returns every state, leaving the
-guards to one check of the finished paths, ``ParameterSystem._guard_trips``,
-which gives each path the error of its earliest failing row.  Negative
-variances likewise have one check, ``_negative_variances``, shared by
-:func:`confidence_band` and the study blocks.  Linear systems carry a
-constant Jacobian tensor (``ParameterSystem.jacobians``, F(x)[:, j] = G_j
-x), and for them the state is the product integral
+stacked bootstrap, the blocks of study replications and the coverage
+oracle: it takes the increments of any batch of drivers and returns every
+state, leaving the guards to one check of the finished paths,
+``ParameterSystem._guard_trips``, which gives each path the error of its
+earliest failing row.  Negative variances likewise have one check,
+``_negative_variances``, shared by :func:`confidence_band` and the study
+blocks.
 
-    X_{tau_k} = (I + B_k) ... (I + B_1) X_0,    B_k = sum_j G_j dA^j_{tau_k},
+Every system but ``screening`` is triangular (``ParameterSystem._rows``):
+taken in a suitable order, each state row reads only earlier rows, or only
+itself, and ``_states`` solves it row by row over all jumps at once.  A row
+that reads only itself is a product limit
 
-of which Kaplan-Meier as the product integral of Nelson-Aalen is the
-one-dimensional case, solved by an associative scan (prefix compositions).
-Nonlinear systems (``ler``, ``screening``) step through the jumps once, the
-whole batch in each step.
+    X^i_{tau_k} = X^i_{tau_{k-1}} (1 + sum_j G_j[i,i] dA^j_{tau_k}),
+
+one ``np.multiply.accumulate``; the survival row is literally the
+product-limit estimator of Nelson-Aalen, the identity the method
+generalizes.  A row that never reads itself is the running sum of its
+integrand at the left limits, one ``np.add.accumulate``.  The coefficients
+are elementwise multiply-adds in column order, and both accumulations run
+sequentially along time, so a driver solved in a stack gets its solo states
+bit for bit, and so does a path solved in pieces.  Any other system steps
+through the jumps once, the whole batch in each step.
 
 The covariance has one solver for every system.  Given the solved states,
 each covariance step is an affine map of vech(V): the Jacobians at the left
 limits turn into vech maps, composed over the components in column order,
 plus n * vech(f f').  The maps are built for a block of ``SCAN_CHUNK`` jumps
 at a time from one batched evaluation of ``gradients`` and ``integrand`` and
-scanned like the product integral, the last value of a block carried into
-the next; ``_covariances`` does so for any batch of drivers.  Both scans cut
-time at the same ``SCAN_CHUNK`` rows whatever the batch, so a driver solved
-in a stack gets the states and covariances of its solo solve.
+scanned by prefix compositions, the last value of a block carried into the
+next; ``_covariances`` does so for any batch of drivers.  The scan cuts
+time at the same ``SCAN_CHUNK`` rows whatever the batch, and builds the maps
+of all batch entries in one evaluation.
 """
 
 from __future__ import annotations
@@ -71,14 +79,10 @@ __all__ = [
 ]
 
 
-#: Jumps per block of the scans.  Each block starts from the previous block's
-#: last value, so a scan's working memory is a few (SCAN_CHUNK, p, p) arrays
-#: whatever the path length.
+#: Jumps per block of the covariance scan.  Each block starts from the
+#: previous block's last value, so the scan's working memory is a few
+#: (SCAN_CHUNK, p, p) arrays whatever the path length.
 SCAN_CHUNK = 1024
-
-#: Most matrix entries of the blocks that the product-integral scan composes
-#: side by side (512 KB): several short blocks cost one pass of Python calls.
-_SIDE_BY_SIDE = 1 << 16
 
 
 def _prefix(elems, combine):
@@ -109,10 +113,6 @@ def _prefix(elems, combine):
     for e, p in zip(elems, sub):
         e[1::2] = p
     return elems
-
-
-def _compose_linear(later, earlier):
-    return (later[0] @ earlier[0],)
 
 
 def _compose_affine(later, earlier):
@@ -149,83 +149,58 @@ def _states(system: ParameterSystem, increments, x0, out=None) -> np.ndarray:
     """States ``X_k = X_{k-1} + F(X_{k-1}) dA_k`` from ``X_0 = x0``.
 
     ``increments`` has shape ``(m, *batch, k)``; the batch axes (bootstrap
-    resamples) ride along while time stays on axis 0.  Returns the
-    ``(m + 1, *batch, n)`` values, the first row ``x0``, written into ``out``
-    when given.  Guards are not checked: rows after a guard trip are computed
-    like any other, and the caller's ``ParameterSystem._guard_trips`` (or
-    ``check_guard_path``) call, which covers the initial state too, rejects
-    the path.
+    resamples, study replications) ride along while time stays on axis 0.
+    Returns the ``(m + 1, *batch, n)`` values, the first row ``x0``, written
+    into ``out`` when given.  A triangular system (``_rows``) is solved row by
+    row, any other one jump by jump.  Guards are not checked: rows after a
+    guard trip are computed like any other, and the caller's
+    ``ParameterSystem._guard_trips`` (or ``check_guard_path``) call, which
+    covers the initial state too, rejects the path.
     """
-    if system.jacobians is not None:
-        return _product_integral(system.jacobians, increments, x0, out)
     m, batch = increments.shape[0], increments.shape[1:-1]
     values = np.empty((m + 1, *batch, system.state_dim)) if out is None else out
     values[0] = x0
     with np.errstate(all="ignore"):
+        if system._rows is not None:
+            for i, terms in system._rows:
+                _solve_row(system, i, terms, increments, values)
+            return values
         for k in range(m):
             step = system.integrand(values[k]) @ increments[k, ..., None]
             values[k + 1] = values[k] + step[..., 0]
     return values
 
 
-def _product_integral(jac, increments, x, out=None, rows=None) -> np.ndarray:
-    """States ``X_k = (I + B_k) X_{k-1}``, ``B_k = sum_j G_j dA^j_k``, from
-    ``X_0 = x``, for the constant Jacobian tensor ``jac`` of shape (k, n, n).
+def _solve_row(system, i, terms, increments, values) -> None:
+    """Row ``i`` of ``values`` (its first entry set), in place, from its
+    ``ParameterSystem._rows`` terms: the product limit ``x_k = x_{k-1} (1 +
+    sum_j G_j[i,i] dA^j_k)`` when every term reads row ``i``, else the
+    running sum ``x_k = x_{k-1} + sum_j F_ij(x_{k-1}) dA^j_k`` of the
+    integrand at the left limits, whose rows are solved.
 
-    ``increments`` has shape ``(m, *batch, k)`` and ``x`` shape
-    ``(*batch, n)`` or ``(n,)``; the batch axes (bootstrap resamples, study
-    replications) ride along while time stays on axis 0.  Returns the
-    ``(m + 1, *batch, n)`` values, the first row ``x``, written into ``out``
-    when given.  With ``rows`` (indices into those values), returns only the
-    values at ``rows``: the products are composed as for every row, but
-    applied to the state only at the rows asked for and at each block's last
-    row, which carries into the next block.
-
-    Time is cut into blocks of ``SCAN_CHUNK`` rows, whatever the batch: each
-    stacked driver is cut at the rows its solo solve is cut at and composed
-    in the same order, so it gets its solo states bit for bit, and so do the
-    rows asked for.  Whole blocks are composed side by side, as one more
-    batch axis, up to ``_SIDE_BY_SIDE`` matrix entries at a time: a block's
-    products do not depend on the state carried into it.
-    """
-    k, n = jac.shape[0], jac.shape[1]
-    m, batch = increments.shape[0], increments.shape[1:-1]
-    if rows is None:
-        values = np.empty((m + 1, *batch, n)) if out is None else out
+    Each coefficient is an elementwise multiply-add in column order, and each
+    accumulation runs along time, one batch entry at a time: a stacked driver
+    gets its solo row bit for bit, and a path solved in pieces, each from the
+    last value of the one before, the row of the whole path."""
+    row, lefts = values[..., i], values[:-1]
+    product = terms is not None and all(l == i for _, l, _ in terms)
+    if terms is None:
+        f = system.integrand(lefts)[..., i, :]
+        coefficients = {j: f[..., j] for j in range(f.shape[-1])}
     else:
-        # Row 0, the rows asked for and each block's carry, in order.
-        need, back = np.unique(
-            np.concatenate([[0], rows, np.arange(SCAN_CHUNK, m, SCAN_CHUNK)]),
-            return_inverse=True,
-        )
-        values = np.empty((need.size, *batch, n))
-    values[0] = x
-    eye = np.eye(n)
-    cells = SCAN_CHUNK * int(np.prod(batch)) * n * n
-    group = SCAN_CHUNK * max(1, _SIDE_BY_SIDE // cells)
-    start = 0
-    while start < m:
-        stop = min(start + group, m)
-        if stop - start > SCAN_CHUNK:  # whole blocks only; a short last one alone
-            stop -= (stop - start) % SCAN_CHUNK
-        size = min(stop - start, SCAN_CHUNK)
-        da = increments[start:stop].reshape(-1, size, *increments.shape[1:])
-        steps = da.swapaxes(0, 1).reshape(-1, k) @ jac.reshape(k, n * n)
-        steps = steps.reshape(size, da.shape[0], *batch, n, n)
-        steps += eye
-        (products,) = _prefix((steps,), _compose_linear)
-        for c, lo in enumerate(range(start, stop, SCAN_CHUNK)):
-            hi = min(lo + SCAN_CHUNK, m)
-            if rows is None:
-                carry = values[lo, ..., None]
-                values[lo + 1 : hi + 1] = (products[:, c] @ carry)[..., 0]
-                continue
-            first, last = need.searchsorted([lo, hi], side="right")
-            carry = values[first - 1, ..., None]
-            chosen = products[need[first:last] - lo - 1, c]
-            values[first:last] = (chosen @ carry)[..., 0]
-        start = stop
-    return values if rows is None else values[back[1 : len(rows) + 1]]
+        coefficients = {}
+        for j, l, g in terms:
+            c = g if product else g * lefts[..., l]
+            coefficients[j] = coefficients[j] + c if j in coefficients else c
+    step = row[1:]
+    step[...] = 0.0
+    for j, c in coefficients.items():  # a sum row's c is scratch: reused
+        step += np.multiply(c, increments[..., j], out=None if product else c)
+    if product:
+        step += 1.0
+        np.multiply.accumulate(row, axis=0, out=row)
+    else:
+        np.add.accumulate(row, axis=0, out=row)
 
 
 def solve_variance(
@@ -280,9 +255,9 @@ def _covariances(system, lefts, increments, scale, stochastic, v0) -> np.ndarray
     k)``; ``scale`` is the sample-size scale, a number or one per batch
     entry, and ``stochastic`` is 1 for the driver components that carry
     sampling noise and 0 for time grids.  Returns the ``(m, *batch, n, n)``
-    covariances.  Like :func:`_product_integral`, the scan cuts time at the
-    same ``SCAN_CHUNK`` rows whatever the batch, and builds the maps of all
-    batch entries in one evaluation, so each entry gets its solo solve.
+    covariances.  The scan cuts time at the same ``SCAN_CHUNK`` rows
+    whatever the batch, and builds the maps of all batch entries in one
+    evaluation, so each entry gets its solo solve.
     """
     # Component j's update V -> V + (G_j V + V G_j') dA^j is a linear map of
     # vech(V) (upper triangle, p = n(n+1)/2 entries).  Each jump composes those

@@ -23,6 +23,7 @@ from .events import EventDataset
 from .hazards import (
     _block_driver,
     _block_sources,
+    _check_grid_step,
     _driver_grid,
     _events,
     _grid_times,
@@ -35,7 +36,6 @@ from .plugin import (
     SCAN_CHUNK,
     _covariances,
     _negative_variances,
-    _product_integral,
     _states,
     solve_plugin,
 )
@@ -676,25 +676,40 @@ def oracle_parameter(
     return solve_plugin(make_system(system), driver, x0_override=x0_override)
 
 
+#: Grid rows per piece of the coverage oracle's row solve: its working set
+#: stays a few such rows of increments and states whatever the grid.
+_ORACLE_ROWS = 1 << 13
+
+
 def _oracle_values(hazards, system: SystemKind, t_grid, fine_step=None):
     """``oracle_parameter(hazards, system, fine_step).value_at(t_grid)``.
 
-    A system without guards and with constant Jacobians (every linear
-    system) has nothing to check on the path, so its product integral is
-    solved only up to the last grid row ``t_grid`` reads, and applied to the
-    state only at the rows read: the same operands cut at the same
-    ``SCAN_CHUNK`` rows give the same values bit for bit.
+    A triangular system without guards (every linear one) has nothing to
+    check on the path, so it is solved only up to the last grid row
+    ``t_grid`` reads, ``_ORACLE_ROWS`` rows at a time, each piece from the
+    last state of the one before, keeping only the rows read.  Each row is
+    an accumulation along time, so the pieces give the whole path's values
+    bit for bit.
     """
     solver = make_system(system)
-    if solver.guards or solver.jacobians is None:
+    if solver.guards or solver._rows is None:
         return oracle_parameter(hazards, system, fine_step).value_at(t_grid)
     horizon = next(iter(hazards.values())).horizon
     step = horizon / 1e5 if fine_step is None else fine_step
     times = _grid_times(horizon, step)
     rows = times.searchsorted(t_grid, side="right")
-    increments = _oracle_increments(hazards, system, times[: rows.max()])
-    x0 = solver.initial_value
-    return _product_integral(solver.jacobians, increments, x0, rows=rows)
+    out = np.empty((rows.size, solver.state_dim))
+    x, start = solver.initial_value, 0.0
+    last = int(rows.max())
+    for lo in range(0, max(last, 1), _ORACLE_ROWS):
+        hi = min(lo + _ORACLE_ROWS, last)
+        piece = times[lo:hi]
+        values = _states(solver, _oracle_increments(hazards, system, piece, start), x)
+        read = (rows >= lo) & (rows <= hi)
+        out[read] = values[rows[read] - lo]
+        if piece.size:
+            x, start = values[-1], piece[-1]
+    return out
 
 
 def l2_distance(
@@ -766,20 +781,25 @@ _STUDY_CELLS = 1 << 19
 
 def _block_size(kind: SystemKind, n: int, grid: int = 0) -> int:
     """Replications per study block of ``n`` subjects whose drivers have
-    ``grid`` time-grid rows (0 without a time slot), fixed by the state size,
+    ``grid`` time-grid rows (0 without a time slot), fixed by the system,
     ``n`` and ``grid``: at most ``_STUDY_BLOCK``, and no more than fit in
-    ``_STUDY_CELLS`` at about ``(32 + dim^2) (n + grid)`` entries per
-    replication (draws, dataset, driver, stacked states and covariances; a
-    driver has a row per jump and per grid step) plus its ``SCAN_CHUNK``
-    rows of ``p x p`` covariance scan maps, ``p = dim(dim + 1)/2``: one such
-    array for constant Jacobians, and ``driver_dim + 1`` (the maps of each
-    component and their composition) for a system whose Jacobians depend on
-    the state.  A single replication past the cap runs alone."""
+    ``_STUDY_CELLS`` at about ``(32 + dim^2) n`` entries per replication for
+    its subjects (draws, dataset, driver, stacked states and covariances),
+    ``1 + k + dim + dim^2`` per grid row (its time, increments, state and
+    covariance), plus its ``SCAN_CHUNK`` rows of ``p x p`` covariance scan
+    maps, ``p = dim(dim + 1)/2``: one such array for constant Jacobians, and
+    ``driver_dim + 1`` (the maps of each component and their composition)
+    for a system whose Jacobians depend on the state.  A single replication
+    past the cap runs alone."""
     system = make_system(kind)
-    dim = system.state_dim
+    dim, k = system.state_dim, system.driver_dim
     p = dim * (dim + 1) // 2
-    maps = 1 if system.jacobians is not None else system.driver_dim + 1
-    per_replication = (32 + dim * dim) * (n + grid) + maps * SCAN_CHUNK * p * p
+    maps = 1 if system.jacobians is not None else k + 1
+    per_replication = (
+        (32 + dim * dim) * n
+        + (1 + k + dim + dim * dim) * grid
+        + maps * SCAN_CHUNK * p * p
+    )
     return max(1, min(_STUDY_BLOCK, _STUDY_CELLS // per_replication))
 
 
@@ -1037,6 +1057,7 @@ def l2_convergence(
         raise ConfigError(f"bootstrap_b must be an integer >= 2, got {bootstrap_b!r}")
     if _number(n_jobs, "n_jobs", integer=True) < 1:
         raise ConfigError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
+    _check_grid_step(grid_step, horizon)
     ref_n = 4 * max(n_list) if bootstrap_n is None else bootstrap_n
     if _number(ref_n, "bootstrap_n", integer=True) < least:
         raise ConfigError(f"bootstrap_n must be an integer >= {least}, got {ref_n!r}")
@@ -1144,14 +1165,15 @@ def coverage_study(
     under its error type, and the rest of its block carries on.
 
     The truth is the :func:`oracle_parameter` path at ``t_grid``.  For a
-    system without guards (every linear one) the oracle is solved only up to
-    the last grid row ``t_grid`` reads and evaluated only at the rows read,
-    which gives the same values bit for bit.
+    triangular system without guards (every linear one) the oracle is solved
+    only up to the last grid row ``t_grid`` reads, in pieces that keep only
+    the rows read, which gives the same values bit for bit.
     """
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be strictly between 0 and 1")
     if _number(n_jobs, "n_jobs", integer=True) < 1:
         raise ConfigError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
+    _check_grid_step(grid_step, sc.horizon)
     kind = sc.system
     comp = _component(kind, component)
     horizon = sc.horizon
@@ -1214,10 +1236,8 @@ def coverage_study(
     )
 
 
-#: Cap on the grid rows times resamples of one block of bootstrap resamples,
-#: and on the matrix entries of one ``SCAN_CHUNK``-row time block of its
-#: product-integral scan: a block's stacked driver, states and scan take a
-#: few MB whatever ``b`` is.
+#: Cap on the grid rows times resamples of one block of bootstrap resamples:
+#: a block's stacked driver and states take a few MB whatever ``b`` is.
 _BOOTSTRAP_ROWS = 1 << 15
 
 
@@ -1333,13 +1353,13 @@ def bootstrap_covariance(
     ``nelson_aalen``'s own risk-set kernel with those counts as weights, on
     the original fit's jump grid, with zero increments where the resample
     has no jump or is frozen.  A block of resamples is then solved at once,
-    stacked, by the plugin state kernel: one product-integral scan for a
-    linear system, one step per grid row for a nonlinear one.  A block holds
-    about ``_BOOTSTRAP_ROWS`` grid rows, and its scan about as many matrix
-    entries per time block, so memory stays near the ``(len(times),
-    state_dim, b)`` array of the deltas.  The results agree
-    with refitting each resample on its own jump times to rounding, and
-    exactly for a nonlinear system, whose zero steps change nothing.  Each
+    stacked, by the plugin state kernel: row by row for a triangular system
+    (every one but ``screening``), one step per grid row otherwise.  A block
+    holds about ``_BOOTSTRAP_ROWS`` grid rows, so memory stays near the
+    ``(len(times), state_dim, b)`` array of the deltas, and the results do
+    not depend on the block size.  A zero increment is an identity step of
+    both solvers (a factor of one, or a sum of zero), so the results are
+    exactly those of refitting each resample on its own jump times.  Each
     block's paths get one batched guard check, which gives every resample
     the :class:`GuardViolation` of its earliest failing row; the block's
     lowest-numbered tripping resample is raised, its message naming it
@@ -1348,6 +1368,7 @@ def bootstrap_covariance(
     """
     if b < 2:
         raise ValueError("bootstrap needs b >= 2 replicates")
+    _check_grid_step(grid_step, ds.horizon)
     if isinstance(kind, str):
         kind = SystemKind(name=kind)
     driver, meta = estimate_driver(
@@ -1368,12 +1389,13 @@ def bootstrap_covariance(
     values = np.empty((m + 1, system.state_dim, b))
     states = values.transpose(0, 2, 1)
     draws = _draws(ds, seed, b)
-    scan = min(m, SCAN_CHUNK) * system.state_dim**2
-    block = max(1, _BOOTSTRAP_ROWS // max(m + 1, scan))
+    block = max(1, _BOOTSTRAP_ROWS // (m + 1))
     for lo in range(0, b, block):
         hi = min(lo + block, b)
+        # Freed before the next block's increments are built.
         incr = stack.increments(draws, lo, hi - lo)
         _states(system, incr, system.initial_value, out=states[:, lo:hi])
+        del incr
         trips = system._guard_trips(times[:, None], states[1:, lo:hi])
         for r, err in enumerate(trips, start=lo):
             if err is not None:

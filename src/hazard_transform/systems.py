@@ -13,6 +13,14 @@ mean frequency of recurrent events, and screening-test accuracy.  Six of them
 are linear, ``F(x)[:, j] = G_j x`` with constant ``G_j``, and are given as
 data: the tensor of the ``G_j``.
 
+Every system but ``screening`` is triangular: in a suitable order each state
+row reads only earlier rows, or only itself.  A row that reads only itself
+is a product limit, ``x_i,k = x_i,k-1 (1 + sum_j G_j[i,i] dA^j_k)``, and a
+row that never reads itself a running sum of its integrand at the left
+limits.  For a linear system the order and the kinds come from the
+Jacobian tensor; ``ler`` declares them.  The plugin solver then solves the
+state row by row instead of jump by jump.
+
 States that appear in denominators carry guard bounds; solving below a guard
 raises :class:`~hazard_transform.errors.GuardViolation` rather than clamping.
 """
@@ -97,8 +105,15 @@ class ParameterSystem:
     once, and the state kernel steps a stack of bootstrap resamples.
 
     ``jacobians`` is set, with shape ``(k, n, n)``, exactly when the system is
-    linear with constant Jacobians (``F(x)[:, j] = jacobians[j] @ x``); the
-    plugin solver then solves the state by the product-integral scan.
+    linear with constant Jacobians (``F(x)[:, j] = jacobians[j] @ x``).
+
+    ``_rows`` is set when the system is triangular: its rows in solving
+    order, each ``(i, terms)``.  ``terms`` lists the nonzero Jacobian entries
+    ``(j, l, G_j[i, l])`` of row ``i`` in column order: all with ``l == i``
+    for a product row, none for a sum row.  A sum row of a nonlinear
+    integrand has ``terms`` None and reads its integrand row, which may read
+    only rows solved before it.  The plugin solver then solves the state row
+    by row; without ``_rows`` it steps through the jumps.
     """
 
     name: str
@@ -109,6 +124,7 @@ class ParameterSystem:
     gradients: tuple[Callable[[np.ndarray], np.ndarray], ...]
     guards: tuple[tuple[int, float], ...] = ()
     jacobians: np.ndarray | None = None
+    _rows: tuple[tuple[int, tuple | None], ...] | None = None
 
     @property
     def state_dim(self) -> int:
@@ -185,9 +201,9 @@ def _linear(
 ) -> ParameterSystem:
     """Linear system ``F(x)[:, j] = G_j x`` from the nonzero entries of each G_j.
 
-    The Jacobians are constant, so the integrand and the per-column gradients
-    are read off the tensor and the plugin solver may use the product-integral
-    scan instead of the per-jump loop.
+    The Jacobians are constant, so the integrand, the per-column gradients and
+    the rows in solving order (:func:`_triangular_rows`) are read off the
+    tensor.
     """
     n, k = len(state_labels), len(columns)
     jacobians = np.zeros((k, n, n))
@@ -206,7 +222,35 @@ def _linear(
         integrand=lambda x: (x @ by_state).reshape(*x.shape[:-1], n, k),
         gradients=tuple((lambda x, g=g: g) for g in jacobians),
         jacobians=jacobians,
+        _rows=_triangular_rows(jacobians),
     )
+
+
+def _triangular_rows(jacobians: np.ndarray):
+    """The rows of the linear system with Jacobian tensor ``jacobians`` in
+    solving order, as ``ParameterSystem._rows``, or None when it is not
+    triangular: when its off-diagonal pattern has a cycle, or a row reads
+    both itself and another row.
+
+    A topological sort: each pass takes, in index order, the rows whose
+    other reads are all solved.  Python lists, not arrays: the tensor is a
+    few entries, and this runs with every :func:`make_system`."""
+    k, n, _ = jacobians.shape
+    tensor = jacobians.tolist()
+    terms = [
+        tuple((j, l, g) for j in range(k) for l, g in enumerate(tensor[j][i]) if g)
+        for i in range(n)
+    ]
+    reads = [{l for _, l, _ in row} for row in terms]
+    if any(i in r and len(r) > 1 for i, r in enumerate(reads)):
+        return None
+    order: list[int] = []
+    while len(order) < n:
+        ready = [i for i in range(n) if i not in order and reads[i] - {i} <= set(order)]
+        if not ready:
+            return None
+        order += ready
+    return tuple((i, terms[i]) for i in order)
 
 
 def _survival(kind: SystemKind) -> ParameterSystem:
@@ -288,6 +332,15 @@ def _ler(kind: SystemKind) -> ParameterSystem:
         integrand=integrand,
         gradients=(grad_time, lambda x: g2, lambda x: g3),
         guards=((4, GUARD_EPS),),
+        # S1 and S2 are product limits, R1 and R2 their time integrals, and
+        # the ratio row the running sum of its integrand.
+        _rows=(
+            (1, ((1, 1, -1.0),)),
+            (2, ((2, 2, -1.0),)),
+            (3, ((0, 1, 1.0),)),
+            (4, ((0, 2, 1.0),)),
+            (0, None),
+        ),
     )
 
 

@@ -10,6 +10,7 @@ fit raises while the rest of its block carries on.
 """
 
 import tracemalloc
+from contextlib import nullcontext
 from dataclasses import replace
 from statistics import NormalDist
 from unittest import mock
@@ -39,6 +40,7 @@ from hazard_transform import (
     simulate_dataset,
     solve_plugin,
     solve_variance,
+    write_study,
 )
 from hazard_transform import simlab
 from hazard_transform.hazards import _block_driver, _block_sources, _driver_grid
@@ -339,6 +341,54 @@ def test_convergence_blocks_equal_solo_distances(name, target):
             assert np.isnan(L)
 
 
+@pytest.mark.parametrize("study", ["coverage", "estimate", "variance"])
+@pytest.mark.parametrize("name", ["rmst", "mean_frequency"])
+def test_study_artifacts_do_not_depend_on_the_block_size(name, study, tmp_path):
+    # rmst on a fine time grid (a driver row per grid step) and
+    # mean_frequency: blocks of 1, of 2 and of the study's own size write
+    # the same bytes.
+    sc = scenario(name, 30, 5, 4)
+    grid_step = 0.01 if name == "rmst" else None
+    files = []
+    for size in (1, 2, None):
+        with blocks_of(size) if size else nullcontext():
+            if study == "coverage":
+                res = coverage_study(
+                    sc, LEVEL, T_GRID, grid_step=grid_step, oracle_step=ORACLE_STEP
+                )
+            else:
+                res = l2_convergence(
+                    sc, [20, 30], target=study, grid_step=grid_step,
+                    oracle_step=ORACLE_STEP, bootstrap_n=60, bootstrap_b=10,
+                )
+        base = tmp_path / f"blocks{size}"
+        write_study(res, base)
+        files.append([base.with_suffix(ext).read_bytes() for ext in (".csv", ".json")])
+    assert files[0] == files[1] == files[2]
+
+
+@pytest.mark.parametrize("name", ["mean_frequency", "rmst", "ler", "screening"])
+def test_bootstrap_covariance_does_not_depend_on_the_block_size(name):
+    # Blocks of one resample, of five and of all twelve.  ler starts off
+    # its guard, as a bootstrap of its natural baseline would trip at 0; the
+    # screening sample of seed 4 trips none.
+    kind, _ = SYSTEMS[name]
+    ds = simulate_dataset(scenario(name, 40, 1, 4))
+    driver, _ = estimate_driver(ds, kind)
+    rows = simlab._ResampleDrivers(ds, kind, driver).times.size + 1
+    system = make_system(kind)
+    if name == "ler":
+        system = replace(system, initial_value=np.array([1.0, 1.0, 1.0, 0.1, 0.1]))
+    got = []
+    for size in (1, 5, 12):
+        with mock.patch.object(simlab, "_BOOTSTRAP_ROWS", size * rows), \
+                mock.patch.object(simlab, "make_system", lambda kind: system):
+            got.append(bootstrap_covariance(ds, kind, b=12, seed=3))
+    for times, cov in got[1:]:
+        assert times.tobytes() == got[0][0].tobytes()
+        assert cov.tobytes() == got[0][1].tobytes()
+
+
 @pytest.mark.parametrize(
     "name,n,grid_step,size",
     [
@@ -346,14 +396,14 @@ def test_convergence_blocks_equal_solo_distances(name, target):
         ("survival", 5000, None, 3),
         ("survival", 20000, None, 1),
         ("screening", 500, None, 1),
-        ("rmst", 200, 1e-4, 1),
+        ("rmst", 200, 1e-4, 4),
     ],
     ids=[
         "relative_survival-500-8",
         "survival-5000-3",
         "survival-20000-1",
         "screening-500-1",
-        "rmst-200-grid1e-4-1",
+        "rmst-200-grid1e-4-4",
     ],
 )
 def test_one_block_working_set_stays_within_the_cap(name, n, grid_step, size):
@@ -361,12 +411,14 @@ def test_one_block_working_set_stays_within_the_cap(name, n, grid_step, size):
     # blocks; a one-component state at large n takes fewer replications per
     # block instead of holding more of its long paths, and screening, whose
     # covariance scan rebuilds its maps per driver component, runs alone.
-    # rmst's time slot gives each driver a row per grid step, so a fine grid
-    # counts like many subjects.  The traced peak of one block (draws,
-    # datasets, drivers, the stacked solve and the band) stays within 1.5
-    # times the byte size of the study cap (0.88-0.95, 0.44, 0.61, 0.43-0.46
-    # and 0.26-0.27 times over seeds 1 to 5 when written; screening's block
-    # of 4 at n 500 reached 1.75, and rmst's block of 8 at this grid 1.98).
+    # rmst's time slot gives each driver a row per grid step, which is
+    # charged its own rate, so a fine grid takes fewer replications per
+    # block without running them alone.  The traced peak of one block
+    # (draws, datasets, drivers, the stacked solve and the band) stays
+    # within 1.5 times the byte size of the study cap (0.67-0.72, 0.49,
+    # 0.66, 0.38-0.40 and 1.00 times over seeds 1 to 5 when written;
+    # screening's block of 4 at n 500 reached 1.75, and rmst's block of 8
+    # at this grid 1.98).
     kind, hazards = SYSTEMS[name]
     sc = Scenario(system=kind, hazards=hazards, n=n, seed=1, k_replications=size)
     grid = 0 if grid_step is None else _driver_grid(sc.horizon, grid_step).size

@@ -369,6 +369,31 @@ def test_two_group_study_with_one_subject_is_a_config_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("grid_step", [-1, 0, 2.5])
+def test_bad_grid_step_is_a_config_error_before_the_driver(
+    tmp_path, grid_step, monkeypatch, capsys
+):
+    # The dataset's horizon is 2; the step used to be a ValueError from the
+    # time grid, raised while the driver was built.
+    from hazard_transform import cli
+
+    data = tmp_path / "d.csv"
+    data.write_text("id,entry,exit,event\na,0,1,1\nb,0,2,0\n")
+    monkeypatch.setattr(cli, "estimate_driver", lambda *a, **k: pytest.fail("built"))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([
+            "estimate", "--system", "rmst", "--data", str(data),
+            "--grid-step", str(grid_step), "--out", str(tmp_path / "o"),
+        ])
+    assert exit_.value.code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"] == (
+        f"grid_step must satisfy 0 < grid_step <= 2, got {float(grid_step)!r}"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_has_no_grid_step_flag(tmp_path):
     proc = run_cli(
         "simulate", "--hazard", "constant:1", "--n", 10, "--seed", 1,

@@ -350,16 +350,11 @@ def assert_bootstrap_equal(ds, kind, b, seed, time_grid=None, grid_step=None):
     )
     want = reference_bootstrap(ds, kind, b, seed, time_grid, grid_step)
     np.testing.assert_array_equal(got[0], want[0])
-    if make_system(kind).jacobians is None:
-        # Jump by jump, an identity step changes nothing: exact.
-        np.testing.assert_array_equal(got[1], want[1])
-        return
-    # The stacked scan composes identity steps where a resample has no
-    # jump, which moves the products at rounding level.
+    # Where a resample has no jump its stacked driver has a zero increment,
+    # an identity step row by row (a factor of one, a sum of zero) and jump
+    # by jump: exact.
     assert_stacked_drivers_match(ds, kind, b, seed, grid_step)
-    np.testing.assert_allclose(
-        got[1], want[1], rtol=0, atol=1e-12 * np.abs(want[1]).max()
-    )
+    np.testing.assert_array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize(

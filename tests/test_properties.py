@@ -42,7 +42,7 @@ from hazard_transform import (
     write_path,
 )
 from hazard_transform import events, paths
-from hazard_transform.hazards import _block_driver, _Spells
+from hazard_transform.hazards import _block_driver, _ranks, _Spells
 from hazard_transform.simlab import _ResampleDrivers
 
 from helpers import at_risk, counting_path, solo_block, take_subjects, union_merge
@@ -592,6 +592,21 @@ def test_block_drivers_equal_the_per_replication_drivers():
         "eventless group",
         "freeze in one",
     }, seen
+
+
+#: Block times: entries at 0 (both signs), ties, grid-like steps and spread.
+RANK_TIMES = st.sampled_from([0.0, -0.0, 0.1, 0.25, 1 / 3, 1.5]) | st.floats(0.0, 3.0)
+
+
+@PROPERTY
+@given(st.lists(RANK_TIMES, max_size=40))
+def test_time_ranks_are_the_unique_inverse(times):
+    """The block kernel's time ranks are bitwise what ``np.unique`` gives."""
+    times = np.array(times, dtype=float)
+    distinct, rank = _ranks(times)
+    want_distinct, want_rank = np.unique(times, return_inverse=True)
+    assert_bitwise(distinct, want_distinct)
+    assert_bitwise(rank, want_rank)
 
 
 def reference_validation_error(records):

@@ -1,13 +1,14 @@
 """The scans against per-jump loops, on random drivers that have ties across
 components, zero increments and time grids.
 
-State: the package has one kernel, ``plugin._states``, which scans the
-product integral of a linear system and steps a nonlinear one through the
-jumps with any batch of states stacked.  ``loop_states`` below is the
-jump-by-jump reference for both; a linear system with ``jacobians=None`` takes
-the stepping branch, so the same system is solved both ways.  Covariance: the
-package has one solver, the vech scan, for every system; ``loop_variance``
-below is its jump-by-jump reference.
+State: the package has one kernel, ``plugin._states``, which solves a
+triangular system (the six linear ones and ``ler``) row by row, each row a
+product limit or a running sum, and steps any other one through the jumps,
+with any batch of states stacked.  ``loop_states`` below is the jump-by-jump
+reference for both; :func:`stepped` drops a system's Jacobian tensor and row
+declaration, which sends it down the stepping branch, so the same system is
+solved both ways.  Covariance: the package has one solver, the vech scan,
+for every system; ``loop_variance`` below is its jump-by-jump reference.
 """
 
 import os
@@ -141,6 +142,12 @@ def loop_variance(system, driver, meta, state, v0):
     return out
 
 
+def stepped(system):
+    """``system`` without its Jacobian tensor and row declaration: the state
+    kernel steps it jump by jump."""
+    return replace(system, jacobians=None, _rows=None)
+
+
 def interior_x0(system, rng):
     # ler's baseline R1 = R2 = 0 sits on its guard; move every start inside.
     return system.initial_value + rng.uniform(0.0, 0.2, size=system.state_dim)
@@ -156,7 +163,7 @@ def assert_close(scan, loop):
 def test_scan_matches_loop(kind, m):
     rng = np.random.default_rng([m, len(kind.name)])
     scan_system = make_system(kind)
-    step_system = replace(scan_system, jacobians=None)
+    step_system = stepped(scan_system)
     driver, meta = random_driver(kind, m, rng)
     n = scan_system.state_dim
     x0 = interior_x0(scan_system, rng)
@@ -183,6 +190,103 @@ def test_scan_matches_loop(kind, m):
     assert_close(scan_cov, loop_cov)
 
 
+#: The systems the row solver takes: the six linear ones and ler.
+ROW_KINDS = LINEAR_KINDS + [NONLINEAR_KINDS[0]]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    kind=st.sampled_from(ROW_KINDS),
+    m=st.integers(0, 60),
+    batch=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    zero=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind=SystemKind("survival"), m=5, batch=(2,), zero=True, seed=1)
+@example(kind=NONLINEAR_KINDS[0], m=40, batch=(3, 2), zero=True, seed=2)
+def test_row_solver_matches_the_loop(kind, m, batch, zero, seed):
+    # Each batch entry has its own driver (hazard ties, zero rows and an
+    # exact time grid for each time slot) and its own start.  With ``zero``,
+    # one hazard increment of the last row is 1: the last subject's risk set
+    # fails at once, and a product row reading that hazard alone steps to
+    # exactly 0.  The row solver agrees with the loop under the scan rule,
+    # and an entry solved in the stack gets its solo states bit for bit.
+    system = make_system(kind)
+    rng = np.random.default_rng(seed)
+    entries = list(np.ndindex(batch))
+    drivers = [random_driver(kind, m, rng)[0] for _ in entries]
+    starts = [interior_x0(system, rng) for _ in entries]
+    hazard = [j for j, slot in enumerate(driver_slots(kind)) if not slot.deterministic]
+    if zero and m:
+        for driver in drivers:
+            driver.increments[-1, rng.choice(hazard)] = 1.0
+    increments = np.stack([d.increments for d in drivers], axis=1)
+    increments = increments.reshape(m, *batch, system.driver_dim)
+    x0 = np.reshape(starts, (*batch, system.state_dim))
+    stacked = plugin._states(system, increments, x0)
+    assert stacked.shape == (m + 1, *batch, system.state_dim)
+    for e, driver, start in zip(entries, drivers, starts):
+        solo = plugin._states(system, driver.increments, start)
+        assert_bitwise(stacked[(slice(None), *e)], solo)
+        assert_close(solo, loop_states(system, driver, start))
+
+
+def test_a_failed_risk_set_zeroes_the_product_row():
+    # Kaplan-Meier as the product limit: the hazards of the second jump sum
+    # to 1 (the last subject's risk set fails), so 1 - dA = 0 there and every
+    # survival row from it on is exactly 0, as jump by jump.
+    for kind in (SystemKind("survival"), SystemKind("cumulative_incidence", n_causes=3)):
+        system = make_system(kind)
+        k = system.driver_dim
+        increments = np.full((4, k), 0.25)
+        increments[1, 0] = 1.0 - 0.25 * (k - 1)
+        driver = StepPath(np.arange(1.0, 5.0), increments, np.zeros(k), 5.0)
+        states = plugin._states(system, increments, system.initial_value)
+        loop = loop_states(system, driver, system.initial_value)
+        np.testing.assert_array_equal(states[2:, 0], 0.0)
+        np.testing.assert_array_equal(loop[2:, 0], 0.0)
+        assert_close(states, loop)
+
+
+def ler_driver(m, overshoot):
+    """ler on ``m`` unit-spaced jumps of the time grid with hazard 2 at
+    ``overshoot`` at the third jump: S2 falls to ``1 - overshoot``."""
+    times = np.arange(1, m + 1) / m
+    increments = np.zeros((m, 3))
+    increments[:, 0] = 1.0 / m
+    increments[:, 1] = 0.01
+    increments[2, 2] = overshoot
+    return StepPath(times, increments, np.zeros(3), horizon=1.0)
+
+
+@pytest.mark.parametrize("r2", [0.0, 0.05])
+def test_ler_guard_trip_matches_the_loop(r2):
+    # From R2 = 0 the path trips at time 0.  From 0.05, S2 overshoots to -2
+    # at the third jump and R2, its running integral, falls through the
+    # guard three jumps later.  The row solver reports the loop's trip, alone
+    # and in a stack beside a clean path, without a warning.
+    system = make_system("ler")
+    x0 = np.array([1.0, 1.0, 1.0, 0.05, r2])
+    driver = ler_driver(40, 3.0)
+    with pytest.raises(GuardViolation) as want:
+        loop_states(system, driver, x0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GuardViolation) as got:
+            solve_plugin(system, driver, x0_override=x0)
+        clean = ler_driver(40, 0.5)
+        increments = np.stack([clean.increments, driver.increments], axis=1)
+        states = plugin._states(system, increments, np.stack([x0 + 0.1, x0]))
+    times = np.concatenate([[0.0], driver.times])
+    trips = system._guard_trips(times[:, None], states)
+    trip = (want.value.component, want.value.time)
+    assert trip == ("rmst_2", 0.0 if r2 == 0.0 else driver.times[5])
+    assert (got.value.component, got.value.time) == trip
+    assert trips[0] is None
+    assert (trips[1].component, trips[1].time) == trip
+    assert type(trips[1]) is type(got.value) is GuardViolation
+
+
 def test_nearly_symmetric_v0_is_rejected_by_both_solvers():
     # A 4e-6 asymmetry passes np.allclose's default rtol; the scan reads only
     # the upper triangle while a jump-by-jump recursion carries the asymmetry,
@@ -192,7 +296,7 @@ def test_nearly_symmetric_v0_is_rejected_by_both_solvers():
     driver, meta = random_driver(kind, 10, np.random.default_rng(3))
     v0 = [[1.0, 0.5], [0.5 + 4e-6, 1.0]]
     scan_system = make_system(kind)
-    for system in (scan_system, replace(scan_system, jacobians=None)):
+    for system in (scan_system, stepped(scan_system)):
         state = solve_plugin(system, driver)
         with pytest.raises(ValueError, match="v0 must be a symmetric n x n matrix"):
             solve_variance(system, driver, meta, state, v0=v0)
@@ -203,34 +307,44 @@ def test_nearly_symmetric_v0_is_rejected_by_both_solvers():
 
 
 def test_solver_choice_follows_the_jacobian_tensor(monkeypatch):
-    # The tensor picks the state kernel's branch and nothing else: the
-    # covariance is the same computation with or without it.
-    calls = []
-    scan = plugin._product_integral
+    # The six linear systems take the row solver with rows derived from
+    # their tensor, ler with its declared rows, and screening steps.  The
+    # tensor and the rows pick the state kernel's branch and nothing else:
+    # the covariance is the same computation without them.
+    solved = []
+    solve_row = plugin._solve_row
     monkeypatch.setattr(
-        plugin, "_product_integral", lambda *a: calls.append(a) or scan(*a)
+        plugin, "_solve_row", lambda s, i, *a: solved.append(i) or solve_row(s, i, *a)
     )
+    rows = {
+        "survival": [0],
+        "relative_survival": [0, 1, 2],
+        "rmst": [1, 0],
+        "led": [1, 2, 0],
+        "ler": [1, 2, 3, 4, 0],
+        "cumulative_incidence": [0, 1, 2, 3],
+        "mean_frequency": [1, 0],
+        "screening": [],
+    }
     rng = np.random.default_rng(11)
     for kind in KINDS:
         system = make_system(kind)
-        linear = kind in LINEAR_KINDS
         k, n = system.driver_dim, system.state_dim
-        if linear:
+        if kind in LINEAR_KINDS:
             assert system.jacobians.shape == (k, n, n)
             assert not system.jacobians.flags.writeable
         else:
             assert system.jacobians is None
         driver, meta = random_driver(kind, 50, rng)
         x0 = interior_x0(system, rng)
-        calls.clear()
+        solved.clear()
         state = solve_plugin(system, driver, x0_override=x0)
-        assert len(calls) == linear
-        untensored = replace(system, jacobians=None)
-        calls.clear()
-        solve_plugin(untensored, driver, x0_override=x0)
-        assert not calls
+        assert solved == rows[kind.name]
+        solved.clear()
+        solve_plugin(stepped(system), driver, x0_override=x0)
+        assert not solved
         np.testing.assert_array_equal(
-            solve_variance(untensored, driver, meta, state),
+            solve_variance(stepped(system), driver, meta, state),
             solve_variance(system, driver, meta, state),
         )
 
@@ -271,7 +385,7 @@ def test_guard_violation_is_raised_at_the_first_failing_time(m):
     # A guarded linear system: survival may not fall to 0.5.  Both branches
     # of the state kernel must stop where the loop does, with its component.
     scan_system = replace(make_system("survival"), guards=((0, 0.5),))
-    step_system = replace(scan_system, jacobians=None)
+    step_system = stepped(scan_system)
     times = np.arange(1, m + 1) / m
     increments = np.full((m, 1), 1.5 / m)
     driver = StepPath(times, increments, np.zeros(1), horizon=1.0)

@@ -518,10 +518,11 @@ LINEAR_SCENARIOS = {
 def test_coverage_truth_is_the_oracle_path_bit_for_bit(
     name, oracle_step, t_grid, monkeypatch
 ):
-    # The study solves the oracle only at the rows t_grid reads, through
-    # many side-by-side SCAN_CHUNK blocks at the default step: its truth is
-    # still the whole path's value, with t = 0 (the initial state), the
-    # horizon (the last row) and a repeated time.
+    # The study solves the oracle only up to the last row t_grid reads, in
+    # pieces of _ORACLE_ROWS rows (up to 13 at the default step), keeping
+    # only the rows read: its truth is still the whole path's value, with
+    # t = 0 (the initial state), the horizon (the last row) and a repeated
+    # time.
     kind, hazards = LINEAR_SCENARIOS[name]
     system = make_system(kind)
     assert system.jacobians is not None and not system.guards
@@ -915,6 +916,33 @@ class TestStudies:
                 coverage_study(sc, n_jobs=n_jobs)
             else:
                 l2_convergence(sc, [10], n_jobs=n_jobs)
+
+    @pytest.mark.parametrize("grid_step", [0, -1, 1.5, float("nan"), "0.1", True])
+    @pytest.mark.parametrize("study", ["coverage", "convergence", "bootstrap"])
+    def test_bad_grid_step_rejected_before_any_work(
+        self, study, grid_step, monkeypatch
+    ):
+        # Out of (0, horizon] the step used to be a ValueError from the time
+        # grid, raised only after the oracle was solved (or the bootstrap's
+        # base driver built); rmst has a time slot, so its grid reads it.
+        def fail(*args, **kwargs):
+            pytest.fail("the study simulated, built a driver or solved its oracle")
+
+        for name in ("_simulate", "_oracle_values", "oracle_parameter"):
+            monkeypatch.setattr(simlab, name, fail)
+        monkeypatch.setattr(simlab, "estimate_driver", fail)
+        sc = Scenario(
+            system=SystemKind("rmst"), hazards={"event": ConstantHazard(1.0, 1.0)},
+            n=10, seed=1, k_replications=1,
+        )
+        with pytest.raises(ConfigError, match="grid_step must"):
+            if study == "coverage":
+                coverage_study(sc, grid_step=grid_step)
+            elif study == "convergence":
+                l2_convergence(sc, [10], grid_step=grid_step)
+            else:
+                ds = EventDataset.from_columns([0, 1], [0, 0], [0.5, 1.0], [1, 0], 1.0)
+                bootstrap_covariance(ds, sc.system, b=2, seed=1, grid_step=grid_step)
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ConfigError, match="target"):
