@@ -441,12 +441,13 @@ def _grid_times(horizon: float, step: float, start: float = 0.0) -> np.ndarray:
     return times
 
 
-def _check_grid_step(grid_step, horizon: float) -> None:
-    """Raise :class:`ConfigError` unless ``grid_step`` is None or a number in
-    ``(0, horizon]``, a step :func:`_driver_grid` accepts."""
-    if grid_step is not None and not 0 < _number(grid_step, "grid_step") <= horizon:
+def _check_grid_step(grid_step, horizon: float, name: str = "grid_step") -> None:
+    """Raise :class:`ConfigError` unless ``grid_step`` (the setting ``name``)
+    is None or a number in ``(0, horizon]``, a step :func:`_grid_times`
+    accepts."""
+    if grid_step is not None and not 0 < _number(grid_step, name) <= horizon:
         raise ConfigError(
-            f"grid_step must satisfy 0 < grid_step <= {horizon:g}, got {grid_step!r}"
+            f"{name} must satisfy 0 < {name} <= {horizon:g}, got {grid_step!r}"
         )
 
 

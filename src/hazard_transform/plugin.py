@@ -42,22 +42,28 @@ sequentially along time, so a driver solved in a stack gets its solo states
 bit for bit, and so does a path solved in pieces.  Any other system steps
 through the jumps once, the whole batch in each step.
 
-The covariance has one solver for every system.  Given the solved states,
-each covariance step is an affine map of vech(V): the Jacobians at the left
-limits turn into vech maps, composed over the components in column order,
-plus n * vech(f f').  The maps are built for a block of ``SCAN_CHUNK`` jumps
-at a time from one batched evaluation of ``gradients`` and ``integrand`` and
-scanned by prefix compositions, the last value of a block carried into the
-next; ``_covariances`` does so for any batch of drivers.  The scan cuts
-time at the same ``SCAN_CHUNK`` rows whatever the batch, and builds the maps
-of all batch entries in one evaluation.
+The covariance has one solver, ``_covariances``, for any batch of drivers.
+It inherits the state's structure: entry (i, l) of V is updated through
+row i of each G_j, reading entries (r, l), and through row l, reading
+entries (i, r).  The Jacobians are evaluated once on the left limits, and
+their pattern (the cells nonzero or NaN anywhere in the batch) orders the
+rows as the state's are, a row reading itself allowed.  Taken by their
+later row, then their earlier one, the entries read only earlier entries
+or themselves, so each is a scalar affine recurrence
+
+    V^il_{tau_k} = a_k V^il_{tau_{k-1}} + b_k,
+
+its map composed over the components in column order from the values the
+earlier entries have before each (their stages), plus n * fda_i fda_l.
+Its prefix compositions (``_prefix``) solve it over all jumps at once.
+Every system in the catalog, ``screening`` included, has such an order; a
+hand-built system whose pattern has a cycle steps through the jumps.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 from statistics import NormalDist
 
@@ -65,7 +71,7 @@ import numpy as np
 
 from .errors import NegativeVarianceError
 from .paths import DriverMeta, StepPath, _read_table, _write_table
-from .systems import ParameterSystem
+from .systems import ParameterSystem, _solving_order
 
 __all__ = [
     "solve_plugin",
@@ -77,12 +83,6 @@ __all__ = [
     "write_fit",
     "read_fit",
 ]
-
-
-#: Jumps per block of the covariance scan.  Each block starts from the
-#: previous block's last value, so the scan's working memory is a few
-#: (SCAN_CHUNK, p, p) arrays whatever the path length.
-SCAN_CHUNK = 1024
 
 
 def _prefix(elems, combine):
@@ -115,9 +115,10 @@ def _prefix(elems, combine):
     return elems
 
 
-def _compose_affine(later, earlier):
-    (a2, c2), (a1, c1) = later, earlier
-    return a2 @ a1, (a2 @ c1[..., None])[..., 0] + c2
+def _compose(later, earlier):
+    """Elementwise composition of the affine maps ``x -> a x + b``."""
+    (a2, b2), (a1, b1) = later, earlier
+    return a2 * a1, a2 * b1 + b2
 
 
 def solve_plugin(
@@ -215,7 +216,10 @@ def solve_variance(
     ``state`` must be the output of :func:`solve_plugin` for the same driver
     (same jump times).  Returns an array of shape ``(m, n, n)`` holding the
     symmetric covariance-scale matrix at each jump time; the value at ``t=0``
-    is ``v0`` (zero by default, for deterministic initial states).
+    is ``v0`` (zero by default, for deterministic initial states), which must
+    be exactly symmetric: the solver reads one of each pair of its entries.
+    The recursion is solved entry by entry over all jumps at once, in the
+    order of the Jacobians' pattern (see :func:`_covariances`).
 
     Driver components flagged deterministic in ``meta`` (time grids) carry no
     sampling noise: they enter the transport term like every component but
@@ -255,71 +259,84 @@ def _covariances(system, lefts, increments, scale, stochastic, v0) -> np.ndarray
     k)``; ``scale`` is the sample-size scale, a number or one per batch
     entry, and ``stochastic`` is 1 for the driver components that carry
     sampling noise and 0 for time grids.  Returns the ``(m, *batch, n, n)``
-    covariances.  The scan cuts time at the same ``SCAN_CHUNK`` rows
-    whatever the batch, and builds the maps of all batch entries in one
-    evaluation, so each entry gets its solo solve.
+    covariances.
+
+    Component ``j`` updates entry ``(i, l)`` by ``sum_r G_j[i, r] V[r, l] +
+    G_j[l, r] V[r, i]`` per unit of ``dA^j``.  The Jacobian cells nonzero,
+    or NaN, anywhere in the batch order the rows as a triangular state's
+    are (``systems._solving_order``, a row reading itself allowed); taken
+    by their later row, then their earlier one, the entries then read only
+    earlier entries or themselves.  Each is solved over all jumps at once
+    as a scalar affine recurrence ``x_k = a_k x_{k-1} + b_k``, its map
+    composed over the components in column order from the values the
+    earlier entries have before each (their stages), plus ``n * fda_i
+    fda_l``, and scanned by ``_prefix``; an entry's stages are kept only
+    while a later entry reads them.  The order comes from the pattern of
+    the whole batch, every operation is elementwise and the scan's
+    compositions depend only on the row, so a batch entry gets its solo
+    covariances bit for bit.  A pattern with a cycle (only a hand-built
+    system has one) steps jump by jump instead, ``V_k = V_{k-1} + sum_j (G_j
+    V + V G_j') dA^j_k + n fda fda'``, the whole batch in each step.
     """
-    # Component j's update V -> V + (G_j V + V G_j') dA^j is a linear map of
-    # vech(V) (upper triangle, p = n(n+1)/2 entries).  Each jump composes those
-    # maps over j, then adds n * vech(f f'): an affine map V_k = L_k V_{k-1} +
-    # c_k, scanned block by block.
-    n, k = system.state_dim, system.driver_dim
-    m, batch = increments.shape[0], increments.shape[1:-1]
-    iu, ju = np.triu_indices(n)
-    p = iu.size
-    scale = np.asarray(scale, dtype=float)[..., None]
-    out = np.empty((m, *batch, n, n))
-    carry = v0[iu, ju]
-    eye = np.eye(p)
-    ops = None
-    for lo in range(0, m, SCAN_CHUNK):
-        hi = min(lo + SCAN_CHUNK, m)
-        x, da = lefts[lo:hi].reshape(-1, n), increments[lo:hi].reshape(-1, k)
-        if ops is None or any(op.ndim > 2 for op in ops):
-            ops = _vech_maps(system, x)  # maps free of the state are built once
-        maps = eye + da[:, 0, None, None] * ops[0]
-        for j in range(1, k):
-            maps = maps + da[:, j, None, None] * (ops[j] @ maps)
-        fda = np.einsum("bij,bj->bi", system.integrand(x), da * stochastic)
-        shifts = scale * (fda[:, iu] * fda[:, ju]).reshape(hi - lo, *batch, p)
-        maps = maps.reshape(hi - lo, *batch, p, p)
-        maps, shifts = _prefix((maps, shifts), _compose_affine)
-        block = (maps @ carry[..., None])[..., 0] + shifts
-        out[lo:hi, ..., iu, ju] = block
-        out[lo:hi, ..., ju, iu] = block
-        carry = block[-1]
-    return out
-
-
-def _vech_maps(system: ParameterSystem, x) -> list[np.ndarray]:
-    """Matrices of ``V -> G_j V + V G_j'`` on vech(V), one per component j,
-    for the Jacobians G_j at the states ``x``: shape ``(len(x), p, p)``, or
-    ``(p, p)`` for a constant Jacobian (returned as one n x n matrix)."""
     n = system.state_dim
-    p, tensor = n * (n + 1) // 2, _vech_tensor(n)
-    jacs = (gradient(x) for gradient in system.gradients)
-    return [
-        (g.reshape(*g.shape[:-2], n * n) @ tensor).reshape(*g.shape[:-2], p, p)
-        for g in jacs
-    ]
+    m, batch = increments.shape[0], increments.shape[1:-1]
+    scale = np.asarray(scale, dtype=float)
+    out = np.empty((m, *batch, n, n))
+    with np.errstate(all="ignore"):
 
+        def cells(g):  # (s, r) -> G[..., s, r] where nonzero, or NaN, anywhere
+            present = np.argwhere((np.reshape(g, (-1, n, n)) != 0).any(0)).tolist()
+            return {(s, r): g[..., s, r].copy() for s, r in present}
 
-@cache
-def _vech_tensor(n: int) -> np.ndarray:
-    """The (n*n, p*p) tensor ``T`` with ``vec(G) @ T`` the p x p matrix of
-    ``V -> G V + V G'`` on vech(V), for any n x n matrix ``G``: row ``a*n + b``
-    holds the map of the unit matrix E_ab."""
-    iu, ju = np.triu_indices(n)
-    p = iu.size
-    basis = np.zeros((p, n, n))
-    basis[np.arange(p), iu, ju] = 1.0
-    basis[np.arange(p), ju, iu] = 1.0
-    units = np.eye(n * n).reshape(n * n, 1, n, n)
-    image = units @ basis + basis @ units.transpose(0, 1, 3, 2)
-    # image[ab, s] is the image of basis matrix E_s; its vech is column s.
-    tensor = image[:, :, iu, ju].transpose(0, 2, 1).reshape(n * n, p * p)
-    tensor.setflags(write=False)
-    return tensor
+        jacobians = [cells(gradient(lefts)) for gradient in system.gradients]
+        fda = (system.integrand(lefts) @ (increments * stochastic)[..., None])[..., 0]
+        reads = [{r for g in jacobians for s, r in g if s == i} for i in range(n)]
+        order = _solving_order(reads)
+        if order is None:
+            full = [np.broadcast_to(g(lefts), out.shape) for g in system.gradients]
+            v = np.broadcast_to(v0, out.shape[1:])
+            for k, f in enumerate(fda):
+                for g, da in zip(full, np.moveaxis(increments[k], -1, 0)):
+                    gv = g[k] @ v
+                    v = v + (gv + np.swapaxes(gv, -1, -2)) * da[..., None, None]
+                out[k] = v = v + scale[..., None, None] * f[..., None] * f[..., None, :]
+            return out
+        pos = {row: t for t, row in enumerate(order)}
+
+        def entry(a, b):
+            return (a, b) if pos[a] >= pos[b] else (b, a)
+
+        def terms(e):  # (j, G_j[..., s, r], the entry it multiplies) for e
+            return [
+                (j, cell, entry(r, other))
+                for row, other in (e, e[::-1])  # the same terms twice when i == l
+                for j, g in enumerate(jacobians)
+                for (s, r), cell in g.items()
+                if s == row
+            ]
+
+        pairs = {entry(i, l) for i in range(n) for l in range(i + 1)}
+        entries = sorted(pairs, key=lambda e: (pos[e[0]], pos[e[1]]))
+        last_read = {o: t for t, e in enumerate(entries) for *_, o in terms(e)}
+        stages = {}  # entry -> its values before each component, while read
+        for t, e in enumerate(entries):
+            own, rest = [0.0] * len(jacobians), [0.0] * len(jacobians)
+            for j, cell, o in terms(e):
+                if o == e:
+                    own[j] = own[j] + cell
+                else:
+                    rest[j] = rest[j] + cell * stages[o][j]
+            maps = [(1.0, 0.0)]  # the entry before each component, of V_{k-1}
+            for c, r, da in zip(own, rest, np.moveaxis(increments, -1, 0)):
+                maps.append(_compose((1.0 + da * c, da * r), maps[-1]))
+            (a, b), (i, l) = maps.pop(), e
+            a, b = _prefix((a, b + scale * (fda[..., i] * fda[..., l])), _compose)
+            values = np.concatenate([np.full((1, *batch), v0[e]), a * v0[e] + b])
+            out[..., i, l] = out[..., l, i] = values[1:]
+            if last_read.get(e, t) > t:
+                stages[e] = [values[:-1]] + [a * values[:-1] + b for a, b in maps[1:]]
+            stages = {o: stage for o, stage in stages.items() if last_read[o] > t}
+    return out
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,7 @@ from .hazards import (
     estimate_driver,
 )
 from .paths import StepPath
-from .plugin import (
-    SCAN_CHUNK,
-    _covariances,
-    _negative_variances,
-    _states,
-    solve_plugin,
-)
+from .plugin import _covariances, _negative_variances, _states, solve_plugin
 from .systems import SystemKind, driver_slots, make_system
 
 __all__ = [
@@ -676,35 +670,36 @@ def oracle_parameter(
     return solve_plugin(make_system(system), driver, x0_override=x0_override)
 
 
-#: Grid rows per piece of the coverage oracle's row solve: its working set
-#: stays a few such rows of increments and states whatever the grid.
+#: Grid rows per piece of the coverage oracle's solve: its working set stays
+#: a few such rows of increments and states whatever the grid.
 _ORACLE_ROWS = 1 << 13
 
 
 def _oracle_values(hazards, system: SystemKind, t_grid, fine_step=None):
     """``oracle_parameter(hazards, system, fine_step).value_at(t_grid)``.
 
-    A triangular system without guards (every linear one) has nothing to
-    check on the path, so it is solved only up to the last grid row
-    ``t_grid`` reads, ``_ORACLE_ROWS`` rows at a time, each piece from the
-    last state of the one before, keeping only the rows read.  Each row is
-    an accumulation along time, so the pieces give the whole path's values
-    bit for bit.
+    The oracle is solved ``_ORACLE_ROWS`` rows at a time, each piece from
+    the last state of the one before, keeping only the rows ``t_grid``
+    reads.  A system without guards is solved only up to the last row read;
+    a guarded one to the last grid row, each piece's path checked, so the
+    first guard trip is raised as :func:`oracle_parameter` raises it.  Each
+    row of the row solver is an accumulation along time and a stepped state
+    depends only on the one before, so the pieces give the whole path's
+    values bit for bit.
     """
     solver = make_system(system)
-    if solver.guards or solver._rows is None:
-        return oracle_parameter(hazards, system, fine_step).value_at(t_grid)
     horizon = next(iter(hazards.values())).horizon
     step = horizon / 1e5 if fine_step is None else fine_step
     times = _grid_times(horizon, step)
     rows = times.searchsorted(t_grid, side="right")
     out = np.empty((rows.size, solver.state_dim))
     x, start = solver.initial_value, 0.0
-    last = int(rows.max())
+    last = times.size if solver.guards else int(rows.max())
     for lo in range(0, max(last, 1), _ORACLE_ROWS):
         hi = min(lo + _ORACLE_ROWS, last)
         piece = times[lo:hi]
         values = _states(solver, _oracle_increments(hazards, system, piece, start), x)
+        solver.check_guard_path(np.concatenate([[start], piece]), values)
         read = (rows >= lo) & (rows <= hi)
         out[read] = values[rows[read] - lo]
         if piece.size:
@@ -783,23 +778,17 @@ def _block_size(kind: SystemKind, n: int, grid: int = 0) -> int:
     """Replications per study block of ``n`` subjects whose drivers have
     ``grid`` time-grid rows (0 without a time slot), fixed by the system,
     ``n`` and ``grid``: at most ``_STUDY_BLOCK``, and no more than fit in
-    ``_STUDY_CELLS`` at about ``(32 + dim^2) n`` entries per replication for
-    its subjects (draws, dataset, driver, stacked states and covariances),
-    ``1 + k + dim + dim^2`` per grid row (its time, increments, state and
-    covariance), plus its ``SCAN_CHUNK`` rows of ``p x p`` covariance scan
-    maps, ``p = dim(dim + 1)/2``: one such array for constant Jacobians, and
-    ``driver_dim + 1`` (the maps of each component and their composition)
-    for a system whose Jacobians depend on the state.  A single replication
-    past the cap runs alone."""
+    ``_STUDY_CELLS`` at about ``(32 + c) n`` entries per replication for its
+    subjects (draws, dataset, driver, stacked states and the covariance
+    solve) and ``1 + k + dim + c`` per grid row (its time, increments, state
+    and covariance solve), where ``c = 4 dim^2 + 4`` bounds the measured
+    per-row working set of the covariance solve: the covariances, the
+    Jacobian cells, the values of the entries still to be read and scratch.
+    A single replication past the cap runs alone."""
     system = make_system(kind)
     dim, k = system.state_dim, system.driver_dim
-    p = dim * (dim + 1) // 2
-    maps = 1 if system.jacobians is not None else k + 1
-    per_replication = (
-        (32 + dim * dim) * n
-        + (1 + k + dim + dim * dim) * grid
-        + maps * SCAN_CHUNK * p * p
-    )
+    solve = 4 * dim * dim + 4
+    per_replication = (32 + solve) * n + (1 + k + dim + solve) * grid
     return max(1, min(_STUDY_BLOCK, _STUDY_CELLS // per_replication))
 
 
@@ -1028,7 +1017,8 @@ def l2_convergence(
 
     ``n_list`` must be a non-empty list of distinct integers and
     ``bootstrap_n`` an integer, each at least the number of groups the
-    scenario's subjects are split into, ``bootstrap_b`` an integer >= 2 and
+    scenario's subjects are split into, ``bootstrap_b`` an integer >= 2,
+    ``grid_step`` and ``oracle_step`` None or in ``(0, horizon]`` and
     ``n_jobs`` an integer >= 1; anything else raises :class:`ConfigError`
     before any simulation runs.
     Failed replications (guard trips, variance collapse) are excluded from
@@ -1058,6 +1048,7 @@ def l2_convergence(
     if _number(n_jobs, "n_jobs", integer=True) < 1:
         raise ConfigError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     _check_grid_step(grid_step, horizon)
+    _check_grid_step(oracle_step, horizon, "oracle_step")
     ref_n = 4 * max(n_list) if bootstrap_n is None else bootstrap_n
     if _number(ref_n, "bootstrap_n", integer=True) < least:
         raise ConfigError(f"bootstrap_n must be an integer >= {least}, got {ref_n!r}")
@@ -1143,7 +1134,8 @@ def coverage_study(
     band covers the oracle parameter.  Rows carry the coverage proportion
     with a 95% Wilson interval; the requested level is echoed as a constant
     reference column.  ``t_grid`` must be a non-empty 1-D list of times in
-    ``[0, horizon]`` and ``n_jobs`` an integer >= 1; anything else raises
+    ``[0, horizon]``, ``grid_step`` and ``oracle_step`` None or in ``(0,
+    horizon]`` and ``n_jobs`` an integer >= 1; anything else raises
     :class:`ConfigError` before any simulation runs.
 
     Replication ``j`` draws from its own seed, derived from ``(sc.seed, 0,
@@ -1159,21 +1151,23 @@ def coverage_study(
     what :func:`estimate_driver` gives for its dataset alone.  The drivers,
     padded at the end with zero increments, are solved as one stack of
     states and covariances that gives each replication its solo fit (bit for
-    bit for a linear system).  A replication whose dataset would be
+    bit for every system but ``screening``, whose stepped states may differ
+    in the last bit).  A replication whose dataset would be
     rejected, guard trips, negative variances and the band at ``t_grid`` are
     found for the whole block at once; a failing replication is counted
     under its error type, and the rest of its block carries on.
 
-    The truth is the :func:`oracle_parameter` path at ``t_grid``.  For a
-    triangular system without guards (every linear one) the oracle is solved
-    only up to the last grid row ``t_grid`` reads, in pieces that keep only
-    the rows read, which gives the same values bit for bit.
+    The truth is the :func:`oracle_parameter` path at ``t_grid``, solved in
+    pieces that keep only the rows read, which gives the same values bit for
+    bit; a system without guards is solved only up to the last grid row
+    ``t_grid`` reads.
     """
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be strictly between 0 and 1")
     if _number(n_jobs, "n_jobs", integer=True) < 1:
         raise ConfigError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     _check_grid_step(grid_step, sc.horizon)
+    _check_grid_step(oracle_step, sc.horizon, "oracle_step")
     kind = sc.system
     comp = _component(kind, component)
     horizon = sc.horizon

@@ -232,9 +232,8 @@ def _triangular_rows(jacobians: np.ndarray):
     triangular: when its off-diagonal pattern has a cycle, or a row reads
     both itself and another row.
 
-    A topological sort: each pass takes, in index order, the rows whose
-    other reads are all solved.  Python lists, not arrays: the tensor is a
-    few entries, and this runs with every :func:`make_system`."""
+    Python lists, not arrays: the tensor is a few entries, and this runs
+    with every :func:`make_system`."""
     k, n, _ = jacobians.shape
     tensor = jacobians.tolist()
     terms = [
@@ -244,13 +243,23 @@ def _triangular_rows(jacobians: np.ndarray):
     reads = [{l for _, l, _ in row} for row in terms]
     if any(i in r and len(r) > 1 for i, r in enumerate(reads)):
         return None
+    order = _solving_order(reads)
+    return None if order is None else tuple((i, terms[i]) for i in order)
+
+
+def _solving_order(reads) -> list[int] | None:
+    """The rows in an order in which each reads, besides itself, only rows
+    before it, given the set of rows each row reads, or None when the reads
+    have a cycle.  A topological sort: each pass takes, in index order, the
+    rows whose other reads are all placed."""
     order: list[int] = []
-    while len(order) < n:
-        ready = [i for i in range(n) if i not in order and reads[i] - {i} <= set(order)]
+    while len(order) < len(reads):
+        done = set(order)
+        ready = [i for i, r in enumerate(reads) if i not in done and r - {i} <= done]
         if not ready:
             return None
         order += ready
-    return tuple((i, terms[i]) for i in order)
+    return order
 
 
 def _survival(kind: SystemKind) -> ParameterSystem:

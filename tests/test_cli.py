@@ -394,6 +394,37 @@ def test_bad_grid_step_is_a_config_error_before_the_driver(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coverage", "--system", "rmst", "--n", "20", "--k", "2", "--oracle-step", "-1"],
+        ["converge", "--n-list", "20", "--k", "2", "--oracle-step", "0"],
+        ["coverage", "--n", "20", "--k", "2", "--oracle-step", "1.5"],
+    ],
+    ids=["coverage -1", "converge 0", "coverage past the horizon"],
+)
+def test_bad_oracle_step_is_a_config_error_before_any_work(
+    tmp_path, argv, monkeypatch, capsys
+):
+    # The horizon is 1; the step used to be a ValueError from the oracle's
+    # time grid, raised while the oracle was built.
+    from hazard_transform import cli, simlab
+
+    for name in ("_simulate", "_oracle_values", "oracle_parameter"):
+        monkeypatch.setattr(simlab, name, lambda *a, **k: pytest.fail("worked"))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([
+            *argv, "--hazard", "constant:1", "--seed", "1", "--out", str(tmp_path / "o"),
+        ])
+    assert exit_.value.code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"] == (
+        f"oracle_step must satisfy 0 < oracle_step <= 1, got {float(argv[-1])!r}"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_has_no_grid_step_flag(tmp_path):
     proc = run_cli(
         "simulate", "--hazard", "constant:1", "--n", 10, "--seed", 1,

@@ -4,8 +4,7 @@ The record-at-a-time simulation, the ``dataclasses.replace`` bootstrap, the
 two grid builders and the ``csv.writer`` writers are kept here as references;
 the column code must reproduce them exactly (equal records, identical
 bytes).  The stacked bootstrap must give every resample exactly the
-reference's driver; its covariance is bitwise the reference's for systems
-solved jump by jump and within the scan's rounding for linear ones.
+reference's driver, and its covariance is bitwise the reference's.
 """
 
 import csv

@@ -7,8 +7,11 @@ product limit or a running sum, and steps any other one through the jumps,
 with any batch of states stacked.  ``loop_states`` below is the jump-by-jump
 reference for both; :func:`stepped` drops a system's Jacobian tensor and row
 declaration, which sends it down the stepping branch, so the same system is
-solved both ways.  Covariance: the package has one solver, the vech scan,
-for every system; ``loop_variance`` below is its jump-by-jump reference.
+solved both ways.  Covariance: the package has one solver,
+``plugin._covariances``, which solves the entries one at a time over all
+jumps, each a scalar affine recurrence in the order of the Jacobian
+pattern, and steps a pattern with a cycle through the jumps;
+``loop_variance`` below is its jump-by-jump reference.
 """
 
 import os
@@ -44,8 +47,7 @@ from hazard_transform import (
     solve_plugin,
     solve_variance,
 )
-from hazard_transform.plugin import SCAN_CHUNK
-from hazard_transform.systems import GUARD_EPS
+from hazard_transform.systems import GUARD_EPS, _linear
 from hazard_transform.simlab import _draws
 
 from helpers import first_negative_variance, take_subjects
@@ -70,7 +72,7 @@ NONLINEAR_KINDS = [
 
 KINDS = LINEAR_KINDS + NONLINEAR_KINDS
 
-JUMP_COUNTS = [0, 1, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 3 * SCAN_CHUNK + 5]
+JUMP_COUNTS = [0, 1, 1023, 1024, 1025, 3077]
 
 
 def random_driver(kind, m, rng):
@@ -380,7 +382,7 @@ def test_integrand_columns_are_the_jacobians_applied_to_the_state():
             np.testing.assert_array_equal(system.gradients[j](x), g)
 
 
-@pytest.mark.parametrize("m", [5, 3 * SCAN_CHUNK + 5])
+@pytest.mark.parametrize("m", [5, 3077])
 def test_guard_violation_is_raised_at_the_first_failing_time(m):
     # A guarded linear system: survival may not fall to 0.5.  Both branches
     # of the state kernel must stop where the loop does, with its component.
@@ -431,6 +433,86 @@ def test_screening_guard_trip_matches_the_loop():
         want.value.value,
         want.value.time,
     )
+
+
+def assert_stacked_covariances_equal_solo(system, drivers, starts, v0):
+    """Solve the covariances of ``drivers`` from ``starts`` as a study block
+    stacks them (each padded to the longest with zero increments, its last
+    state repeated) and compare each entry's own rows with its solo solve
+    from the same left limits, bit for bit."""
+    m, k = max(d.n_jumps for d in drivers), system.driver_dim
+    lefts = np.empty((m, len(drivers), system.state_dim))
+    increments = np.zeros((m, len(drivers), k))
+    for r, (driver, x0) in enumerate(zip(drivers, starts)):
+        states = plugin._states(system, driver.increments, x0)
+        lefts[:, r] = states[-1]
+        lefts[: driver.n_jumps, r] = states[:-1]
+        increments[: driver.n_jumps, r] = driver.increments
+    scale = np.array([250.0, 40.0, 7.0, 1000.0])[: len(drivers)]
+    stacked = plugin._covariances(system, lefts, increments, scale, np.ones(k), v0)
+    for r, driver in enumerate(drivers):
+        m = driver.n_jumps
+        solo = plugin._covariances(
+            system, lefts[:m, r], driver.increments, scale[r], np.ones(k), v0
+        )
+        assert_bitwise(stacked[:m, r], solo)
+
+
+def test_stacked_screening_covariances_equal_solo_covariances():
+    # Screening's states step with a batched matrix product, so a stacked
+    # fit's states may differ from a solo one's in the last bit.  Given the
+    # same left limits, each batch entry gets its solo covariances bit for
+    # bit, whatever its length and start.
+    system = make_system(SCREENING)
+    rng = np.random.default_rng(7)
+    drivers = [random_driver(SCREENING, m, rng)[0] for m in (40, 7, 0, 25)]
+    starts = [rng.uniform(0.3, 0.9, size=4) for _ in drivers]
+    assert_stacked_covariances_equal_solo(system, drivers, starts, np.zeros((4, 4)))
+
+
+def illness_death():
+    """Illness-death with recovery, states (healthy, ill) and drivers
+    (onset, recovery): each state reads the other, so neither the states
+    nor the covariances have a triangular order."""
+    return _linear(
+        "illness_death", ("healthy", "ill"), ("onset", "recovery"), [0.9, 0.1],
+        {(0, 0): -1.0, (1, 0): 1.0}, {(0, 1): 1.0, (1, 1): -1.0},
+    )
+
+
+def test_cyclic_system_steps_its_covariances(monkeypatch):
+    # The pattern's cycle sends the covariance down the jump-by-jump branch,
+    # which scans nothing, agrees with the loop under the scan rule and gives
+    # a stacked entry its solo covariances bit for bit.  Every catalog
+    # system, screening included, scans its entries instead.
+    scans = []
+    prefix = plugin._prefix
+    monkeypatch.setattr(plugin, "_prefix", lambda *a: scans.append(1) or prefix(*a))
+    system = illness_death()
+    assert system._rows is None
+    rng = np.random.default_rng(13)
+    meta = DriverMeta(250, ("onset", "recovery"), (False, False))
+    half = rng.normal(size=(2, 2))
+    v0 = half @ half.T
+    drivers = []
+    for m in (0, 1, 60, 500):
+        times = np.cumsum(rng.uniform(0.5, 1.5, size=m)) / max(m, 1)
+        increments = rng.uniform(0.0, 0.01, size=(m, 2))
+        increments *= rng.uniform(size=increments.shape) < 0.6
+        driver = StepPath(times, increments, np.zeros(2), 2.0)
+        state = solve_plugin(system, driver)
+        got = solve_variance(system, driver, meta, state, v0=v0)
+        assert_close(got, loop_variance(system, driver, meta, state, v0))
+        drivers.append(driver)
+    starts = [system.initial_value + 0.01 * r for r in range(len(drivers))]
+    assert_stacked_covariances_equal_solo(system, drivers, starts, v0)
+    assert not scans
+    for kind in KINDS:
+        catalog = make_system(kind)
+        driver, meta = random_driver(kind, 20, rng)
+        fit_plugin(catalog, driver, meta, x0_override=interior_x0(catalog, rng))
+        assert scans
+        scans.clear()
 
 
 def screening_trips(seed, b=30):

@@ -19,6 +19,7 @@ from hazard_transform import (
     ConstantHazard,
     DataError,
     EventDataset,
+    GuardViolation,
     LinearHazard,
     Scenario,
     StepPath,
@@ -539,6 +540,49 @@ def test_coverage_truth_is_the_oracle_path_bit_for_bit(
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+SCREENING = SystemKind("screening", prevalence=0.3, initial_value=(0.8, 0.7, 0.6, 0.5))
+
+
+@pytest.mark.parametrize("t_grid", [[0.0, 0.7, 0.7, 0.2], [1.5, 0.3]])
+@pytest.mark.parametrize("oracle_step", [None, 7e-3])
+def test_guarded_coverage_truth_is_the_oracle_path_bit_for_bit(
+    oracle_step, t_grid, monkeypatch
+):
+    # Screening steps its states and has guards: the study solves its oracle
+    # to the last grid row in pieces of _ORACLE_ROWS rows, checking each
+    # piece's path, and its truth is still the whole path's value.
+    hazards = {"positive": ConstantHazard(0.7, 1.5), "negative": ConstantHazard(1.2, 1.5)}
+    contexts = []
+    monkeypatch.setattr(
+        simlab, "_run_blocks", lambda groups, ctx, jobs: contexts.append(ctx) or []
+    )
+    sc = Scenario(system=SCREENING, hazards=hazards, n=10, seed=1, k_replications=1)
+    path = oracle_parameter(hazards, SCREENING, fine_step=oracle_step)
+    for comp in range(4):
+        coverage_study(sc, t_grid=t_grid, component=comp, oracle_step=oracle_step)
+        want = path.value_at(np.array(t_grid))[:, comp]
+        got = contexts[-1]["oracle_values"]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_an_oracle_trip_after_the_last_coverage_time_is_raised(monkeypatch):
+    # cum_npv decays as 0.7 exp(-25 t) and falls through its guard near t =
+    # 0.72, in a later piece than the one holding the last coverage time:
+    # the study raises the GuardViolation oracle_parameter raises.
+    hazards = {"positive": ConstantHazard(0.5, 1.0), "negative": ConstantHazard(25.0, 1.0)}
+    monkeypatch.setattr(simlab, "_run_blocks", lambda *a: pytest.fail("simulated"))
+    sc = Scenario(system=SCREENING, hazards=hazards, n=10, seed=1, k_replications=1)
+    with pytest.raises(GuardViolation) as want:
+        oracle_parameter(hazards, SCREENING)
+    with pytest.raises(GuardViolation) as got:
+        coverage_study(sc, t_grid=[0.1, 0.5])
+    assert want.value.component == "cum_npv"
+    assert (want.value.time - 0.5) * 1e5 > 2 * simlab._ORACLE_ROWS
+    assert (got.value.component, got.value.time, got.value.value) == (
+        want.value.component, want.value.time, want.value.value
+    )
+
+
 class TestDistances:
     def test_hand_built_paths(self):
         a = step_path_1d([0.5], [1.0], horizon=1.0)
@@ -943,6 +987,25 @@ class TestStudies:
             else:
                 ds = EventDataset.from_columns([0, 1], [0, 0], [0.5, 1.0], [1, 0], 1.0)
                 bootstrap_covariance(ds, sc.system, b=2, seed=1, grid_step=grid_step)
+
+    @pytest.mark.parametrize("oracle_step", [0, -1, 1.5, float("nan"), "0.1", True])
+    @pytest.mark.parametrize("study", ["coverage", "convergence"])
+    def test_bad_oracle_step_rejected_before_any_work(
+        self, study, oracle_step, monkeypatch
+    ):
+        # Out of (0, horizon] the step used to be a ValueError from the
+        # oracle's time grid, raised while the oracle was built.
+        def fail(*args, **kwargs):
+            pytest.fail("the study simulated or solved its oracle")
+
+        for name in ("_simulate", "_oracle_values", "oracle_parameter"):
+            monkeypatch.setattr(simlab, name, fail)
+        sc = survival_scenario(10, 1)
+        with pytest.raises(ConfigError, match="oracle_step must"):
+            if study == "coverage":
+                coverage_study(sc, oracle_step=oracle_step)
+            else:
+                l2_convergence(sc, [10], oracle_step=oracle_step)
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ConfigError, match="target"):
