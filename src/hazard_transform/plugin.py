@@ -56,6 +56,9 @@ or themselves, so each is a scalar affine recurrence
 its map composed over the components in column order from the values the
 earlier entries have before each (their stages), plus n * fda_i fda_l.
 Its prefix compositions (``_prefix``) solve it over all jumps at once.
+A study block asks only for the entries its measure reads: those and the
+entries they read are solved, each as in the full solve, and the rest are
+left NaN.
 Every system in the catalog, ``screening`` included, has such an order; a
 hand-built system whose pattern has a cycle steps through the jumps.
 """
@@ -251,7 +254,9 @@ def solve_variance(
     )
 
 
-def _covariances(system, lefts, increments, scale, stochastic, v0) -> np.ndarray:
+def _covariances(
+    system, lefts, increments, scale, stochastic, v0, entries=None
+) -> np.ndarray:
     """Covariances ``V_k`` at every jump from ``V_0 = v0``, given the states
     ``lefts`` at the jumps' left limits.
 
@@ -259,7 +264,10 @@ def _covariances(system, lefts, increments, scale, stochastic, v0) -> np.ndarray
     k)``; ``scale`` is the sample-size scale, a number or one per batch
     entry, and ``stochastic`` is 1 for the driver components that carry
     sampling noise and 0 for time grids.  Returns the ``(m, *batch, n, n)``
-    covariances.
+    covariances.  With ``entries``, a list of ``(i, l)`` cells, only those
+    entries and, recursively, the entries they read are solved, each exactly
+    as in the full solve, and every other cell is NaN; the stepping branch
+    below ignores ``entries`` and solves every cell.
 
     Component ``j`` updates entry ``(i, l)`` by ``sum_r G_j[i, r] V[r, l] +
     G_j[l, r] V[r, i]`` per unit of ``dA^j``.  The Jacobian cells nonzero,
@@ -281,7 +289,7 @@ def _covariances(system, lefts, increments, scale, stochastic, v0) -> np.ndarray
     n = system.state_dim
     m, batch = increments.shape[0], increments.shape[1:-1]
     scale = np.asarray(scale, dtype=float)
-    out = np.empty((m, *batch, n, n))
+    out = np.full((m, *batch, n, n), np.nan)
     with np.errstate(all="ignore"):
 
         def cells(g):  # (s, r) -> G[..., s, r] where nonzero, or NaN, anywhere
@@ -315,7 +323,13 @@ def _covariances(system, lefts, increments, scale, stochastic, v0) -> np.ndarray
                 if s == row
             ]
 
-        pairs = {entry(i, l) for i in range(n) for l in range(i + 1)}
+        if entries is None:
+            entries = [(i, l) for i in range(n) for l in range(i + 1)]
+        todo, pairs = list(entries), set()
+        while todo:  # the entries asked for and, recursively, those they read
+            if (e := entry(*todo.pop())) not in pairs:
+                pairs.add(e)
+                todo.extend(o for *_, o in terms(e))
         entries = sorted(pairs, key=lambda e: (pos[e[0]], pos[e[1]]))
         last_read = {o: t for t, e in enumerate(entries) for *_, o in terms(e)}
         stages = {}  # entry -> its values before each component, while read

@@ -784,7 +784,9 @@ def _block_size(kind: SystemKind, n: int, grid: int = 0) -> int:
     and covariance solve), where ``c = 4 dim^2 + 4`` bounds the measured
     per-row working set of the covariance solve: the covariances, the
     Jacobian cells, the values of the entries still to be read and scratch.
-    A single replication past the cap runs alone."""
+    A measure that solves only some entries stays within it too; the block
+    size is kept regardless, so that peak memory cannot rise.  A single
+    replication past the cap runs alone."""
     system = make_system(kind)
     dim, k = system.state_dim, system.driver_dim
     solve = 4 * dim * dim + 4
@@ -793,8 +795,9 @@ def _block_size(kind: SystemKind, n: int, grid: int = 0) -> int:
 
 
 def _init_worker(ctx):
+    # Each worker builds the study's system once, rather than pickling it.
     _CTX.clear()
-    _CTX.update(ctx)
+    _CTX.update(ctx, system=make_system(ctx["scenario"].system))
 
 
 def _run_tasks(tasks, ctx, n_jobs: int):
@@ -853,7 +856,7 @@ def _replicate(task):
     if not rejected.all():
         spells = _without(spells, rejected)
         block = _block_driver(spells, _block_sources(sc.system), _CTX["grid_step"])
-        solved = iter(_CTX["measure"](_Stack(make_system(sc.system), block)))
+        solved = iter(_CTX["measure"](_Stack(_CTX["system"], block)))
         results = [res or (key, *next(solved)) for res in results]
     return results
 
@@ -905,17 +908,20 @@ class _Stack:
         """Whether each replication has no error so far."""
         return np.array([err is None for err in self.errors])
 
-    def covariances(self) -> np.ndarray:
+    def covariances(self, entries=None) -> np.ndarray:
         """Covariances ``(M, B, n, n)`` at the jumps, solved for the
         replications without an error and NaN for the others (whose states
-        may divide by zero, and which no measure reads).  A block without
+        may divide by zero, and which no measure reads).  With ``entries``,
+        a list of ``(i, l)`` cells, only those and the entries they depend
+        on are solved, and the other cells are NaN (see
+        :func:`~hazard_transform.plugin._covariances`).  A block without
         errors is solved on views of its arrays, with no copy."""
         ok, n, driver = self.ok, self.system.state_dim, self.driver
         clean = ok.all()
         pick = slice(None) if clean else ok
         args = self.states[:-1, pick], driver.increments[:, pick], driver.scale[pick]
         stochastic = np.where(driver.deterministic, 0.0, 1.0)
-        cov = _covariances(self.system, *args, stochastic, np.zeros((n, n)))
+        cov = _covariances(self.system, *args, stochastic, np.zeros((n, n)), entries)
         if clean:
             return cov
         out = np.full((*driver.increments.shape[:2], n, n), np.nan)
@@ -954,17 +960,20 @@ def _l2_variance(stack):
     # Estimator-variance scale (the square of the band half-width): the
     # covariance recursion output divided by the sample size, so paths fitted
     # at different n live in comparable units and a large-sample reference is
-    # close to the common limit of all of them.
+    # close to the common limit of all of them.  Only the studied variance
+    # (and the entries it depends on) is solved.
     comp = _CTX["component"]
-    diag = stack.covariances()[:, :, comp, comp] / stack.driver.scale
+    diag = stack.covariances([(comp, comp)])[:, :, comp, comp] / stack.driver.scale
     return _target_distances(stack, np.vstack([np.zeros((1, diag.shape[1])), diag]), 0)
 
 
 def _covered(stack):
     # The band X +/- z sqrt(V_ii / n) at t_grid, of the component studied, for
-    # every replication with no guard trip and no negative variance.
+    # every replication with no guard trip and no negative variance.  Only
+    # the variances (and the entries they depend on) are solved: the
+    # negative-variance check reads every one of them.
     n, labels, driver = stack.system.state_dim, stack.system.state_labels, stack.driver
-    diag = stack.covariances()[..., range(n), range(n)]
+    diag = stack.covariances([(i, i) for i in range(n)])[..., range(n), range(n)]
     found = _negative_variances(driver.times.T, diag, labels, driver.n_jumps)
     stack.errors = [err or neg for err, neg in zip(stack.errors, found)]
     ok = np.flatnonzero(stack.ok)

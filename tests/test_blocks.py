@@ -273,10 +273,39 @@ def test_a_block_with_every_replication_failed(measure):
     assert not stack.ok.any()
     target = StepPath.from_values(np.array([0.5]), np.zeros((2, 1)), 1.0)
     simlab._init_worker({
-        "component": 0, "target_path": target, "upto": 1.0,
+        "scenario": sc, "component": 0, "target_path": target, "upto": 1.0,
         "t_grid": T_GRID, "oracle_values": np.zeros(T_GRID.size), "z": 1.0,
     })
     assert measure(stack) == [(None, "GuardViolation")] * 5
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_studies_solving_only_the_read_entries_write_the_full_solves_bytes(
+    n_jobs, tmp_path, monkeypatch
+):
+    # Each relative_survival entry reads only itself, so a coverage block
+    # solves 3 of the 6 entries and a variance convergence block 1.  The
+    # written studies are byte for byte those of measures forced to solve
+    # every entry (the workers of two jobs are forked, patch included).
+    kind, hazards = SYSTEMS["relative_survival"]
+    sc = Scenario(system=kind, hazards=hazards, n=150, seed=11, k_replications=12)
+
+    def write(tag):
+        cov = coverage_study(sc, LEVEL, T_GRID, n_jobs=n_jobs)
+        write_study(cov, tmp_path / f"coverage_{tag}")
+        conv = l2_convergence(
+            sc, [60, 150], target="variance", bootstrap_b=10, n_jobs=n_jobs
+        )
+        write_study(conv, tmp_path / f"convergence_{tag}")
+
+    write("read")
+    solve = simlab._Stack.covariances
+    monkeypatch.setattr(simlab._Stack, "covariances", lambda self, entries: solve(self))
+    write("full")
+    for name in ("coverage", "convergence"):
+        for suffix in (".csv", ".json"):
+            read, full = (tmp_path / f"{name}_{tag}{suffix}" for tag in ("read", "full"))
+            assert read.read_bytes() == full.read_bytes()
 
 
 def test_failing_study_is_the_same_for_any_number_of_jobs():

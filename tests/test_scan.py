@@ -515,6 +515,83 @@ def test_cyclic_system_steps_its_covariances(monkeypatch):
         scans.clear()
 
 
+def entry_closure(system, lefts, asked):
+    """The unordered entries ``asked`` and, recursively, those they read:
+    ``(i, l)`` reads ``(r, l)`` through each Jacobian cell ``(i, r)`` and
+    ``(i, r)`` through each cell ``(l, r)`` that is nonzero, or NaN,
+    anywhere in the batch (a constant Jacobian's cells count even when
+    there are no jumps)."""
+    n = system.state_dim
+    pattern = np.zeros((n, n), dtype=bool)
+    for gradient in system.gradients:
+        pattern |= (np.reshape(gradient(lefts), (-1, n, n)) != 0).any(axis=0)
+    todo, closure = [tuple(sorted(e)) for e in asked], set()
+    while todo:
+        i, l = e = todo.pop()
+        if e not in closure:
+            closure.add(e)
+            todo += [tuple(sorted((r, l))) for r in np.flatnonzero(pattern[i])]
+            todo += [tuple(sorted((i, r))) for r in np.flatnonzero(pattern[l])]
+    return closure
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(KINDS),
+    m=st.integers(0, 40),
+    batch=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    asked=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind=SystemKind("relative_survival"), m=30, batch=(3,),
+         asked=[(0, 0), (1, 1), (2, 2)], seed=3)
+@example(kind=NONLINEAR_KINDS[0], m=25, batch=(2, 2), asked=[(4, 1)], seed=4)
+@example(kind=SCREENING, m=25, batch=(2,), asked=[(3, 3)], seed=5)
+def test_asked_entries_are_the_full_solve_and_nothing_else(
+    kind, m, batch, asked, seed
+):
+    # A stack of drivers from interior starts (ler's natural one is on its
+    # guard): solving only some entries gives each entry of their closure
+    # the full solve's value bit for bit, leaves every other cell NaN and
+    # runs one outermost scan per solved entry.
+    system = make_system(kind)
+    n, k = system.state_dim, system.driver_dim
+    rng = np.random.default_rng(seed)
+    asked = [(i % n, l % n) for i, l in asked]
+    drivers = [random_driver(kind, m, rng) for _ in np.ndindex(batch)]
+    increments = np.stack([d.increments for d, _ in drivers], axis=1)
+    increments = increments.reshape(m, *batch, k)
+    x0 = np.reshape([interior_x0(system, rng) for _ in drivers], (*batch, n))
+    lefts = plugin._states(system, increments, x0)[:-1]
+    scale = rng.uniform(10.0, 500.0, size=batch)
+    stochastic = np.where(drivers[0][1].deterministic_mask, 0.0, 1.0)
+    half = rng.normal(size=(n, n))
+    args = system, lefts, increments, scale, stochastic, half @ half.T
+    full = plugin._covariances(*args)
+    outermost, depth = [], [0]
+    prefix = plugin._prefix
+
+    def counted(*a):
+        outermost.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return prefix(*a)
+        finally:
+            depth[0] -= 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(plugin, "_prefix", counted)
+        some = plugin._covariances(*args, entries=asked)
+    closure = entry_closure(system, lefts, asked)
+    assert sum(outermost) == len(closure)
+    solved = np.zeros((n, n), dtype=bool)
+    for i, l in closure:
+        solved[i, l] = solved[l, i] = True
+        assert_bitwise(some[..., i, l], full[..., i, l])
+        assert_bitwise(some[..., l, i], full[..., l, i])
+    assert np.isnan(some[..., ~solved]).all()
+
+
 def screening_trips(seed, b=30):
     """12 screening subjects and the guard trip of each of ``b`` bootstrap
     resamples, ``(component, value, time)`` or None, from the loop.
