@@ -40,7 +40,9 @@ integrand at the left limits, one ``np.add.accumulate``.  The coefficients
 are elementwise multiply-adds in column order, and both accumulations run
 sequentially along time, so a driver solved in a stack gets its solo states
 bit for bit, and so does a path solved in pieces.  Any other system steps
-through the jumps once, the whole batch in each step.
+through the jumps once, the whole batch in each step, with the same
+elementwise multiply-adds in column order, so it too gets its solo states
+bit for bit.
 
 The covariance has one solver, ``_covariances``, for any batch of drivers.
 It inherits the state's structure: entry (i, l) of V is updated through
@@ -156,10 +158,13 @@ def _states(system: ParameterSystem, increments, x0, out=None) -> np.ndarray:
     resamples, study replications) ride along while time stays on axis 0.
     Returns the ``(m + 1, *batch, n)`` values, the first row ``x0``, written
     into ``out`` when given.  A triangular system (``_rows``) is solved row by
-    row, any other one jump by jump.  Guards are not checked: rows after a
-    guard trip are computed like any other, and the caller's
-    ``ParameterSystem._guard_trips`` (or ``check_guard_path``) call, which
-    covers the initial state too, rejects the path.
+    row, any other one jump by jump, each step an elementwise multiply-add
+    over the driver columns in column order, as :func:`_solve_row` forms its
+    coefficients: a stacked driver gets its solo states bit for bit, on any
+    BLAS.  Guards are not checked: rows after a guard trip are computed like
+    any other, and the caller's ``ParameterSystem._guard_trips`` (or
+    ``check_guard_path``) call, which covers the initial state too, rejects
+    the path.
     """
     m, batch = increments.shape[0], increments.shape[1:-1]
     values = np.empty((m + 1, *batch, system.state_dim)) if out is None else out
@@ -170,8 +175,10 @@ def _states(system: ParameterSystem, increments, x0, out=None) -> np.ndarray:
                 _solve_row(system, i, terms, increments, values)
             return values
         for k in range(m):
-            step = system.integrand(values[k]) @ increments[k, ..., None]
-            values[k + 1] = values[k] + step[..., 0]
+            fda, step = system.integrand(values[k]) * increments[k, ..., None, :], 0.0
+            for j in range(fda.shape[-1]):
+                step = step + fda[..., j]
+            values[k + 1] = values[k] + step
     return values
 
 

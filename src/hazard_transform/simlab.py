@@ -440,73 +440,63 @@ def _recurrent_times(rng, recurrent, follow):
     hazard's clock and has an event at ``recurrent.invert(clock)`` for as long
     as that time is ``< follow[i]``; the first exposure that lands at or past
     ``follow[i]`` ends the subject, and the next subject starts on the next
-    draw.  The exposures are drawn in bulk and split per subject in clock
-    space against the clock bound ``recurrent.cumulative(follow)``; then
-    every clock is inverted in one call.  Where an inverted time disagrees
-    with the split (a clock within rounding of its bound, or a subclass whose
-    ``invert`` does not match its ``cumulative``), the subjects before the
-    first such clock are kept, that clock's subject is finished one draw and
-    one inversion at a time, and the bulk split resumes from the next
-    subject.  So there is at most one bulk pass per disagreeing subject,
-    plus one, and the result equals the one-draw-at-a-time loop.  (A vector
-    inversion gives each element what a scalar call gives:
-    :meth:`HazardSpec.invert` computes each element on its own.)
+    draw.  The exposures are drawn in bulk and split per subject once, in
+    clock space against the clock bound ``recurrent.cumulative(follow)``;
+    then every clock is inverted in one call.  The subjects before the first
+    clock whose inverted time disagrees with the split (a clock within
+    rounding of its bound, or a subclass whose ``invert`` does not match its
+    ``cumulative``) are kept; that subject and every one after it are drawn
+    one draw and one inversion at a time, from that subject's first draw.
+    So the result equals the one-draw-at-a-time loop, and the cost stays
+    linear in the draws.  (A vector inversion gives each element what a
+    scalar call gives: :meth:`HazardSpec.invert` computes each element on
+    its own.)
 
     Returns ``(counts, times)``: events per subject and all event times,
     subject by subject.
     """
     n = follow.size
+    recurrent._pieces  # the first invert's ConfigError, before the draw is sized
     bound = np.array(recurrent.cumulative(follow), dtype=float)
     limit = bound.tolist()
     # About n + sum(bound) draws are used.  Bulk draws continue the stream of
     # scalar draws, and nothing draws from ``rng`` afterwards, so drawing too
     # many changes nothing.
     gaps = rng.exponential(size=n + int(2 * bound.sum()) + 16).tolist()
-
-    def gap(pos):
-        if pos == len(gaps):
-            gaps.extend(rng.exponential(size=n).tolist())
-        return gaps[pos]
-
-    counts: list[int] = []
-    times: list[float] = []
-    pos = first = 0
-    while first < n:
-        starts, clocks, owner = [], [], []
-        for i in range(first, n):
-            starts.append(pos)
-            clock = 0.0
-            while True:
-                clock += gap(pos)
-                pos += 1
-                clocks.append(clock)
-                owner.append(i)
-                if not clock < limit[i]:
-                    break
-        owner = np.array(owner)
-        clocks = np.array(clocks)
-        inv = recurrent.invert(clocks)
-        event = inv < follow[owner]
-        misfit = np.flatnonzero(event != (clocks < bound[owner]))
-        done = int(owner[misfit[0]]) if misfit.size else n
-        keep = owner < done
-        spells = np.bincount(owner[keep] - first, minlength=done - first)
-        counts += (spells - 1).tolist()
-        times += inv[keep & event].tolist()
-        if done < n:
-            pos = starts[done - first]
-            clock, events = 0.0, 0
-            while True:
-                clock += gap(pos)
-                pos += 1
-                t = float(recurrent.invert(clock)[0])
-                if not t < follow[done]:
-                    break
-                times.append(t)
-                events += 1
-            counts.append(events)
-            done += 1
-        first = done
+    starts, clocks = [], []
+    for i in range(n):
+        starts.append(len(clocks))
+        clock = 0.0
+        while True:
+            if len(clocks) == len(gaps):
+                gaps += rng.exponential(size=n).tolist()
+            clock += gaps[len(clocks)]
+            clocks.append(clock)
+            if not clock < limit[i]:
+                break
+    starts.append(len(clocks))
+    owner = np.repeat(np.arange(n), np.diff(starts))
+    clocks = np.array(clocks)
+    inv = recurrent.invert(clocks)
+    event = inv < follow[owner]
+    misfit = np.flatnonzero(event != (clocks < bound[owner]))
+    done = int(owner[misfit[0]]) if misfit.size else n
+    counts = (np.diff(starts[: done + 1]) - 1).tolist()
+    times = inv[(owner < done) & event].tolist()
+    pos = starts[done]
+    for end in follow[done:].tolist():
+        clock, events = 0.0, 0
+        while True:
+            if pos == len(gaps):
+                gaps += rng.exponential(size=n).tolist()
+            clock += gaps[pos]
+            pos += 1
+            t = float(recurrent.invert(clock)[0])
+            if not t < end:
+                break
+            times.append(t)
+            events += 1
+        counts.append(events)
     return counts, times
 
 
@@ -1159,12 +1149,11 @@ def coverage_study(
     replication's Nelson-Aalen driver, on its own jump times and bit for bit
     what :func:`estimate_driver` gives for its dataset alone.  The drivers,
     padded at the end with zero increments, are solved as one stack of
-    states and covariances that gives each replication its solo fit (bit for
-    bit for every system but ``screening``, whose stepped states may differ
-    in the last bit).  A replication whose dataset would be
-    rejected, guard trips, negative variances and the band at ``t_grid`` are
-    found for the whole block at once; a failing replication is counted
-    under its error type, and the rest of its block carries on.
+    states and covariances that gives each replication its solo fit bit for
+    bit.  A replication whose dataset would be rejected, guard trips,
+    negative variances and the band at ``t_grid`` are found for the whole
+    block at once; a failing replication is counted under its error type,
+    and the rest of its block carries on.
 
     The truth is the :func:`oracle_parameter` path at ``t_grid``, solved in
     pieces that keep only the rows read, which gives the same values bit for

@@ -3,11 +3,9 @@
 ``coverage_study`` and ``l2_convergence`` run their replications in blocks
 of consecutive indices, solved as one stack.  Each replication must come out
 as it does alone: ``simulate_dataset``, ``estimate_driver``, ``fit_plugin``
-and ``confidence_band`` on its own seed.  Every system but ``screening``
-matches bit for bit, ``screening`` (whose states step with a batched matrix
-product) within the scan rule of ``test_scan.py`` (1e-12 of the largest
-magnitude), and a failing replication records the error its solo fit raises
-while the rest of its block carries on.
+and ``confidence_band`` on its own seed.  Every system matches bit for
+bit, and a failing replication records the error its solo fit raises while
+the rest of its block carries on.
 """
 
 import tracemalloc
@@ -145,9 +143,7 @@ def test_coverage_blocks_equal_solo_replications(name, n, k, block, seed):
     # Blocks of 1 to 4 replications, k = 1 to 9 (rarely a multiple of the
     # block), small n: uneven jump counts, and guard trips and negative
     # variances (screening) among the others of a block.  The hits are
-    # compared exactly: linear systems are bitwise their solo fits, and for
-    # screening no band bound lies within rounding of the truth in these
-    # draws.
+    # compared exactly: every system is bitwise its solo fits.
     kind, _ = SYSTEMS[name]
     sc = scenario(name, n, k, seed)
     with blocks_of(block):
@@ -164,9 +160,9 @@ def test_stacked_fits_equal_solo_fits(name):
     # Five replications of uneven length stacked: the states and covariances
     # of each replication's own rows against its solo fit, and the guard
     # trips against solve_plugin's: same type, component, time and value.
-    # Every system matches bit for bit but screening, whose states step
-    # with a batched matrix product.  ler's natural start trips its guard at
-    # 0 in every replication, so it is solved from an interior start too.
+    # Every system matches bit for bit, screening's stepped states included.
+    # ler's natural start trips its guard at 0 in every replication, so it
+    # is solved from an interior start too.
     kind, _ = SYSTEMS[name]
     sc = scenario(name, 12, 1, 5)
     drivers = [
@@ -195,14 +191,8 @@ def test_stacked_fits_equal_solo_fits(name):
             want = np.vstack([state.origin_value, state.values_at_jumps()])
             want_cov = solve_variance(system, driver, meta, state)
             got, got_cov = stack.states[: m + 1, r], cov[:m, r]
-            if name != "screening":
-                assert got.tobytes() == want.tobytes()
-                assert got_cov.tobytes() == want_cov.tobytes()
-            else:
-                scale = np.abs(want).max()
-                np.testing.assert_allclose(got, want, rtol=0, atol=RTOL * scale)
-                scale = np.abs(want_cov).max(initial=1.0)
-                np.testing.assert_allclose(got_cov, want_cov, rtol=0, atol=RTOL * scale)
+            assert got.tobytes() == want.tobytes()
+            assert got_cov.tobytes() == want_cov.tobytes()
             # The rows past a replication's own are identity steps: finite,
             # and its last state to rounding.
             pad = stack.states[m + 1 :, r]

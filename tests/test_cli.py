@@ -164,6 +164,27 @@ class TestSimulate:
         assert err["type"] == "ConfigError"
         assert "group2" in err["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--system", "survival", "--hazard", "constant:1e308"],
+            [
+                "--system", "mean_frequency", "--hazard", "recurrent=constant:1e308",
+                "--hazard", "terminal=constant:0.5",
+            ],
+        ],
+        ids=["survival", "mean_frequency"],
+    )
+    def test_hazard_too_large_to_invert_is_a_config_error(self, tmp_path, argv):
+        proc = run_cli(
+            "simulate", *argv, "--n", 20, "--seed", 1, "--out", tmp_path / "o",
+            expect=1,
+        )
+        err = error_payload(proc)
+        assert err["type"] == "ConfigError"
+        assert "too large to invert" in err["message"]
+        assert "Traceback" not in proc.stderr
+
     def test_missing_seed_is_a_usage_error(self, tmp_path):
         proc = subprocess.run(
             CLI + ["simulate", "--hazard", "constant:1", "--n", "10"],

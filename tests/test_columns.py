@@ -8,12 +8,15 @@ reference's driver, and its covariance is bitwise the reference's.
 """
 
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from hazard_transform import (
+    ConfigError,
     ConstantHazard,
     DataError,
     DriverMeta,
@@ -47,6 +50,7 @@ from hazard_transform.simlab import (
 )
 
 from helpers import take_subjects
+from test_properties import PROPERTY
 
 H = 2.0
 TABLE = TableHazard((0.0, 0.5, 1.3, 2.0), (0.4, 1.1, 0.2, 0.9), H)
@@ -202,14 +206,20 @@ def test_recurrent_simulation_with_many_events_per_subject():
     assert got.records == reference_simulate(sc).records
 
 
-class Rescaled(ConstantHazard):
-    """Constant hazard whose inverted times are scaled by ``factor``, so that
-    they disagree with the clock-space bound ``cumulative(follow)``."""
+class Rescaled:
+    """Mixin for a hazard whose inverted times are scaled by ``factor``, so
+    that they disagree with the clock-space bound ``cumulative(follow)``."""
 
     factor = 1.0
 
     def invert(self, targets):
         return self.factor * super().invert(targets)
+
+
+def rescaled(spec, factor):
+    """``spec`` with its inverted times scaled by ``factor``."""
+    cls = type("Rescaled", (Rescaled, type(spec)), {"factor": factor})
+    return cls(**{f.name: getattr(spec, f.name) for f in fields(spec)})
 
 
 @pytest.mark.parametrize("factor,terminal", [(1.05, 0.2), (0.2, 3.0)])
@@ -219,11 +229,10 @@ def test_recurrent_simulation_redoes_subjects_split_wrongly_in_clock_space(
     # 1.05: clocks just under a subject's bound invert past its follow-up
     # end.  0.2: subjects have several times the events the bound predicts,
     # which also exhausts the first bulk draw.
-    rescaled = type("Rescaled", (Rescaled,), {"factor": factor})
     sc = Scenario(
         system="mean_frequency",
         hazards={
-            "recurrent": rescaled(3.0, H),
+            "recurrent": rescaled(ConstantHazard(3.0, H), factor),
             "terminal": ConstantHazard(terminal, H),
         },
         n=80,
@@ -232,36 +241,83 @@ def test_recurrent_simulation_redoes_subjects_split_wrongly_in_clock_space(
     assert simulate_dataset(sc).records == reference_simulate(sc).records
 
 
-def misfit_subjects(sc):
-    """Subjects whose record-loop clocks disagree with the clock-space split:
-    some clock of theirs is below ``recurrent.cumulative(follow)`` while its
-    inverted time is not before ``follow``, or the other way round.  (No
-    censoring.)"""
+#: Hazard rates, with zero often.
+RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 4.0)
+
+
+@st.composite
+def hazard_specs(draw):
+    """A constant, linear or table hazard on ``[0, H]``."""
+    form = draw(st.sampled_from(["constant", "linear", "table"]))
+    if form == "constant":
+        return ConstantHazard(draw(RATES), H)
+    if form == "linear":
+        return LinearHazard(draw(RATES), draw(st.floats(0.0, 2.0)), H)
+    times = draw(st.lists(st.floats(0.0, H), min_size=1, max_size=4, unique=True))
+    rates = draw(st.lists(RATES, min_size=len(times), max_size=len(times)))
+    try:
+        return TableHazard(tuple(sorted(times)), tuple(rates), H)
+    except ConfigError:  # knots too close for a finite slope
+        reject()
+
+
+@PROPERTY
+@given(
+    recurrent=hazard_specs(),
+    terminal=hazard_specs(),
+    censored=st.booleans(),
+    factor=st.sampled_from([0.2, 1.0, 1.05]),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recurrent_simulation_matches_the_record_loop(
+    recurrent, terminal, censored, factor, n, seed
+):
+    # Factors other than 1 make clocks disagree with the clock-space split,
+    # so the record loop takes over from the first such subject.
+    sc = Scenario(
+        system="mean_frequency",
+        hazards={"recurrent": rescaled(recurrent, factor), "terminal": terminal},
+        n=n,
+        seed=seed,
+        censor=ConstantHazard(0.4, H) if censored else None,
+    )
+    got, want = simulate_dataset(sc), reference_simulate(sc)
+    assert got.records == want.records
+    assert repr(got.records) == repr(want.records)
+
+
+def record_loop_subjects(sc):
+    """Per subject of the record loop (no censoring): whether its clocks fit
+    the clock-space split (each clock is below ``recurrent.cumulative(follow)``
+    exactly when its inverted time is before ``follow``), and its draws."""
     rng = np.random.default_rng(np.random.SeedSequence((sc.seed,)))
     recurrent = sc.hazards["recurrent"]
     t_term = sc.hazards["terminal"].invert(rng.exponential(size=sc.n))
     follow = np.minimum(t_term, sc.horizon)
-    misfits = 0
+    fits, draws = [], []
     for end in follow:
-        bound, clock, fits = recurrent.cumulative(end), 0.0, True
+        bound, clock, fit, count = recurrent.cumulative(end), 0.0, True, 0
         while True:
             clock += rng.exponential()
+            count += 1
             event = float(recurrent.invert(clock)[0]) < end
-            fits = fits and event == (clock < bound)
+            fit = fit and event == (clock < bound)
             if not event:
                 break
-        misfits += not fits
-    return misfits
+        fits.append(fit)
+        draws.append(count)
+    return fits, draws
 
 
 def test_recurrent_split_takes_one_bulk_pass_per_misfit_subject():
-    # Subjects with several times the events the clock bound predicts: each
-    # is finished on its own, so the bulk split (one vector inversion per
-    # pass) runs at most once per such subject, plus once.  Splitting again
-    # after every disagreeing clock took three times as many passes.
+    # Subjects with several times the events the clock bound predicts.  The
+    # bulk split inverts every clock in one vector call; from the first
+    # subject that does not fit it, each draw is inverted on its own, once.
+    # So the work is linear in the draws, however many subjects misfit.
     calls = []
 
-    class Counted(Rescaled):
+    class Counted(Rescaled, ConstantHazard):
         factor = 0.2
 
         def invert(self, targets):
@@ -275,11 +331,13 @@ def test_recurrent_split_takes_one_bulk_pass_per_misfit_subject():
         seed=2,
     )
     got = simulate_dataset(sc)
-    passes = calls.count(1)
-    calls.clear()
-    misfits = misfit_subjects(sc)
-    assert 100 < misfits < sc.n
-    assert passes <= misfits + 1
+    vector, scalar = calls.count(1), calls.count(0)
+    assert vector + scalar == len(calls)
+    fits, draws = record_loop_subjects(sc)
+    first = fits.index(False)
+    assert 100 < fits.count(False) < sc.n
+    assert vector == 1
+    assert scalar == sum(draws[first:])
     assert got.records == reference_simulate(sc).records
 
 

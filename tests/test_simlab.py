@@ -228,6 +228,27 @@ def test_a_hazard_too_large_to_invert_is_a_config_error(spec):
         spec.invert([spec.cumulative(0.1)])
 
 
+@pytest.mark.parametrize("name", ["survival", "mean_frequency"])
+def test_studies_count_a_hazard_too_large_to_invert_as_a_config_error(name):
+    # The recurrent hazard's clock bound sums to inf: its piece table is
+    # checked before the draw is sized, as a single-spell hazard's is.
+    huge = ConstantHazard(1e308, 1.0)
+    hazards = (
+        {"event": huge}
+        if name == "survival"
+        else {"recurrent": huge, "terminal": ConstantHazard(0.5, 1.0)}
+    )
+    sc = Scenario(system=name, hazards=hazards, n=20, k_replications=3, seed=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the oracle overflows
+        coverage = coverage_study(sc, t_grid=[0.5])
+        convergence = l2_convergence(sc, n_list=[20, 30])
+    assert coverage.metadata["failures"] == {"ConfigError": 3}
+    assert coverage.metadata["replications_used"] == 0
+    assert convergence.metadata["failures"] == {"20": 3, "30": 3}
+    with pytest.raises(ConfigError, match="too large to invert"):
+        simulate_dataset(sc)
+
+
 #: Horizons; on a power of two, ``-intercept / horizon`` takes a linear rate
 #: to exactly 0 at the horizon.
 HORIZONS = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 4.0)
