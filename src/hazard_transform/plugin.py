@@ -26,10 +26,11 @@ earliest failing row.  Negative variances likewise have one check,
 ``_negative_variances``, shared by :func:`confidence_band` and the study
 blocks.
 
-Every system but ``screening`` is triangular (``ParameterSystem._rows``):
-taken in a suitable order, each state row reads only earlier rows, or only
-itself, and ``_states`` solves it row by row over all jumps at once.  A row
-that reads only itself is a product limit
+Every system but ``screening`` is triangular (``ParameterSystem._rows``,
+derived from a probe of the gradients): taken in a suitable order, each
+state row reads only earlier rows, or only itself, and ``_states`` solves
+it row by row over all jumps at once.  A row that reads only itself is a
+product limit
 
     X^i_{tau_k} = X^i_{tau_{k-1}} (1 + sum_j G_j[i,i] dA^j_{tau_k}),
 

@@ -62,9 +62,9 @@ class HazardSpec:
     change its slope.  Between ``0``, those knots and ``horizon`` the rate
     must be continuous and linear, so the cumulative is piecewise quadratic
     and :meth:`invert` draws event times from it in closed form.  The first
-    :meth:`invert` checks that contract, raising :class:`ConfigError` for a
-    spec that breaks it, and keeps the piece table it builds: a spec must
-    not change afterwards.
+    :meth:`invert`, or the :class:`Scenario` that holds the spec, checks
+    that contract, raising :class:`ConfigError` for a spec that breaks it,
+    and keeps the piece table it builds: a spec must not change afterwards.
     """
 
     horizon: float
@@ -356,7 +356,8 @@ class Scenario:
     ``hazards`` is keyed by the driver-slot roles of the system (for example
     ``event`` for survival, ``group1``/``group0`` for relative survival,
     ``recurrent``/``terminal`` for mean frequency).  Censoring, if any, is an
-    independent right-censoring hazard drawn the same way.
+    independent right-censoring hazard drawn the same way.  Each spec's
+    contract (see :class:`HazardSpec`) is checked when the scenario is built.
     """
 
     system: SystemKind | str
@@ -389,11 +390,11 @@ class Scenario:
         extra = [r for r in self.hazards if r not in roles]
         if extra:
             raise ConfigError(f"scenario has hazard(s) for unknown role(s): {extra}")
-        horizons = {spec.horizon for spec in self.hazards.values()}
-        if self.censor is not None:
-            horizons.add(self.censor.horizon)
-        if len(horizons) != 1:
+        specs = [s for s in (*self.hazards.values(), self.censor) if s is not None]
+        if len({spec.horizon for spec in specs}) != 1:
             raise ConfigError("all hazards in a scenario must share one horizon")
+        for spec in specs:
+            spec._pieces  # a spec that cannot be inverted, before any draw
 
     @property
     def horizon(self) -> float:
@@ -456,7 +457,6 @@ def _recurrent_times(rng, recurrent, follow):
     subject by subject.
     """
     n = follow.size
-    recurrent._pieces  # the first invert's ConfigError, before the draw is sized
     bound = np.array(recurrent.cumulative(follow), dtype=float)
     limit = bound.tolist()
     # About n + sum(bound) draws are used.  Bulk draws continue the stream of

@@ -17,9 +17,9 @@ Every system but ``screening`` is triangular: in a suitable order each state
 row reads only earlier rows, or only itself.  A row that reads only itself
 is a product limit, ``x_i,k = x_i,k-1 (1 + sum_j G_j[i,i] dA^j_k)``, and a
 row that never reads itself a running sum of its integrand at the left
-limits.  For a linear system the order and the kinds come from the
-Jacobian tensor; ``ler`` declares them.  The plugin solver then solves the
-state row by row instead of jump by jump.
+limits.  The order and the kinds are derived, for any system, from one
+probe of its gradients (``ParameterSystem._rows``); nothing is declared.
+The plugin solver then solves the state row by row instead of jump by jump.
 
 States that appear in denominators carry guard bounds; solving below a guard
 raises :class:`~hazard_transform.errors.GuardViolation` rather than clamping.
@@ -28,6 +28,7 @@ raises :class:`~hazard_transform.errors.GuardViolation` rather than clamping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -65,6 +66,8 @@ class SystemKind:
         if not isinstance(self.name, str) or self.name not in _CATALOG:
             raise ConfigError(f"unknown system name: {self.name!r}")
         _number(self.n_causes, "n_causes", integer=True)
+        if self.n_causes < 1:
+            raise ConfigError(f"n_causes must be at least 1, got {self.n_causes}")
         if self.initial_value is not None:
             object.__setattr__(
                 self, "initial_value", tuple(float(v) for v in self.initial_value)
@@ -102,18 +105,8 @@ class ParameterSystem:
     to the Jacobians of integrand column ``j``, an array that broadcasts to
     ``(..., n, n)``: a constant Jacobian may be returned as one ``(n, n)``
     matrix.  The covariance solver evaluates both on a block of states at
-    once, and the state kernel steps a stack of bootstrap resamples.
-
-    ``jacobians`` is set, with shape ``(k, n, n)``, exactly when the system is
-    linear with constant Jacobians (``F(x)[:, j] = jacobians[j] @ x``).
-
-    ``_rows`` is set when the system is triangular: its rows in solving
-    order, each ``(i, terms)``.  ``terms`` lists the nonzero Jacobian entries
-    ``(j, l, G_j[i, l])`` of row ``i`` in column order: all with ``l == i``
-    for a product row, none for a sum row.  A sum row of a nonlinear
-    integrand has ``terms`` None and reads its integrand row, which may read
-    only rows solved before it.  The plugin solver then solves the state row
-    by row; without ``_rows`` it steps through the jumps.
+    once, and the state kernel steps a stack of bootstrap resamples.  The
+    solving structure, ``_rows``, is derived from these functions.
     """
 
     name: str
@@ -123,8 +116,43 @@ class ParameterSystem:
     integrand: Callable[[np.ndarray], np.ndarray]
     gradients: tuple[Callable[[np.ndarray], np.ndarray], ...]
     guards: tuple[tuple[int, float], ...] = ()
-    jacobians: np.ndarray | None = None
-    _rows: tuple[tuple[int, tuple | None], ...] | None = None
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, tuple | None], ...] | None:
+        """The rows in solving order, each ``(i, terms)``, when the system is
+        triangular, else None: the plugin solver then steps through the jumps.
+
+        Derived once from the gradients at an all-NaN state and at one of
+        distinct values in (0, 1).  Row ``i`` reads the cells ``G_j[i, l]``
+        nonzero, or NaN, at either; a cell is constant when finite at the
+        first and equal at both.  In the order of :func:`_solving_order`, a
+        row with only constant diagonal cells is a product row and one with
+        no diagonal cell a sum row.  ``terms`` lists the cells ``(j, l,
+        G_j[i, l])`` in ``(j, l)`` order when all are constant and the
+        integrand row is 0 at the zero state (a Jacobian misses an affine
+        offset); otherwise a sum row reads its integrand, and a product row,
+        like any other row or a cycle, makes the system step.
+        """
+        n = self.state_dim
+        with np.errstate(all="ignore"):
+            nan, finite = (
+                np.array([np.broadcast_to(g(x), (n, n)) for g in self.gradients])
+                for x in (np.full(n, np.nan), np.linspace(0.3, 0.7, n))
+            )
+            offset = (self.integrand(np.zeros(n)) != 0).any(axis=1)
+        cells = (nan != 0) | (finite != 0)
+        constant = np.isfinite(nan) & (nan == finite)
+        fixed = ~offset & (constant | ~cells).all(axis=(0, 2))
+        reads = [set(np.flatnonzero(row).tolist()) for row in cells.any(axis=0)]
+        order = _solving_order(reads)
+        if order is None or any(
+            i in r and (r != {i} or not fixed[i]) for i, r in enumerate(reads)
+        ):
+            return None
+        terms = [()] * n
+        for j, i, l in np.argwhere(cells).tolist():  # each row's in (j, l) order
+            terms[i] += ((j, l, float(nan[j, i, l])),)
+        return tuple((i, terms[i] if fixed[i] else None) for i in order)
 
     @property
     def state_dim(self) -> int:
@@ -201,9 +229,8 @@ def _linear(
 ) -> ParameterSystem:
     """Linear system ``F(x)[:, j] = G_j x`` from the nonzero entries of each G_j.
 
-    The Jacobians are constant, so the integrand, the per-column gradients and
-    the rows in solving order (:func:`_triangular_rows`) are read off the
-    tensor.
+    The Jacobians are constant, so the integrand and the per-column gradients
+    are read off the tensor of the ``G_j``.
     """
     n, k = len(state_labels), len(columns)
     jacobians = np.zeros((k, n, n))
@@ -221,30 +248,7 @@ def _linear(
         initial_value=np.asarray(initial_value, dtype=float),
         integrand=lambda x: (x @ by_state).reshape(*x.shape[:-1], n, k),
         gradients=tuple((lambda x, g=g: g) for g in jacobians),
-        jacobians=jacobians,
-        _rows=_triangular_rows(jacobians),
     )
-
-
-def _triangular_rows(jacobians: np.ndarray):
-    """The rows of the linear system with Jacobian tensor ``jacobians`` in
-    solving order, as ``ParameterSystem._rows``, or None when it is not
-    triangular: when its off-diagonal pattern has a cycle, or a row reads
-    both itself and another row.
-
-    Python lists, not arrays: the tensor is a few entries, and this runs
-    with every :func:`make_system`."""
-    k, n, _ = jacobians.shape
-    tensor = jacobians.tolist()
-    terms = [
-        tuple((j, l, g) for j in range(k) for l, g in enumerate(tensor[j][i]) if g)
-        for i in range(n)
-    ]
-    reads = [{l for _, l, _ in row} for row in terms]
-    if any(i in r and len(r) > 1 for i, r in enumerate(reads)):
-        return None
-    order = _solving_order(reads)
-    return None if order is None else tuple((i, terms[i]) for i in order)
 
 
 def _solving_order(reads) -> list[int] | None:
@@ -341,23 +345,12 @@ def _ler(kind: SystemKind) -> ParameterSystem:
         integrand=integrand,
         gradients=(grad_time, lambda x: g2, lambda x: g3),
         guards=((4, GUARD_EPS),),
-        # S1 and S2 are product limits, R1 and R2 their time integrals, and
-        # the ratio row the running sum of its integrand.
-        _rows=(
-            (1, ((1, 1, -1.0),)),
-            (2, ((2, 2, -1.0),)),
-            (3, ((0, 1, 1.0),)),
-            (4, ((0, 2, 1.0),)),
-            (0, None),
-        ),
     )
 
 
 def _cumulative_incidence(kind: SystemKind) -> ParameterSystem:
     # state (S, C1..Cm); drivers (A1..Am)
     m = kind.n_causes
-    if m < 1:
-        raise ConfigError("cumulative_incidence needs n_causes >= 1")
     return _linear(
         "cumulative_incidence",
         ("survival",) + tuple(f"incidence_{j + 1}" for j in range(m)),

@@ -167,23 +167,30 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--system", "survival", "--hazard", "constant:1e308"],
+            ["simulate", "--system", "survival", "--hazard", "constant:1e308", "--n", 20],
             [
-                "--system", "mean_frequency", "--hazard", "recurrent=constant:1e308",
-                "--hazard", "terminal=constant:0.5",
+                "simulate", "--system", "mean_frequency",
+                "--hazard", "recurrent=constant:1e308",
+                "--hazard", "terminal=constant:0.5", "--n", 20,
+            ],
+            ["coverage", "--hazard", "constant:1e308", "--n", 20, "--k", 3],
+            [
+                "converge", "--system", "mean_frequency",
+                "--hazard", "recurrent=constant:1e308",
+                "--hazard", "terminal=constant:0.5", "--n-list", "20,30", "--k", 3,
             ],
         ],
-        ids=["survival", "mean_frequency"],
+        ids=["survival", "mean_frequency", "coverage", "converge"],
     )
     def test_hazard_too_large_to_invert_is_a_config_error(self, tmp_path, argv):
-        proc = run_cli(
-            "simulate", *argv, "--n", 20, "--seed", 1, "--out", tmp_path / "o",
-            expect=1,
-        )
+        # The scenario rejects the spec before any draw: a study has no
+        # replications to fail one by one.
+        proc = run_cli(*argv, "--seed", 1, "--out", tmp_path / "o", expect=1)
         err = error_payload(proc)
         assert err["type"] == "ConfigError"
         assert "too large to invert" in err["message"]
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_missing_seed_is_a_usage_error(self, tmp_path):
         proc = subprocess.run(
@@ -344,9 +351,12 @@ def test_unknown_hazard_config_key_is_a_config_error(tmp_path):
         (["coverage", "--n", 10, "--k", 2, "--t-grid", ","], "t_grid"),
         (["coverage", "--n", 10, "--k", 2, "--jobs", 0], "n_jobs"),
         (["converge", "--n-list", 10, "--k", 1, "--jobs", -5], "n_jobs"),
+        (["coverage", "--system", "cumulative_incidence", "--n-causes", 0,
+          "--n", 10, "--k", 2], "n_causes"),
     ],
     ids=["t-grid 5,-1", "t-grid past the horizon", "n-list 30.5", "n-list 0,50",
-         "n-list 20,20", "bootstrap-b 1", "t-grid ,", "jobs 0", "jobs -5"],
+         "n-list 20,20", "bootstrap-b 1", "t-grid ,", "jobs 0", "jobs -5",
+         "n-causes 0"],
 )
 def test_study_flag_outside_its_domain_is_a_config_error(tmp_path, argv, key):
     proc = run_cli(

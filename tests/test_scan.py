@@ -5,13 +5,13 @@ State: the package has one kernel, ``plugin._states``, which solves a
 triangular system (the six linear ones and ``ler``) row by row, each row a
 product limit or a running sum, and steps any other one through the jumps,
 with any batch of states stacked.  ``loop_states`` below is the jump-by-jump
-reference for both; :func:`stepped` drops a system's Jacobian tensor and row
-declaration, which sends it down the stepping branch, so the same system is
-solved both ways.  Covariance: the package has one solver,
-``plugin._covariances``, which solves the entries one at a time over all
-jumps, each a scalar affine recurrence in the order of the Jacobian
-pattern, and steps a pattern with a cycle through the jumps;
-``loop_variance`` below is its jump-by-jump reference.
+reference for both; :func:`stepped` gives a system's copy no rows, which
+sends it down the stepping branch, so the same system is solved both ways.
+Covariance: the package has one solver, ``plugin._covariances``, which
+solves the entries one at a time over all jumps, each a scalar affine
+recurrence in the order of the Jacobian pattern, and steps a pattern with a
+cycle through the jumps; ``loop_variance`` below is its jump-by-jump
+reference.
 """
 
 import os
@@ -47,7 +47,7 @@ from hazard_transform import (
     solve_plugin,
     solve_variance,
 )
-from hazard_transform.systems import GUARD_EPS, _linear
+from hazard_transform.systems import GUARD_EPS, ParameterSystem, _linear
 from hazard_transform.simlab import _draws
 
 from helpers import first_negative_variance, take_subjects
@@ -149,9 +149,11 @@ def loop_variance(system, driver, meta, state, v0):
 
 
 def stepped(system):
-    """``system`` without its Jacobian tensor and row declaration: the state
-    kernel steps it jump by jump."""
-    return replace(system, jacobians=None, _rows=None)
+    """A copy of ``system`` whose derived rows are None: the state kernel
+    steps it jump by jump."""
+    copy = replace(system)
+    vars(copy)["_rows"] = None
+    return copy
 
 
 def interior_x0(system, rng):
@@ -312,11 +314,11 @@ def test_nearly_symmetric_v0_is_rejected_by_both_solvers():
     assert fit_plugin(scan_system, driver, meta, v0=symmetric).cov_path.shape == (10, 2, 2)
 
 
-def test_solver_choice_follows_the_jacobian_tensor(monkeypatch):
-    # The six linear systems take the row solver with rows derived from
-    # their tensor, ler with its declared rows, and screening steps.  The
-    # tensor and the rows pick the state kernel's branch and nothing else:
-    # the covariance is the same computation without them.
+def test_solver_choice_follows_the_derived_rows(monkeypatch):
+    # The six linear systems and ler take the row solver with rows derived
+    # from their gradients, and screening steps.  The rows pick the state
+    # kernel's branch and nothing else: the covariance is the same
+    # computation without them.
     solved = []
     solve_row = plugin._solve_row
     monkeypatch.setattr(
@@ -335,12 +337,15 @@ def test_solver_choice_follows_the_jacobian_tensor(monkeypatch):
     rng = np.random.default_rng(11)
     for kind in KINDS:
         system = make_system(kind)
-        k, n = system.driver_dim, system.state_dim
-        if kind in LINEAR_KINDS:
-            assert system.jacobians.shape == (k, n, n)
-            assert not system.jacobians.flags.writeable
-        else:
-            assert system.jacobians is None
+        # A linear system's Jacobians are constant (finite at a NaN state)
+        # and read-only.
+        n = system.state_dim
+        nan, x = np.full(n, np.nan), np.linspace(0.2, 0.9, n)
+        linear = [np.isfinite(g(nan)).all() for g in system.gradients]
+        assert all(linear) == (kind in LINEAR_KINDS)
+        for gradient in system.gradients if all(linear) else ():
+            np.testing.assert_array_equal(gradient(x), gradient(nan))
+            assert not gradient(x).flags.writeable
         driver, meta = random_driver(kind, 50, rng)
         x0 = interior_x0(system, rng)
         solved.clear()
@@ -381,9 +386,10 @@ def test_integrand_columns_are_the_jacobians_applied_to_the_state():
         system = make_system(kind)
         x = rng.uniform(0.1, 1.0, size=system.state_dim)
         f = system.integrand(x)
-        for j, g in enumerate(system.jacobians):
+        for j, gradient in enumerate(system.gradients):
+            g = gradient(np.full(system.state_dim, np.nan))
             np.testing.assert_array_equal(f[:, j], g @ x)
-            np.testing.assert_array_equal(system.gradients[j](x), g)
+            np.testing.assert_array_equal(gradient(x), g)
 
 
 @pytest.mark.parametrize("m", [5, 3077])
@@ -515,6 +521,195 @@ def test_cyclic_system_steps_its_covariances(monkeypatch):
         fit_plugin(catalog, driver, meta, x0_override=interior_x0(catalog, rng))
         assert scans
         scans.clear()
+
+
+#: The rows each catalog system derives from its gradients, as the six
+#: linear systems once read them off their Jacobian tensor and ler once
+#: declared them.
+CATALOG_ROWS = {
+    "survival": ((0, ((0, 0, -1.0),)),),
+    "relative_survival": (
+        (0, ((0, 0, -1.0),)),
+        (1, ((1, 1, -1.0),)),
+        (2, ((0, 2, -1.0), (1, 2, 1.0))),
+    ),
+    "rmst": ((1, ((1, 1, -1.0),)), (0, ((0, 1, 1.0),))),
+    "led": ((1, ((1, 1, -1.0),)), (2, ((2, 2, -1.0),)), (0, ((0, 1, 1.0), (0, 2, -1.0)))),
+    "ler": (
+        (1, ((1, 1, -1.0),)),
+        (2, ((2, 2, -1.0),)),
+        (3, ((0, 1, 1.0),)),
+        (4, ((0, 2, 1.0),)),
+        (0, None),
+    ),
+    "cumulative_incidence": (
+        (0, ((0, 0, -1.0), (1, 0, -1.0), (2, 0, -1.0))),
+        (1, ((0, 0, 1.0),)),
+        (2, ((1, 0, 1.0),)),
+        (3, ((2, 0, 1.0),)),
+    ),
+    "mean_frequency": ((1, ((1, 1, -1.0),)), (0, ((0, 1, 1.0),))),
+    "screening": None,
+}
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+def test_derived_rows_are_the_catalog_rows(kind):
+    assert make_system(kind)._rows == CATALOG_ROWS[kind.name]
+
+
+def hand_built(integrand, *gradients, x0):
+    """A system given only by its integrand and gradients."""
+    n, k = len(x0), len(gradients)
+    return ParameterSystem(
+        name="hand_built",
+        state_labels=tuple(f"x{i}" for i in range(n)),
+        driver_labels=tuple(f"a{j}" for j in range(k)),
+        initial_value=np.array(x0, dtype=float),
+        integrand=integrand,
+        gradients=gradients,
+    )
+
+
+def assert_matches_the_loop(system, m=300, seed=17):
+    """Solve ``system`` on a random driver (ties and zero increments) and
+    compare with the loop: bitwise when it steps, under the scan rule when
+    its rows are solved; the covariances under the scan rule."""
+    rng = np.random.default_rng(seed)
+    k = system.driver_dim
+    times = np.cumsum(rng.uniform(0.5, 1.5, size=m)) / max(m, 1)
+    increments = rng.uniform(0.0, 0.01, size=(m, k))
+    increments *= rng.uniform(size=increments.shape) < 0.6
+    driver = StepPath(times, increments, np.zeros(k), float(times[-1]) if m else 1.0)
+    meta = DriverMeta(250, system.driver_labels, (False,) * k)
+    state = solve_plugin(system, driver)
+    got = np.vstack([state.origin_value, state.values_at_jumps()])
+    loop = loop_states(system, driver, system.initial_value)
+    if system._rows is None:
+        assert_bitwise(got, loop)
+    assert_close(got, loop)
+    loop_state = StepPath.from_values(driver.times, loop, driver.horizon)
+    v0 = np.zeros((system.state_dim,) * 2)
+    assert_close(
+        solve_variance(system, driver, meta, state),
+        loop_variance(system, driver, meta, loop_state, v0),
+    )
+
+
+def test_a_nonlinear_triangular_system_takes_the_row_solver():
+    # S is a product limit; Q, the integral of S**2 over the second driver,
+    # reads S through a cell that varies with the state, so its row reads
+    # its integrand.
+    def integrand(x):
+        f = np.zeros(x.shape[:-1] + (2, 2))
+        f[..., 0, 0] = -x[..., 0]
+        f[..., 1, 1] = x[..., 0] * x[..., 0]
+        return f
+
+    def grad_1(x):
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 1, 0] = 2.0 * x[..., 0]
+        return g
+
+    system = hand_built(
+        integrand, lambda x: np.array([[-1.0, 0.0], [0.0, 0.0]]), grad_1,
+        x0=[1.0, 0.0],
+    )
+    assert system._rows == ((0, ((0, 0, -1.0),)), (1, None))
+    assert_matches_the_loop(system)
+
+
+def test_an_affine_offset_is_not_read_as_a_product_row():
+    # F = 1 - x has the constant Jacobian -1 of a product row, x (1 - dA),
+    # but its offset makes it x + (1 - x) dA: the system steps.  An affine
+    # sum row, 1 + x_0, reads its integrand instead of its Jacobian cells.
+    def offset_self(x):
+        return (1.0 - x)[..., None]
+
+    system = hand_built(offset_self, lambda x: np.array([[-1.0]]), x0=[0.5])
+    assert system._rows is None
+    assert_matches_the_loop(system)
+
+    def offset_sum(x):
+        f = np.zeros(x.shape[:-1] + (2, 1))
+        f[..., 0, 0] = -x[..., 0]
+        f[..., 1, 0] = 1.0 + x[..., 0]
+        return f
+
+    system = hand_built(
+        offset_sum, lambda x: np.array([[-1.0, 0.0], [1.0, 0.0]]), x0=[1.0, 0.0]
+    )
+    assert system._rows == ((0, ((0, 0, -1.0),)), (1, None))
+    assert_matches_the_loop(system)
+
+
+@pytest.mark.parametrize("below", [-2.0, 0.0])
+def test_a_piecewise_gradient_is_not_read_as_constant(below):
+    # The cell is ``below`` at a NaN state (the comparison is False there)
+    # and -1 at a state inside (0, 1): not constant, so the row is no product
+    # limit, and the system steps.  With ``below`` 0 the cell is read at all
+    # only at the second state.
+    def integrand(x):
+        return np.where(x > 0.0, -x, below * x)[..., None]
+
+    def gradient(x):
+        return np.where(x > 0.0, -1.0, below)[..., None]
+
+    system = hand_built(integrand, gradient, x0=[0.8])
+    assert system._rows is None
+    assert_matches_the_loop(system)
+
+
+COEFFICIENTS = st.sampled_from([-2.0, -1.0, -0.5, 0.25, 1.0, 3.0])
+
+
+@st.composite
+def linear_systems(draw):
+    """A random linear system and whether it is triangular.
+
+    Its states, taken in a random order, are product rows (reading only
+    themselves), sum rows (reading only rows before them) or mixed rows
+    (reading themselves and another row), each cell in a random driver
+    column; with ``cycle``, the first two sum rows also read each other.  A
+    draw is triangular when it has neither a mixed row nor a cycle."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    order = draw(st.permutations(range(n)))
+    columns = [{} for _ in range(k)]
+    column = st.integers(0, k - 1)
+    mixed, sums = False, []
+    for p, i in enumerate(order):
+        kind = draw(st.sampled_from(["product", "sum", "mixed"]))
+        others = order[:p] if kind == "sum" else [l for l in range(n) if l != i]
+        if kind == "mixed" and not others:
+            kind = "product"
+        if kind != "sum":
+            for j in draw(st.sets(column, min_size=1)):
+                columns[j][i, i] = draw(COEFFICIENTS)
+        if kind != "product":
+            reads = draw(st.lists(st.sampled_from(others), unique=True,
+                                  min_size=kind == "mixed")) if others else []
+            for l in reads:
+                columns[draw(column)][i, l] = draw(COEFFICIENTS)
+        mixed |= kind == "mixed"
+        sums += [i] if kind == "sum" else []
+    cycle = len(sums) > 1 and draw(st.booleans())
+    if cycle:
+        a, b = sums[:2]
+        columns[draw(column)][a, b] = draw(COEFFICIENTS)
+        columns[draw(column)][b, a] = draw(COEFFICIENTS)
+    x0 = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    labels = tuple(f"x{i}" for i in range(n)), tuple(f"a{j}" for j in range(k))
+    return _linear("random", *labels, x0, *columns), not (mixed or cycle)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=linear_systems(), m=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_a_random_linear_system_takes_the_row_solver_when_triangular(case, m, seed):
+    # A triangular draw is solved row by row, any other one steps; both
+    # agree with the loop.
+    system, triangular = case
+    assert (system._rows is not None) == triangular
+    assert_matches_the_loop(system, m, seed)
 
 
 def entry_closure(system, lefts, asked):

@@ -228,25 +228,37 @@ def test_a_hazard_too_large_to_invert_is_a_config_error(spec):
         spec.invert([spec.cumulative(0.1)])
 
 
-@pytest.mark.parametrize("name", ["survival", "mean_frequency"])
-def test_studies_count_a_hazard_too_large_to_invert_as_a_config_error(name):
-    # The recurrent hazard's clock bound sums to inf: its piece table is
-    # checked before the draw is sized, as a single-spell hazard's is.
-    huge = ConstantHazard(1e308, 1.0)
-    hazards = (
-        {"event": huge}
-        if name == "survival"
-        else {"recurrent": huge, "terminal": ConstantHazard(0.5, 1.0)}
-    )
-    sc = Scenario(system=name, hazards=hazards, n=20, k_replications=3, seed=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # the oracle overflows
-        coverage = coverage_study(sc, t_grid=[0.5])
-        convergence = l2_convergence(sc, n_list=[20, 30])
-    assert coverage.metadata["failures"] == {"ConfigError": 3}
-    assert coverage.metadata["replications_used"] == 0
-    assert convergence.metadata["failures"] == {"20": 3, "30": 3}
+@pytest.mark.parametrize(
+    "system, hazards, censor",
+    [
+        ("survival", {"event": ConstantHazard(1e308, 1.0)}, None),
+        (
+            "mean_frequency",
+            {"recurrent": ConstantHazard(1e308, 1.0), "terminal": ConstantHazard(0.5, 1.0)},
+            None,
+        ),
+        ("survival", {"event": ConstantHazard(0.5, 1.0)}, ConstantHazard(1e308, 1.0)),
+    ],
+    ids=["survival", "mean_frequency", "censor"],
+)
+def test_a_scenario_rejects_a_hazard_too_large_to_invert(system, hazards, censor):
+    # Each spec's piece table is checked when the scenario is built, so no
+    # study or simulation draws from it: before, each replication of a study
+    # failed alone and its coverage rows came out NaN.
     with pytest.raises(ConfigError, match="too large to invert"):
-        simulate_dataset(sc)
+        Scenario(system=system, hazards=hazards, n=20, seed=1, censor=censor)
+
+
+def test_a_cause_count_below_one_is_named():
+    # Such a kind had no driver slots, and a scenario of it failed as one
+    # whose hazards do not share a horizon.
+    with pytest.raises(ConfigError, match="n_causes"):
+        Scenario(
+            system=SystemKind("cumulative_incidence", n_causes=0), hazards={}, n=10,
+            seed=1,
+        )
+    with pytest.raises(ConfigError, match="n_causes"):
+        SystemKind.from_config({"name": "cumulative_incidence", "n_causes": -1})
 
 
 #: Horizons; on a power of two, ``-intercept / horizon`` takes a linear rate
@@ -547,7 +559,9 @@ def test_coverage_truth_is_the_oracle_path_bit_for_bit(
     # time.
     kind, hazards = LINEAR_SCENARIOS[name]
     system = make_system(kind)
-    assert system.jacobians is not None and not system.guards
+    nan = np.full(system.state_dim, np.nan)
+    assert all(np.isfinite(g(nan)).all() for g in system.gradients)  # linear
+    assert not system.guards
     contexts = []
     monkeypatch.setattr(
         simlab, "_run_blocks", lambda groups, ctx, jobs: contexts.append(ctx) or []

@@ -194,7 +194,7 @@ class TestKindValidation:
             make_system(SystemKind("screening", prevalence=1.5, initial_value=[1, 1, 1, 1]))
 
     def test_cause_count_must_be_positive(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="n_causes"):
             make_system(SystemKind("cumulative_incidence", n_causes=0))
 
     @pytest.mark.parametrize("n_causes", [2.5, True, "2"])
