@@ -8,10 +8,13 @@ set -e
 OUT=$(mktemp -d)
 echo "artifacts in $OUT"
 
-# 1. Simulate 200 subjects: exponential events (rate 1) with exponential
-#    censoring (rate 0.4) over [0, 1.5].
+# 1. Simulate 200 subjects over [0, 1.5]: an event rate rising linearly from
+#    0.5 to 1.25 (linear:INTERCEPT,SLOPE), and a censoring rate tabulated as
+#    0.2 up to time 0.5, then rising to 0.6 at 1.5 (table:t1:r1,t2:r2,...).
+#    Steps 4 and 5 use the third form, a constant rate (constant:RATE).
 python3 -m hazard_transform.cli simulate \
-    --system survival --hazard constant:1.0 --censor constant:0.4 \
+    --system survival --hazard linear:0.5,0.5 \
+    --censor table:0:0.2,0.5:0.2,1.5:0.6 \
     --horizon 1.5 --n 200 --seed 42 --out "$OUT/sim"
 echo "--- dataset head:"
 head -4 "$OUT/sim/dataset.csv"

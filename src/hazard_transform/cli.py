@@ -103,11 +103,12 @@ def _number_list(text: str, what: str, integer: bool = False) -> list:
 
 
 def _parse_hazard_flag(text: str, horizon: float):
-    """Parse ``[role=]form:params`` into ``(role or None, config dict)``."""
-    role = None
-    rest = text
-    head = text.split(":", 1)[0]
-    if "=" in head:
+    """Parse ``[role=]form:params`` into ``(role or None, config dict)``:
+    ``params`` are the form's keys but the horizon, ``table``'s as pairs."""
+    from .simlab import _FORMS
+
+    role, rest = None, text
+    if "=" in text.split(":", 1)[0]:
         role, rest = text.split("=", 1)
         role = role.strip()
     if ":" not in rest:
@@ -115,24 +116,20 @@ def _parse_hazard_flag(text: str, horizon: float):
             f"hazard flag must look like [role=]form:params, got {text!r}"
         )
     form, params = rest.split(":", 1)
+    if form not in _FORMS:
+        raise ConfigError(f"unknown hazard form: {form!r}")
+    keys = _FORMS[form]._keys
     try:
-        if form == "constant":
-            return role, {"form": "constant", "rate": float(params), "horizon": horizon}
-        if form == "linear":
-            a, b = (float(v) for v in params.split(","))
-            return role, {
-                "form": "linear", "intercept": a, "slope": b, "horizon": horizon,
-            }
         if form == "table":
             pairs = [p.split(":") for p in params.split(",")]
-            times = [float(t) for t, _ in pairs]
-            rates = [float(r) for _, r in pairs]
-            return role, {
-                "form": "table", "times": times, "rates": rates, "horizon": horizon,
-            }
-    except (ValueError, IndexError):
-        raise ConfigError(f"cannot parse hazard parameters in {text!r}") from None
-    raise ConfigError(f"unknown hazard form: {form!r}")
+            values = [[float(t) for t, _ in pairs], [float(r) for _, r in pairs]]
+        else:
+            values = [float(v) for v in params.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != len(keys) - 1:
+        raise ConfigError(f"cannot parse hazard parameters in {text!r}")
+    return role, {"form": form, **dict(zip(keys, [*values, horizon]))}
 
 
 def _system_cfg(cfg: dict, args) -> dict:
@@ -145,10 +142,9 @@ def _system_cfg(cfg: dict, args) -> dict:
     sys_cfg = dict(sys_cfg)
     if getattr(args, "system", None):
         sys_cfg["name"] = args.system
-    if getattr(args, "n_causes", None) is not None:
-        sys_cfg["n_causes"] = args.n_causes
-    if getattr(args, "prevalence", None) is not None:
-        sys_cfg["prevalence"] = args.prevalence
+    for key in ("n_causes", "prevalence"):
+        if getattr(args, key, None) is not None:
+            sys_cfg[key] = getattr(args, key)
     if not sys_cfg.get("name"):
         sys_cfg["name"] = "survival"
     return sys_cfg

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 from statistics import NormalDist
@@ -65,9 +65,15 @@ class HazardSpec:
     :meth:`invert`, or the :class:`Scenario` that holds the spec, checks
     that contract, raising :class:`ConfigError` for a spec that breaks it,
     and keeps the piece table it builds: a spec must not change afterwards.
+
+    A study describes its scenario with :meth:`to_config`: a built-in form
+    derives it from its ``_form`` name and ``_keys``, one per field in
+    order; a hand-built subclass that a study runs defines its own.
     """
 
     horizon: float
+    _form: str | None = None
+    _name: str | None = None  # what error messages call the spec, if not its class
 
     def rate(self, t):
         raise NotImplementedError
@@ -76,7 +82,13 @@ class HazardSpec:
         raise NotImplementedError
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """The spec as a config: its form, then its fields under its keys."""
+        if self._form is None:
+            raise ConfigError(
+                f"{type(self).__name__} has no to_config(), which a study needs"
+            )
+        values = (_plain(getattr(self, field.name)) for field in fields(self))
+        return {"form": self._form, **dict(zip(self._keys, values))}
 
     def _knots(self):
         """Times where the rate may bend; those outside ``(0, horizon)``
@@ -118,13 +130,13 @@ class HazardSpec:
             slope2 = 2.0 * np.abs(np.diff(r) / dt)
         if not finite.all():
             raise ConfigError(
-                f"{type(self).__name__}: the hazard is too large to invert "
-                "(a squared rate or a cumulative overflows)"
+                f"{self._name or type(self).__name__}: the hazard is too large "
+                "to invert (a squared rate or a cumulative overflows)"
             )
         if not linear.all():
             raise ConfigError(
-                f"{type(self).__name__}: the cumulative hazard is not the "
-                "integral of a rate that is linear between its knots"
+                f"{self._name or type(self).__name__}: the cumulative hazard is "
+                "not the integral of a rate that is linear between its knots"
             )
         # A piece too short for a finite slope holds next to no cumulative:
         # crossing it at a constant rate stays within its length of the root.
@@ -170,6 +182,11 @@ class HazardSpec:
         return np.clip(root, t0, t1)
 
 
+def _plain(value):
+    """``value`` as a config holds it: a tuple as a list."""
+    return list(value) if isinstance(value, tuple) else value
+
+
 def _finite(**fields) -> None:
     for name, value in fields.items():
         if not np.isfinite(value).all():
@@ -178,6 +195,8 @@ def _finite(**fields) -> None:
 
 @dataclass(frozen=True)
 class ConstantHazard(HazardSpec):
+    _form, _keys = "constant", ("rate", "horizon")
+
     rate_value: float
     horizon: float
 
@@ -194,13 +213,12 @@ class ConstantHazard(HazardSpec):
     def cumulative(self, t):
         return self.rate_value * np.asarray(t, dtype=float)
 
-    def to_config(self) -> dict:
-        return {"form": "constant", "rate": self.rate_value, "horizon": self.horizon}
-
 
 @dataclass(frozen=True)
 class LinearHazard(HazardSpec):
     """Rate ``intercept + slope * t``; must stay nonnegative on the window."""
+
+    _form, _keys = "linear", ("intercept", "slope", "horizon")
 
     intercept: float
     slope: float
@@ -220,14 +238,6 @@ class LinearHazard(HazardSpec):
         t = np.asarray(t, dtype=float)
         return self.intercept * t + 0.5 * self.slope * t**2
 
-    def to_config(self) -> dict:
-        return {
-            "form": "linear",
-            "intercept": self.intercept,
-            "slope": self.slope,
-            "horizon": self.horizon,
-        }
-
 
 @dataclass(frozen=True)
 class TableHazard(HazardSpec):
@@ -236,6 +246,8 @@ class TableHazard(HazardSpec):
     Outside the knot range the rate extends as a constant; the cumulative is
     the exact integral of the interpolated rate (trapezoids).
     """
+
+    _form, _keys = "table", ("times", "rates", "horizon")
 
     knot_times: tuple[float, ...]
     knot_rates: tuple[float, ...]
@@ -289,44 +301,37 @@ class TableHazard(HazardSpec):
         out = np.where(below, kr[0] * t, seg)
         return out if out.shape else float(out)
 
-    def to_config(self) -> dict:
-        return {
-            "form": "table",
-            "times": list(self.knot_times),
-            "rates": list(self.knot_rates),
-            "horizon": self.horizon,
-        }
+
+#: The built-in hazard forms by name.
+_FORMS = {cls._form: cls for cls in (ConstantHazard, LinearHazard, TableHazard)}
+
+#: The type check of each key a built-in form declares: a list of numbers
+#: for a tuple field, else a number.
+_KEY_CHECKS = {
+    key: _numbers if str(field.type).startswith("tuple") else _number
+    for cls in _FORMS.values() for key, field in zip(cls._keys, fields(cls))
+}
 
 
 def hazard_from_config(cfg: dict) -> HazardSpec:
-    """Build a hazard spec from its dict form (see each class's to_config);
-    a key the form's ``to_config`` does not write is a :class:`ConfigError`."""
+    """Build a built-in hazard spec from its ``to_config`` dict.  Each a
+    :class:`ConfigError`, in order: the type of a value any form declares,
+    an unknown form, the first missing key, the constructor's own checks,
+    and a key the form does not declare."""
     if not isinstance(cfg, dict) or "form" not in cfg:
         raise ConfigError("hazard config must be a mapping with a 'form' key")
-    form = cfg["form"]
     for key, value in cfg.items():
-        if key in ("times", "rates"):
-            _numbers(value, f"hazard {key!r}")
-        elif key in ("rate", "intercept", "slope", "horizon"):
-            _number(value, f"hazard {key!r}")
-    try:
-        if form == "constant":
-            spec = ConstantHazard(rate_value=cfg["rate"], horizon=cfg["horizon"])
-        elif form == "linear":
-            spec = LinearHazard(
-                intercept=cfg["intercept"], slope=cfg["slope"], horizon=cfg["horizon"]
-            )
-        elif form == "table":
-            spec = TableHazard(
-                knot_times=tuple(cfg["times"]),
-                knot_rates=tuple(cfg["rates"]),
-                horizon=cfg["horizon"],
-            )
-        else:
-            raise ConfigError(f"unknown hazard form: {form!r}")
-    except KeyError as exc:
-        raise ConfigError(f"hazard config missing key: {exc}") from None
-    unknown = sorted(map(str, set(cfg) - set(spec.to_config())))
+        if key in _KEY_CHECKS:
+            _KEY_CHECKS[key](value, f"hazard {key!r}")
+    form = cfg["form"]
+    cls = _FORMS.get(form) if isinstance(form, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown hazard form: {form!r}")
+    missing = [key for key in cls._keys if key not in cfg]
+    if missing:
+        raise ConfigError(f"hazard config missing key: {missing[0]!r}")
+    spec = cls(*(cfg[key] for key in cls._keys))
+    unknown = sorted(map(str, set(cfg) - {"form", *cls._keys}))
     if unknown:
         raise ConfigError(f"unknown key(s) for a {form} hazard: {', '.join(unknown)}")
     return spec
@@ -334,6 +339,8 @@ def hazard_from_config(cfg: dict) -> HazardSpec:
 
 class _SumHazard(HazardSpec):
     """Internal: total hazard of competing causes (for drawing event times)."""
+
+    _name = "the total of the competing causes"
 
     def __init__(self, parts):
         self.parts = list(parts)
@@ -357,7 +364,8 @@ class Scenario:
     ``event`` for survival, ``group1``/``group0`` for relative survival,
     ``recurrent``/``terminal`` for mean frequency).  Censoring, if any, is an
     independent right-censoring hazard drawn the same way.  Each spec's
-    contract (see :class:`HazardSpec`) is checked when the scenario is built.
+    contract (see :class:`HazardSpec`) is checked when the scenario is built,
+    and so is that of the total hazard of competing causes.
     """
 
     system: SystemKind | str
@@ -395,6 +403,15 @@ class Scenario:
             raise ConfigError("all hazards in a scenario must share one horizon")
         for spec in specs:
             spec._pieces  # a spec that cannot be inverted, before any draw
+        if self._total is not None:
+            self._total._pieces  # nor the sum of competing causes
+
+    @cached_property
+    def _total(self) -> HazardSpec | None:
+        """The total hazard of ``cumulative_incidence``'s causes, else None."""
+        if self.system.name != "cumulative_incidence":
+            return None
+        return _SumHazard(self.hazards[s.role] for s in driver_slots(self.system))
 
     @property
     def horizon(self) -> float:
@@ -403,12 +420,8 @@ class Scenario:
     def describe(self) -> dict:
         return {
             "system": {
-                "name": self.system.name,
-                "n_causes": self.system.n_causes,
-                "prevalence": self.system.prevalence,
-                "initial_value": list(self.system.initial_value)
-                if self.system.initial_value is not None
-                else None,
+                field.name: _plain(getattr(self.system, field.name))
+                for field in fields(self.system)
             },
             "hazards": {role: h.to_config() for role, h in self.hazards.items()},
             "censor": None if self.censor is None else self.censor.to_config(),
@@ -524,8 +537,8 @@ def _simulate(sc: Scenario, n: int, seeds) -> _Spells:
         return _invert(sc.censor, draws(size))
 
     if name == "cumulative_incidence":
-        parts = [sc.hazards[f"cause{j + 1}"] for j in range(sc.system.n_causes)]
-        t_event = _invert(_SumHazard(parts), draws(n))
+        parts = sc._total.parts
+        t_event = _invert(sc._total, draws(n))
         u_cause = np.array([rng.random(n) for rng in rngs])
         exit_time = np.minimum(np.minimum(t_event, censor_times(n)), horizon)
         # The cause is drawn from the cause rates at the event time.
@@ -1027,6 +1040,7 @@ def l2_convergence(
     in :func:`coverage_study`, and each distance is the :func:`l2_distance`
     of its replication's path, so the results do not depend on ``n_jobs``.
     """
+    scenario = sc.describe()  # a spec without to_config, before any work
     if target not in ("estimate", "variance"):
         raise ConfigError("target must be 'estimate' or 'variance'")
     kind = sc.system
@@ -1107,7 +1121,7 @@ def l2_convergence(
         "k_replications": sc.k_replications,
         "n_list": n_list,
         "failures": {str(n): c for n, c in failures.items() if c},
-        "scenario": sc.describe(),
+        "scenario": scenario,
     }
     if target == "variance":
         metadata["bootstrap_n"] = ref_n
@@ -1160,6 +1174,7 @@ def coverage_study(
     bit; a system without guards is solved only up to the last grid row
     ``t_grid`` reads.
     """
+    scenario = sc.describe()  # a spec without to_config, before any work
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be strictly between 0 and 1")
     if _number(n_jobs, "n_jobs", integer=True) < 1:
@@ -1218,7 +1233,7 @@ def coverage_study(
         "k_replications": sc.k_replications,
         "replications_used": used,
         "failures": failures,
-        "scenario": sc.describe(),
+        "scenario": scenario,
     }
     return StudyResult(
         kind="coverage",

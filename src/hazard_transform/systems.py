@@ -27,7 +27,7 @@ raises :class:`~hazard_transform.errors.GuardViolation` rather than clamping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable
 
@@ -54,7 +54,8 @@ class SystemKind:
     ``name`` picks the transform; ``n_causes`` parametrizes
     ``cumulative_incidence``; ``prevalence`` and ``initial_value`` configure
     ``screening`` (the screening baseline is user-supplied — a zero baseline
-    would sit on the guard).
+    would sit on the guard).  Every field is checked here; ``initial_value``
+    may be a list, tuple or NumPy array of numbers, kept as a tuple of floats.
     """
 
     name: str
@@ -68,10 +69,13 @@ class SystemKind:
         _number(self.n_causes, "n_causes", integer=True)
         if self.n_causes < 1:
             raise ConfigError(f"n_causes must be at least 1, got {self.n_causes}")
-        if self.initial_value is not None:
-            object.__setattr__(
-                self, "initial_value", tuple(float(v) for v in self.initial_value)
-            )
+        if self.prevalence is not None:
+            _number(self.prevalence, "prevalence")
+        x0 = self.initial_value
+        if x0 is not None:
+            x0 = x0.tolist() if isinstance(x0, np.ndarray) else x0
+            x0 = tuple(map(float, _numbers(x0, "initial_value")))
+            object.__setattr__(self, "initial_value", x0)
 
     @property
     def headline_index(self) -> int:
@@ -84,16 +88,10 @@ class SystemKind:
     def from_config(cls, cfg: dict) -> "SystemKind":
         if not isinstance(cfg, dict) or "name" not in cfg:
             raise ConfigError("system config must be a mapping with a 'name' key")
-        known = {"name", "n_causes", "prevalence", "initial_value"}
-        extra = set(cfg) - known
+        extra = set(cfg) - {field.name for field in fields(cls)}
         if extra:
             raise ConfigError(f"unknown system config key(s): {sorted(extra)}")
-        kwargs = dict(cfg)
-        if cfg.get("prevalence") is not None:
-            _number(cfg["prevalence"], "prevalence")
-        if cfg.get("initial_value") is not None:
-            kwargs["initial_value"] = _numbers(cfg["initial_value"], "initial_value")
-        return cls(**kwargs)
+        return cls(**cfg)
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,27 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_competing_causes_too_large_to_invert_fail_before_any_draw(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Each cause alone can be inverted, but not their sum: every
+        # replication used to fail alone, naming an internal class.
+        from hazard_transform import cli, simlab
+
+        monkeypatch.setattr(simlab, "_simulate", lambda *a, **k: pytest.fail("drew"))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([
+                "coverage", "--system", "cumulative_incidence", "--n-causes", "2",
+                "--hazard", "cause1=constant:6e153", "--hazard", "cause2=constant:6e153",
+                "--n", "20", "--k", "3", "--seed", "1", "--out", str(tmp_path / "o"),
+            ])
+        assert exit_.value.code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["type"] == "ConfigError"
+        assert "too large to invert" in err["message"]
+        assert "_SumHazard" not in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_missing_seed_is_a_usage_error(self, tmp_path):
         proc = subprocess.run(
             CLI + ["simulate", "--hazard", "constant:1", "--n", "10"],
@@ -274,6 +295,58 @@ class TestStudies:
         assert (outs[0] / "convergence.json").read_bytes() == (
             outs[1] / "convergence.json"
         ).read_bytes()
+
+
+#: Each hazard form as a ``--hazard`` flag and as the config it stands for
+#: at ``--horizon 1.5``.
+FLAG_FORMS = {
+    "constant": ("constant:1.2", {"form": "constant", "rate": 1.2, "horizon": 1.5}),
+    "linear": (
+        "linear:0.4,1.1",
+        {"form": "linear", "intercept": 0.4, "slope": 1.1, "horizon": 1.5},
+    ),
+    "table": (
+        "table:0:0.5,0.6:2,1.2:1",
+        {
+            "form": "table", "times": [0, 0.6, 1.2], "rates": [0.5, 2, 1],
+            "horizon": 1.5,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("flag, config", FLAG_FORMS.values(), ids=list(FLAG_FORMS))
+def test_a_hazard_flag_simulates_what_its_config_does(tmp_path, flag, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"hazards": {"event": config}, "n": 60}))
+    common = ["--censor", "table:0:0.2,1:0.8", "--horizon", 1.5, "--seed", 3]
+    run_cli("simulate", "--hazard", flag, "--n", 60, *common, "--out", tmp_path / "f")
+    run_cli("simulate", "--config", path, *common, "--out", tmp_path / "c")
+    flagged = (tmp_path / "f" / "dataset.csv").read_bytes()
+    assert flagged == (tmp_path / "c" / "dataset.csv").read_bytes()
+    assert flagged.count(b"\n") == 61
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("constant:1,2", "cannot parse hazard parameters in 'constant:1,2'"),
+        ("linear:1", "cannot parse hazard parameters in 'linear:1'"),
+        ("linear:1,2,3", "cannot parse hazard parameters in 'linear:1,2,3'"),
+        ("table:0.5", "cannot parse hazard parameters in 'table:0.5'"),
+        ("table:0:1,2", "cannot parse hazard parameters in 'table:0:1,2'"),
+        ("table:0:1:2", "cannot parse hazard parameters in 'table:0:1:2'"),
+        ("weibull:1", "unknown hazard form: 'weibull'"),
+        ("constant", "hazard flag must look like [role=]form:params, got 'constant'"),
+    ],
+)
+def test_a_malformed_hazard_flag_is_a_config_error(tmp_path, flag, message):
+    proc = run_cli(
+        "simulate", "--hazard", flag, "--n", 10, "--seed", 1,
+        "--out", tmp_path / "o", expect=1,
+    )
+    assert error_payload(proc) == {"type": "ConfigError", "message": message}
+    assert not (tmp_path / "o").exists()
 
 
 HAZARD = {"form": "constant", "rate": 1, "horizon": 1}

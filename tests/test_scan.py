@@ -1043,10 +1043,10 @@ def run_child(code, *args, **env):
     assert proc.returncode == 0, proc.stderr
 
 
-def assert_import_does_not_load(*modules):
+def assert_import_does_not_load(*modules, importing="hazard_transform"):
     src = str(Path(hazard_transform.__file__).resolve().parents[1])
     run_child(
-        "import sys, hazard_transform; "
+        f"import sys, {importing}, hazard_transform; "
         "assert hazard_transform.__file__.startswith(sys.argv[1]); "
         "loaded = sorted(m for m in sys.modules for p in sys.argv[2:] "
         "if m == p or m.startswith(p + '.')); "
@@ -1074,6 +1074,13 @@ def test_import_loads_numpy_but_not_the_simulation_lab():
     # import.
     assert_import_does_not_load("hazard_transform.simlab")
     run_child("import sys, hazard_transform; assert 'numpy' in sys.modules")
+
+
+@pytest.mark.usefixtures("child_env")
+def test_the_command_line_does_not_load_the_simulation_lab():
+    # Every ``estimate`` call imports the CLI; only the study commands read
+    # simlab's hazard forms, and they import it where they run.
+    assert_import_does_not_load("hazard_transform.simlab", importing="hazard_transform.cli")
 
 
 @pytest.mark.usefixtures("child_env")

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -121,6 +122,46 @@ class TestHazardSpecs:
             assert type(again) is type(h)
             np.testing.assert_array_equal(again.cumulative(probe), h.cumulative(probe))
 
+    def test_each_form_writes_its_keys_in_field_order(self):
+        configs = [
+            (ConstantHazard(1, 2.0), {"form": "constant", "rate": 1, "horizon": 2.0}),
+            (
+                LinearHazard(0.2, 0.6, 1.5),
+                {"form": "linear", "intercept": 0.2, "slope": 0.6, "horizon": 1.5},
+            ),
+            (
+                TableHazard((0, 0.9), (0.5, 2.5), 1),
+                {"form": "table", "times": [0.0, 0.9], "rates": [0.5, 2.5], "horizon": 1},
+            ),
+        ]
+        for spec, cfg in configs:
+            got = spec.to_config()
+            assert list(got.items()) == list(cfg.items())
+            assert [type(v) for v in got.values()] == [type(v) for v in cfg.values()]
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            # The type of a value comes first, even under an unknown form.
+            ({"form": "weibull", "rate": "x"}, "hazard 'rate' must be a number, got 'x'"),
+            (
+                {"form": "constant", "rate": 1, "horizon": 1, "times": 0.5},
+                "hazard 'times' must be a list, got 0.5",
+            ),
+            ({"form": ["constant"], "rate": 1}, "unknown hazard form: ['constant']"),
+            ({"form": "linear", "horizon": 1}, "hazard config missing key: 'intercept'"),
+            ({"form": "table", "rates": [1]}, "hazard config missing key: 'times'"),
+            (
+                {"form": "constant", "rate": -1, "horizon": 1, "slop": 1},
+                "hazard rate must be nonnegative",
+            ),
+        ],
+        ids=["type", "list type", "unhashable form", "missing", "first missing", "checks"],
+    )
+    def test_config_errors_come_in_order(self, cfg, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            hazard_from_config(cfg)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="'form' key"):
             hazard_from_config({"rate": 1.0})
@@ -200,6 +241,25 @@ class SquaredRate(HazardSpec):
         return np.asarray(t, dtype=float) ** 3 / 3.0
 
 
+@dataclass(frozen=True)
+class BareRate(HazardSpec):
+    """A constant rate with only ``rate`` and ``cumulative``: no config form."""
+
+    rate_value: float
+    horizon: float
+
+    def rate(self, t):
+        return np.full_like(np.asarray(t, dtype=float), self.rate_value)
+
+    def cumulative(self, t):
+        return self.rate_value * np.asarray(t, dtype=float)
+
+
+class DescribedRate(BareRate):
+    def to_config(self):
+        return {"form": "described", "rate": self.rate_value, "horizon": self.horizon}
+
+
 class UndeclaredKnots(TableHazard):
     """A table that does not name its knots: its rate bends unannounced."""
 
@@ -247,6 +307,20 @@ def test_a_scenario_rejects_a_hazard_too_large_to_invert(system, hazards, censor
     # failed alone and its coverage rows came out NaN.
     with pytest.raises(ConfigError, match="too large to invert"):
         Scenario(system=system, hazards=hazards, n=20, seed=1, censor=censor)
+
+
+def test_a_scenario_rejects_competing_causes_too_large_to_invert():
+    # Each cause alone can be inverted, but not their sum: the scenario used
+    # to be built, and every simulation then failed naming an internal class.
+    cause = ConstantHazard(6e153, 1.0)
+    with pytest.raises(ConfigError, match="too large to invert") as err:
+        Scenario(
+            system=SystemKind("cumulative_incidence", n_causes=2),
+            hazards={"cause1": cause, "cause2": cause},
+            n=20,
+            seed=1,
+        )
+    assert "_SumHazard" not in str(err.value)
 
 
 def test_a_cause_count_below_one_is_named():
@@ -1041,6 +1115,37 @@ class TestStudies:
                 coverage_study(sc, oracle_step=oracle_step)
             else:
                 l2_convergence(sc, [10], oracle_step=oracle_step)
+
+    @pytest.mark.parametrize("study", ["coverage", "convergence"])
+    def test_a_spec_without_to_config_rejected_before_any_work(self, study, monkeypatch):
+        # Such a spec simulates fine; a study used to run every replication
+        # and then fail to describe its scenario with a bare
+        # NotImplementedError.
+        def fail(*args, **kwargs):
+            pytest.fail("the study simulated or solved its oracle")
+
+        for name in ("_simulate", "_oracle_values", "oracle_parameter"):
+            monkeypatch.setattr(simlab, name, fail)
+        sc = Scenario(system="survival", hazards={"event": BareRate(1.0, 1.0)}, n=10, seed=1)
+        match = r"^BareRate has no to_config\(\), which a study needs"
+        with pytest.raises(ConfigError, match=match):
+            if study == "coverage":
+                coverage_study(sc)
+            else:
+                l2_convergence(sc, [10])
+
+    def test_a_spec_with_its_own_to_config_runs(self):
+        def study(spec):
+            sc = Scenario(
+                system="survival", hazards={"event": spec}, n=30, seed=4, k_replications=3
+            )
+            return coverage_study(sc, t_grid=[0.3, 0.6])
+
+        own, built_in = study(DescribedRate(1.0, 1.0)), study(ConstantHazard(1.0, 1.0))
+        assert own.metadata["scenario"]["hazards"] == {
+            "event": {"form": "described", "rate": 1.0, "horizon": 1.0}
+        }
+        assert own.rows == built_in.rows
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ConfigError, match="target"):

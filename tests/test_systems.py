@@ -1,5 +1,7 @@
 """Parameter-system definitions: dimensions, integrands, gradients, guards."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,40 @@ class TestKindValidation:
     def test_cause_count_must_be_positive(self):
         with pytest.raises(ConfigError, match="n_causes"):
             make_system(SystemKind("cumulative_incidence", n_causes=0))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("prevalence", "0.3", "prevalence must be a number, got '0.3'"),
+            ("prevalence", True, "prevalence must be a number, got True"),
+            ("initial_value", "abcd", "initial_value must be a list, got 'abcd'"),
+            (
+                "initial_value",
+                [0.8, "x", 0.6, 0.5],
+                "each of initial_value must be a number, got 'x'",
+            ),
+        ],
+    )
+    def test_screening_fields_are_checked_when_the_kind_is_built(
+        self, field, value, message
+    ):
+        # A string prevalence used to pass here and fail in make_system with
+        # a TypeError; the constructor and from_config now give one error.
+        fields = {"prevalence": 0.3, "initial_value": [0.8, 0.7, 0.6, 0.5], field: value}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SystemKind("screening", **fields)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SystemKind.from_config({"name": "screening", **fields})
+
+    @pytest.mark.parametrize(
+        "x0",
+        [[0.8, 0.7, 0.6, 0.5], (0.8, 0.7, 0.6, 0.5), np.array([0.8, 0.7, 0.6, 0.5])],
+        ids=["list", "tuple", "array"],
+    )
+    def test_a_baseline_is_kept_as_a_tuple_of_floats(self, x0):
+        kind = SystemKind("screening", prevalence=0.3, initial_value=x0)
+        assert kind.initial_value == (0.8, 0.7, 0.6, 0.5)
+        assert all(type(v) is float for v in kind.initial_value)
 
     @pytest.mark.parametrize("n_causes", [2.5, True, "2"])
     def test_cause_count_must_be_an_integer(self, n_causes):
