@@ -761,40 +761,61 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 # ---------------------------------------------------------------------------
 # Replication execution.  Replications run in blocks of consecutive indices
-# whose size depends only on the system, the sample size and the time grid.
-# Workers read shared, read-only context from a module global installed by
-# the pool initializer (or directly for serial runs), and every replication
-# draws from its own derived seed, so results do not depend on how the
-# blocks are distributed.
+# whose size depends only on the system, the measure, the sample size, the
+# time grid and a recurrent hazard, never on ``n_jobs``.  Workers read shared,
+# read-only context from a module global installed by the pool initializer
+# (or directly for serial runs), and every replication draws from its own
+# derived seed, so results do not depend on how the blocks are distributed.
 
 _CTX: dict = {}
-
-#: Most replications in one study block.  Blocks this small still leave a
-#: study of a few dozen replications several tasks for ``n_jobs`` workers.
-_STUDY_BLOCK = 8
 
 #: Cap on the float64 entries one study block holds at once (4 MB).
 _STUDY_CELLS = 1 << 19
 
 
-def _block_size(kind: SystemKind, n: int, grid: int = 0) -> int:
-    """Replications per study block of ``n`` subjects whose drivers have
-    ``grid`` time-grid rows (0 without a time slot), fixed by the system,
-    ``n`` and ``grid``: at most ``_STUDY_BLOCK``, and no more than fit in
-    ``_STUDY_CELLS`` at about ``(32 + c) n`` entries per replication for its
-    subjects (draws, dataset, driver, stacked states and the covariance
-    solve) and ``1 + k + dim + c`` per grid row (its time, increments, state
-    and covariance solve), where ``c = 4 dim^2 + 4`` bounds the measured
-    per-row working set of the covariance solve: the covariances, the
-    Jacobian cells, the values of the entries still to be read and scratch.
-    A measure that solves only some entries stays within it too; the block
-    size is kept regardless, so that peak memory cannot rise.  A single
+def _solved_entries(system, entries) -> int:
+    """How many covariance entries a solve of the cells ``entries`` solves:
+    those and, recursively, the ones they read (see
+    :func:`~hazard_transform.plugin._covariances`).  Entry ``(i, l)`` reads
+    ``(r, l)`` and ``(i, r)`` for each row ``r`` that row ``i``, or ``l``,
+    reads, so the solve takes every unordered pair of a row that ``i``
+    reaches and one that ``l`` reaches, in any number of reads."""
+    reach = np.eye(system.state_dim, dtype=bool) | system._reads
+    for r in range(system.state_dim):  # Warshall's transitive closure
+        reach |= reach[:, r, None] & reach[None, r]
+    return len({
+        (max(a, b), min(a, b))
+        for i, l in entries
+        for a in np.flatnonzero(reach[i]).tolist()
+        for b in np.flatnonzero(reach[l]).tolist()
+    })
+
+
+def _block_size(sc: Scenario, n: int, grid: int, entries) -> int:
+    """The most replications one block of the study of ``sc`` at ``n``
+    subjects may hold, fixed by the system, ``n``, the ``grid`` time-grid
+    rows of its drivers (0 without a time slot) and the covariance cells
+    ``entries`` its measure asks for: as many as fit in ``_STUDY_CELLS`` at
+    ``(16 + c) r`` entries per replication for its ``r`` subject rows
+    (draws, dataset, driver and stacked states) and ``1 + k + dim + c`` per
+    grid row (its time, increments and state), where ``c = dim^2 + 4 e + 4``
+    bounds the measured per-row working set of the measure: the covariance
+    array, about four rows of recurrence maps and stages for each of the
+    ``e`` entries the solve takes (:func:`_solved_entries`; none for a
+    measure that reads only the states), and scratch.  A subject is one row,
+    or with recurrent spells one per expected spell: 1 plus the recurrent
+    hazard's cumulative at the horizon, which bounds the mean number of its
+    events.  The constants are fitted to ``tracemalloc`` peaks of one block
+    of every catalog system and measure, and bound each of them.  A single
     replication past the cap runs alone."""
-    system = make_system(kind)
+    system = make_system(sc.system)
     dim, k = system.state_dim, system.driver_dim
-    solve = 4 * dim * dim + 4
-    per_replication = (32 + solve) * n + (1 + k + dim + solve) * grid
-    return max(1, min(_STUDY_BLOCK, _STUDY_CELLS // per_replication))
+    solve = dim * dim + 4 * _solved_entries(system, entries) + 4
+    rows = n
+    if "recurrent" in sc.hazards:
+        rows *= 1.0 + float(sc.hazards["recurrent"].cumulative(sc.horizon))
+    per_replication = (16 + solve) * rows + (1 + k + dim + solve) * grid
+    return max(1, int(_STUDY_CELLS // per_replication))
 
 
 def _init_worker(ctx):
@@ -821,17 +842,18 @@ def _run_tasks(tasks, ctx, n_jobs: int):
 
 
 def _blocks(groups, ctx) -> list:
-    """The ``(key, n, seeds)`` groups cut into blocks of :func:`_block_size`
-    consecutive seeds, for the study whose worker context is ``ctx``."""
+    """The ``(key, n, seeds)`` groups, each cut into the fewest blocks of
+    consecutive seeds that :func:`_block_size` allows, their sizes differing
+    by at most one, for the study whose worker context is ``ctx``."""
     sc, grid = ctx["scenario"], 0
     if None in _block_sources(sc.system):  # a time slot: a driver row per step
         grid = _driver_grid(sc.horizon, ctx["grid_step"]).size
-    return [
-        (key, n, seeds[lo : lo + size])
-        for key, n, seeds in groups
-        for size in [_block_size(sc.system, n, grid)]
-        for lo in range(0, len(seeds), size)
-    ]
+    blocks = []
+    for key, n, seeds in groups:
+        count = -(-len(seeds) // _block_size(sc, n, grid, ctx["entries"]))
+        cuts = [len(seeds) * b // count for b in range(count + 1)]
+        blocks += [(key, n, seeds[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    return blocks
 
 
 def _run_blocks(groups, ctx, n_jobs: int):
@@ -966,7 +988,7 @@ def _l2_variance(stack):
     # close to the common limit of all of them.  Only the studied variance
     # (and the entries it depends on) is solved.
     comp = _CTX["component"]
-    diag = stack.covariances([(comp, comp)])[:, :, comp, comp] / stack.driver.scale
+    diag = stack.covariances(_CTX["entries"])[:, :, comp, comp] / stack.driver.scale
     return _target_distances(stack, np.vstack([np.zeros((1, diag.shape[1])), diag]), 0)
 
 
@@ -976,7 +998,7 @@ def _covered(stack):
     # the variances (and the entries they depend on) are solved: the
     # negative-variance check reads every one of them.
     n, labels, driver = stack.system.state_dim, stack.system.state_labels, stack.driver
-    diag = stack.covariances([(i, i) for i in range(n)])[..., range(n), range(n)]
+    diag = stack.covariances(_CTX["entries"])[..., range(n), range(n)]
     found = _negative_variances(driver.times.T, diag, labels, driver.n_jumps)
     stack.errors = [err or neg for err, neg in zip(stack.errors, found)]
     ok = np.flatnonzero(stack.ok)
@@ -1091,6 +1113,7 @@ def l2_convergence(
         "grid_step": grid_step,
         "component": comp,
         "measure": _l2_estimate if target == "estimate" else _l2_variance,
+        "entries": [] if target == "estimate" else [(comp, comp)],
         "target_path": target_path,
         "upto": horizon,
     }
@@ -1152,13 +1175,12 @@ def coverage_study(
     :class:`ConfigError` before any simulation runs.
 
     Replication ``j`` draws from its own seed, derived from ``(sc.seed, 0,
-    j)``.  The replications run in blocks of consecutive indices, at most
-    ``_STUDY_BLOCK`` (8), and fewer where the state size and the sample size
-    call for it: a block holds about ``_STUDY_CELLS`` float64 entries (4 MB)
-    at most, whatever ``k`` is, unless one replication alone needs more (see
-    :func:`_block_size`).  A block is one task of the ``n_jobs``
-    workers and its size never depends on ``n_jobs``, so neither do the
-    results.  In a block, each hazard inverts every replication's draws in
+    j)``.  The replications run in the fewest blocks of consecutive indices
+    that hold about ``_STUDY_CELLS`` float64 entries (4 MB) each at most,
+    whatever ``k`` is, unless one replication alone needs more, their sizes
+    differing by at most one (see :func:`_block_size` and :func:`_blocks`).
+    A block is one task of the ``n_jobs`` workers and its size never depends
+    on ``n_jobs``, so neither do the results.  In a block, each hazard inverts every replication's draws in
     one call, and one risk-set pass over the block's spells builds every
     replication's Nelson-Aalen driver, on its own jump times and bit for bit
     what :func:`estimate_driver` gives for its dataset alone.  The drivers,
@@ -1204,6 +1226,7 @@ def coverage_study(
         "grid_step": grid_step,
         "component": comp,
         "measure": _covered,
+        "entries": [(i, i) for i in range(make_system(kind).state_dim)],
         "z": NormalDist().inv_cdf(0.5 * (1.0 + level)),
         "t_grid": t_grid,
         "oracle_values": oracle_values,

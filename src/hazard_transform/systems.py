@@ -56,6 +56,8 @@ class SystemKind:
     ``screening`` (the screening baseline is user-supplied — a zero baseline
     would sit on the guard).  Every field is checked here; ``initial_value``
     may be a list, tuple or NumPy array of numbers, kept as a tuple of floats.
+    A field set away from its default for a system that does not read it is
+    a :class:`ConfigError`.
     """
 
     name: str
@@ -76,6 +78,12 @@ class SystemKind:
             x0 = x0.tolist() if isinstance(x0, np.ndarray) else x0
             x0 = tuple(map(float, _numbers(x0, "initial_value")))
             object.__setattr__(self, "initial_value", x0)
+        for field in fields(self)[1:]:
+            reader = _READERS[field.name]
+            if self.name != reader and getattr(self, field.name) != field.default:
+                raise ConfigError(
+                    f"{field.name} is read only by {reader}, not by {self.name}"
+                )
 
     @property
     def headline_index(self) -> int:
@@ -92,6 +100,14 @@ class SystemKind:
         if extra:
             raise ConfigError(f"unknown system config key(s): {sorted(extra)}")
         return cls(**cfg)
+
+
+#: The one system that reads each optional field of :class:`SystemKind`.
+_READERS = {
+    "n_causes": "cumulative_incidence",
+    "prevalence": "screening",
+    "initial_value": "screening",
+}
 
 
 @dataclass(frozen=True)
@@ -116,28 +132,52 @@ class ParameterSystem:
     guards: tuple[tuple[int, float], ...] = ()
 
     @cached_property
+    def _probe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(nan, finite, offset)``: the gradients, shape ``(k, n, n)``, at
+        an all-NaN state and at one of distinct values in (0, 1), and
+        whether each integrand row is nonzero at the zero state.  None when
+        a gradient or the integrand raises at one of these states."""
+        n = self.state_dim
+        try:
+            with np.errstate(all="ignore"):
+                nan, finite = (
+                    np.array([np.broadcast_to(g(x), (n, n)) for g in self.gradients])
+                    for x in (np.full(n, np.nan), np.linspace(0.3, 0.7, n))
+                )
+                offset = (self.integrand(np.zeros(n)) != 0).any(axis=1)
+        except Exception:  # a hand-built function may reject such a state;
+            return None  # stepping evaluates it only at the solved states
+        return nan, finite, offset
+
+    @property
+    def _reads(self) -> np.ndarray:
+        """``(n, n)``: whether row ``i`` reads row ``l`` through a Jacobian
+        cell nonzero, or NaN, at either state of :attr:`_probe`; every cell
+        when the probe raised."""
+        if self._probe is None:
+            return np.ones((self.state_dim,) * 2, dtype=bool)
+        nan, finite, _ = self._probe
+        return ((nan != 0) | (finite != 0)).any(axis=0)
+
+    @cached_property
     def _rows(self) -> tuple[tuple[int, tuple | None], ...] | None:
         """The rows in solving order, each ``(i, terms)``, when the system is
         triangular, else None: the plugin solver then steps through the jumps.
 
-        Derived once from the gradients at an all-NaN state and at one of
-        distinct values in (0, 1).  Row ``i`` reads the cells ``G_j[i, l]``
-        nonzero, or NaN, at either; a cell is constant when finite at the
-        first and equal at both.  In the order of :func:`_solving_order`, a
-        row with only constant diagonal cells is a product row and one with
-        no diagonal cell a sum row.  ``terms`` lists the cells ``(j, l,
-        G_j[i, l])`` in ``(j, l)`` order when all are constant and the
-        integrand row is 0 at the zero state (a Jacobian misses an affine
-        offset); otherwise a sum row reads its integrand, and a product row,
-        like any other row or a cycle, makes the system step.
+        Derived once from :attr:`_probe`, and None when it raised.  Row
+        ``i`` reads the cells ``G_j[i, l]`` nonzero, or NaN, at either state;
+        a cell is constant when finite at the all-NaN state and equal at
+        both.  In the order of :func:`_solving_order`, a row with only
+        constant diagonal cells is a product row and one with no diagonal
+        cell a sum row.  ``terms`` lists the cells ``(j, l, G_j[i, l])`` in
+        ``(j, l)`` order when all are constant and the integrand row is 0 at
+        the zero state (a Jacobian misses an affine offset); otherwise a sum
+        row reads its integrand, and a product row, like any other row or a
+        cycle, makes the system step.
         """
-        n = self.state_dim
-        with np.errstate(all="ignore"):
-            nan, finite = (
-                np.array([np.broadcast_to(g(x), (n, n)) for g in self.gradients])
-                for x in (np.full(n, np.nan), np.linspace(0.3, 0.7, n))
-            )
-            offset = (self.integrand(np.zeros(n)) != 0).any(axis=1)
+        if self._probe is None:
+            return None
+        nan, finite, offset = self._probe
         cells = (nan != 0) | (finite != 0)
         constant = np.isfinite(nan) & (nan == finite)
         fixed = ~offset & (constant | ~cells).all(axis=(0, 2))
@@ -147,7 +187,7 @@ class ParameterSystem:
             i in r and (r != {i} or not fixed[i]) for i, r in enumerate(reads)
         ):
             return None
-        terms = [()] * n
+        terms = [()] * self.state_dim
         for j, i, l in np.argwhere(cells).tolist():  # each row's in (j, l) order
             terms[i] += ((j, l, float(nan[j, i, l])),)
         return tuple((i, terms[i] if fixed[i] else None) for i in order)

@@ -1,5 +1,7 @@
 """Helpers shared by several test modules."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from hazard_transform import (
@@ -7,6 +9,7 @@ from hazard_transform import (
     EventDataset,
     NegativeVarianceError,
     StepPath,
+    simlab,
     time_grid_driver,
 )
 
@@ -194,3 +197,13 @@ def solo_block(spells, sources, grid_step):
         times[r, : n_jumps[r]] = t
         increments[: n_jumps[r], r] = values
     return times, increments, n_jumps, np.array(scale), np.array(truncation)
+
+
+def study_tasks(kind, n_list, k, entries, grid_step=None, horizon=1.0) -> int:
+    """How many tasks a study of ``k`` replications at each sample size of
+    ``n_list`` runs in: the blocks :func:`simlab._blocks` cuts them into for
+    a measure that asks for the covariance cells ``entries``."""
+    scenario = SimpleNamespace(system=kind, hazards={}, horizon=horizon)
+    ctx = {"scenario": scenario, "grid_step": grid_step, "entries": entries}
+    groups = [(i, n, list(range(k))) for i, n in enumerate(n_list)]
+    return len(simlab._blocks(groups, ctx))

@@ -33,6 +33,8 @@ from hazard_transform import (
     solve_plugin,
 )
 
+from helpers import study_tasks
+
 CLI = [sys.executable, "-m", "hazard_transform.cli"]
 
 
@@ -345,3 +347,21 @@ def test_criterion_8_parallel_determinism(tmp_path):
     assert report(
         "criterion 8 (byte-identical artifacts across worker counts)", ok
     ), "outputs differ between --jobs 1 and --jobs 8"
+
+
+@pytest.mark.usefixtures("child_pythonpath")
+def test_criterion_8_parallel_determinism_across_blocks(tmp_path):
+    """Criterion 8 with coverage replications spread over several blocks:
+    16 replications of 2,000 subjects make two tasks for the workers."""
+    assert study_tasks(SystemKind("survival"), [2000], 16, [(0, 0)]) == 2
+    outputs = {}
+    for jobs in (1, 8):
+        out = tmp_path / f"cov{jobs}"
+        argv = [
+            "coverage", "--hazard", "constant:1", "--n", 2000, "--k", 16,
+            "--seed", 7, "--jobs", jobs, "--out", out,
+        ]
+        proc = subprocess.run(CLI + [str(a) for a in argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs[jobs] = [(out / f"coverage{ext}").read_bytes() for ext in (".csv", ".json")]
+    assert outputs[1] == outputs[8]

@@ -212,6 +212,7 @@ def init_coverage(sc, oracle_step=None, grid_step=None):
         "scenario": sc, "grid_step": grid_step, "component": comp,
         "measure": simlab._covered, "z": NormalDist().inv_cdf(0.95),
         "t_grid": T_GRID, "oracle_values": truth[:, comp],
+        "entries": [(i, i) for i in range(make_system(sc.system).state_dim)],
     })
 
 
@@ -265,6 +266,8 @@ def test_a_block_with_every_replication_failed(measure):
     simlab._init_worker({
         "scenario": sc, "component": 0, "target_path": target, "upto": 1.0,
         "t_grid": T_GRID, "oracle_values": np.zeros(T_GRID.size), "z": 1.0,
+        "entries": [(0, 0)] if measure is simlab._l2_variance else
+        [(i, i) for i in range(5)],
     })
     assert measure(stack) == [(None, "GuardViolation")] * 5
 
@@ -418,48 +421,109 @@ def test_bootstrap_covariance_does_not_depend_on_the_block_size(name):
         assert cov.tobytes() == got[0][1].tobytes()
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    ks=st.lists(st.integers(1, 120), min_size=1, max_size=3),
+    cap=st.integers(1, 40),
+)
+def test_blocks_are_the_fewest_that_fit_of_near_equal_size(ks, cap):
+    # Each group's seeds, in order and each once, in ceil(k / cap) blocks of
+    # consecutive seeds whose sizes differ by at most one.
+    sc = scenario("survival", 10, 1, 1)
+    ctx = {"scenario": sc, "grid_step": None, "entries": [(0, 0)]}
+    groups = [(key, 10 + key, list(range(100 * key, 100 * key + k)))
+              for key, k in enumerate(ks)]
+    with blocks_of(cap):
+        blocks = simlab._blocks(groups, ctx)
+    for key, n, seeds in groups:
+        own = [b for b in blocks if b[0] == key]
+        assert all(b[1] == n for b in own)
+        assert [seed for b in own for seed in b[2]] == seeds
+        sizes = [len(b[2]) for b in own]
+        assert len(own) == -(-len(seeds) // cap)
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+
+
+def study_context(sc, measure, grid_step=None):
+    """The worker context the study of ``measure`` (coverage, estimate or
+    variance) installs for ``sc``: the study runs up to its blocks."""
+    got = {}
+
+    def keep(groups, ctx, n_jobs):
+        got["ctx"] = ctx
+        return []
+
+    with mock.patch.object(simlab, "_run_blocks", keep):
+        if measure == "coverage":
+            coverage_study(sc, LEVEL, T_GRID, grid_step=grid_step, oracle_step=ORACLE_STEP)
+        else:
+            l2_convergence(sc, [sc.n], target=measure, grid_step=grid_step,
+                           oracle_step=ORACLE_STEP, bootstrap_n=100, bootstrap_b=5)
+    return got["ctx"]
+
+
+#: mean_frequency at a recurrent rate of 8: about 5.5 events a subject.
+BUSY = {
+    "mean_frequency_rate8": (
+        SystemKind("mean_frequency"),
+        {"recurrent": ConstantHazard(8.0, 1.0), "terminal": ConstantHazard(0.8, 1.0)},
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "name,n,grid_step,size",
+    "name,n,grid_step,measure,size",
     [
-        ("relative_survival", 500, None, 8),
-        ("survival", 5000, None, 2),
-        ("survival", 20000, None, 1),
-        ("screening", 500, None, 8),
-        ("rmst", 200, 1e-4, 2),
+        ("relative_survival", 500, None, "coverage", 25),
+        ("survival", 5000, None, "coverage", 4),
+        ("survival", 20000, None, "coverage", 1),
+        ("screening", 500, None, "coverage", 14),
+        ("rmst", 200, 1e-4, "coverage", 2),
+        ("screening", 500, None, "estimate", 29),
+        ("mean_frequency", 500, None, "variance", 11),
+        ("mean_frequency_rate8", 500, None, "coverage", 3),
     ],
     ids=[
-        "relative_survival-500-8",
-        "survival-5000-2",
+        "relative_survival-500-25",
+        "survival-5000-4",
         "survival-20000-1",
-        "screening-500-8",
+        "screening-500-14",
         "rmst-200-grid1e-4-2",
+        "screening-500-estimate-29",
+        "mean_frequency-500-variance-11",
+        "mean_frequency_rate8-500-3",
     ],
 )
-def test_one_block_working_set_stays_within_the_cap(name, n, grid_step, size):
-    # The bench coverage scenario (relative_survival, n 500) and screening
-    # take full blocks; a one-component state at large n takes fewer
-    # replications per block instead of holding more of its long paths.
-    # rmst's time slot gives each driver a row per grid step, which is
-    # charged its own rate, so a fine grid takes fewer replications per
-    # block without running them alone.  The traced peak of one block
-    # (draws, datasets, drivers, the stacked solve and the band) stays
-    # within 1.5 times the byte size of the study cap (0.19-0.20, 0.33,
-    # 0.66, 0.41-0.43 and 0.90 times over seeds 1 to 5 when written; rmst's
-    # block of 4 at this grid reached 1.71, and survival's block of 8 at n
-    # 5000 1.32).
-    kind, hazards = SYSTEMS[name]
+def test_one_block_working_set_stays_within_the_cap(name, n, grid_step, measure, size):
+    # Each replication is charged what one block of its study's measure
+    # holds: the bench coverage scenario (relative_survival, n 500) solves 3
+    # covariance entries, screening's coverage 9 and its estimate none, and
+    # a mean_frequency subject counts once per expected spell: 2.5 times at
+    # a recurrent rate of 1.5, 9 times at a rate of 8 (whose block of 14
+    # held 2.39 times the cap).  A
+    # one-component state at large n takes fewer replications per block
+    # instead of holding more of its long paths, and rmst's time slot gives
+    # each driver a row per grid step, charged its own rate.  The traced
+    # peak of one block (draws, datasets, drivers, the stacked solve and the
+    # measure) stays within 1.5 times the byte size of the study cap (over
+    # seeds 1 to 5 when written: 0.59-0.61, 0.66, 0.66, 0.71-0.73, 0.90,
+    # 0.59, 0.50-0.52 and 0.49-0.54 times, in the order above).
+    kind, hazards = {**SYSTEMS, **BUSY}[name]
     sc = Scenario(system=kind, hazards=hazards, n=n, seed=1, k_replications=size)
+    ctx = study_context(sc, measure, grid_step)
     grid = 0 if grid_step is None else _driver_grid(sc.horizon, grid_step).size
-    assert simlab._block_size(kind, n, grid) == size
-    init_coverage(sc, grid_step=grid_step)
-    # The first block of a study of 8 replications, as the study cuts it.
-    seeds = [simlab._child_seed(1, 0, j) for j in range(8)]
-    block = simlab._blocks([(0, n, seeds)], simlab._CTX)[0]
-    assert block == (0, n, seeds[:size])
-    simlab._replicate(block)  # warm caches (piece tables)
+    assert simlab._block_size(sc, n, grid, ctx["entries"]) == size
+    simlab._init_worker(ctx)
+    # The first block of a study of twice as many replications, as the
+    # study cuts it.
+    seeds = [simlab._child_seed(1, 0, j) for j in range(2 * size)]
+    blocks = simlab._blocks([(0, n, seeds)], ctx)
+    assert blocks == [(0, n, seeds[:size]), (0, n, seeds[size:])]
+    simlab._replicate(blocks[0])  # warm caches (piece tables)
     tracemalloc.start()
     try:
-        results = simlab._replicate(block)
+        results = simlab._replicate(blocks[0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -8,6 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from hazard_transform import SystemKind
+
+from helpers import study_tasks
+
 CLI = [sys.executable, "-m", "hazard_transform.cli"]
 
 pytestmark = pytest.mark.usefixtures("child_pythonpath")
@@ -129,6 +133,18 @@ class TestEstimate:
         err = error_payload(proc)
         assert err["type"] == "ConfigError"
         assert "bandwidth" in err["message"]
+
+    def test_a_field_the_system_does_not_read_is_an_error(self, tmp_path):
+        data = simulate_survival(tmp_path / "sim")
+        proc = run_cli(
+            "estimate", "--system", "survival", "--prevalence", 0.3,
+            "--data", data, "--out", tmp_path / "o", expect=1,
+        )
+        assert error_payload(proc) == {
+            "type": "ConfigError",
+            "message": "prevalence is read only by screening, not by survival",
+        }
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_level_is_an_error(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -281,6 +297,8 @@ class TestStudies:
         assert all(float(r[4]) == 0.95 for r in rows)
 
     def test_jobs_flag_does_not_change_output(self, tmp_path):
+        # One block per sample size: two tasks for the two workers.
+        assert study_tasks(SystemKind("survival"), [30, 60], 2, []) == 2
         outs = []
         for jobs, name in ((1, "j1"), (2, "j2")):
             out = tmp_path / name

@@ -48,7 +48,7 @@ from hazard_transform import (
     solve_variance,
 )
 from hazard_transform.systems import GUARD_EPS, ParameterSystem, _linear
-from hazard_transform.simlab import _draws
+from hazard_transform.simlab import _draws, _solved_entries
 
 from helpers import first_negative_variance, take_subjects
 
@@ -660,6 +660,22 @@ def test_a_piecewise_gradient_is_not_read_as_constant(below):
     assert_matches_the_loop(system)
 
 
+def test_a_gradient_that_rejects_a_nan_state_makes_the_system_step():
+    # The probe at the all-NaN state raises; the system steps instead of
+    # failing its first solve, and agrees with the loop.
+    def integrand(x):
+        return -x[..., None]
+
+    def gradient(x):
+        if np.isnan(x).any():
+            raise ValueError("the state must be finite")
+        return np.array([[-1.0]])
+
+    system = hand_built(integrand, gradient, x0=[0.8])
+    assert system._rows is None
+    assert_matches_the_loop(system)
+
+
 COEFFICIENTS = st.sampled_from([-2.0, -1.0, -0.5, 0.25, 1.0, 3.0])
 
 
@@ -750,7 +766,8 @@ def test_asked_entries_are_the_full_solve_and_nothing_else(
     # A stack of drivers from interior starts (ler's natural one is on its
     # guard): solving only some entries gives each entry of their closure
     # the full solve's value bit for bit, leaves every other cell NaN and
-    # runs one outermost scan per solved entry.
+    # runs one outermost scan per solved entry; a study block is charged
+    # for at least that many entries.
     system = make_system(kind)
     n, k = system.state_dim, system.driver_dim
     rng = np.random.default_rng(seed)
@@ -780,7 +797,7 @@ def test_asked_entries_are_the_full_solve_and_nothing_else(
         patch.setattr(plugin, "_prefix", counted)
         some = plugin._covariances(*args, entries=asked)
     closure = entry_closure(system, lefts, asked)
-    assert sum(outermost) == len(closure)
+    assert sum(outermost) == len(closure) <= _solved_entries(system, asked)
     solved = np.zeros((n, n), dtype=bool)
     for i, l in closure:
         solved[i, l] = solved[l, i] = True

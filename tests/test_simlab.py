@@ -41,7 +41,7 @@ from hazard_transform import (
 )
 from hazard_transform.simlab import HazardSpec, _SumHazard
 
-from helpers import BISECT_TOL, bisect_invert
+from helpers import BISECT_TOL, bisect_invert, study_tasks
 
 
 def step_path_1d(times, values, horizon, origin=0.0):
@@ -934,8 +934,10 @@ class TestStudies:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        # A task is a block of replications: four full blocks, four processes.
-        sc = survival_scenario(30, 3, k=4 * simlab._STUDY_BLOCK)
+        # A task is a block of replications: blocks of 8 make four tasks of
+        # 32 replications, four processes.
+        monkeypatch.setattr(simlab, "_block_size", lambda *args: 8)
+        sc = survival_scenario(30, 3, k=32)
         want = coverage_study(sc, t_grid=[0.5])
         assert coverage_study(sc, t_grid=[0.5], n_jobs=64).rows == want.rows
         assert pools == [4]
@@ -969,8 +971,12 @@ class TestStudies:
         assert len(ts) == 13
         assert ts[0] == pytest.approx(0.2) and ts[-1] == pytest.approx(0.8)
 
-    def test_coverage_jobs_do_not_change_results(self):
+    def test_coverage_jobs_do_not_change_results(self, monkeypatch):
+        # Eight replications fit one block; blocks of 3 give the two workers
+        # three tasks.
+        monkeypatch.setattr(simlab, "_block_size", lambda *args: 3)
         sc = survival_scenario(60, 17, k=8)
+        assert study_tasks(sc.system, [60], 8, [(0, 0)]) == 3
         serial = coverage_study(sc, t_grid=[0.3, 0.6], n_jobs=1)
         parallel = coverage_study(sc, t_grid=[0.3, 0.6], n_jobs=2)
         assert serial.rows == parallel.rows

@@ -233,6 +233,31 @@ class TestKindValidation:
         assert kind.initial_value == (0.8, 0.7, 0.6, 0.5)
         assert all(type(v) is float for v in kind.initial_value)
 
+    @pytest.mark.parametrize(
+        "name, field, value, reader",
+        [
+            ("survival", "prevalence", 0.3, "screening"),
+            ("survival", "initial_value", [5.0], "screening"),
+            ("cumulative_incidence", "prevalence", 0.3, "screening"),
+            ("survival", "n_causes", 3, "cumulative_incidence"),
+            ("screening", "n_causes", 2, "cumulative_incidence"),
+        ],
+    )
+    def test_a_field_the_system_does_not_read_is_rejected(
+        self, name, field, value, reader
+    ):
+        # Such a kind used to be built and its field dropped: survival
+        # started from [1.0] whatever initial_value said, and n_causes=3
+        # gave a one-state system.
+        fields = {field: value}
+        if name == "screening":
+            fields.update(prevalence=0.3, initial_value=[0.8, 0.7, 0.6, 0.5])
+        message = f"{field} is read only by {reader}, not by {name}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SystemKind(name, **fields)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SystemKind.from_config({"name": name, **fields})
+
     @pytest.mark.parametrize("n_causes", [2.5, True, "2"])
     def test_cause_count_must_be_an_integer(self, n_causes):
         with pytest.raises(ConfigError, match="n_causes must be an integer"):
