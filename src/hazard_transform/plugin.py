@@ -59,9 +59,9 @@ or themselves, so each is a scalar affine recurrence
 its map composed over the components in column order from the values the
 earlier entries have before each (their stages), plus n * fda_i fda_l.
 Its prefix compositions (``_prefix``) solve it over all jumps at once.
-A study block asks only for the entries its measure reads: those and the
-entries they read are solved, each as in the full solve, and the rest are
-left NaN.
+A solve returns only the cells its caller asks for (a study block those
+its measure reads, :func:`solve_variance` all) and solves their closure,
+``_entry_closure``, which a study block's memory charge counts too.
 Every system in the catalog, ``screening`` included, has such an order; a
 hand-built system whose pattern has a cycle steps through the jumps.
 """
@@ -257,25 +257,38 @@ def solve_variance(
 
     lefts = np.vstack([state.origin_value, state.values_at_jumps()[:-1]])
     stochastic = np.where(np.asarray(meta.deterministic_mask, dtype=bool), 0.0, 1.0)
-    return _covariances(
-        system, lefts[: driver.n_jumps], driver.increments, meta.scale_n, stochastic, v
-    )
+    args = lefts[: driver.n_jumps], driver.increments, meta.scale_n, stochastic, v
+    cov = _covariances(system, *args, list(np.ndindex(n, n)))
+    return cov.reshape(driver.n_jumps, n, n)
+
+
+def _entry_closure(reads, cells) -> set:
+    """The entries ``(max, min)`` that a covariance solve of the ``(i, l)``
+    ``cells`` takes: those and, recursively, the ones they read.  Row ``i``
+    reads the rows ``reads[i]``, and entry ``(i, l)`` reads ``(r, l)`` for
+    each ``r`` in ``reads[i]`` and ``(i, r)`` for each ``r`` in ``reads[l]``."""
+    todo, closure = list(cells), set()
+    while todo:
+        i, l = todo.pop()
+        if (e := (max(i, l), min(i, l))) not in closure:
+            closure.add(e)
+            todo += [(r, l) for r in reads[i]] + [(i, r) for r in reads[l]]
+    return closure
 
 
 def _covariances(
-    system, lefts, increments, scale, stochastic, v0, entries=None
+    system, lefts, increments, scale, stochastic, v0, cells
 ) -> np.ndarray:
     """Covariances ``V_k`` at every jump from ``V_0 = v0``, given the states
-    ``lefts`` at the jumps' left limits.
+    ``lefts`` at the jumps' left limits, in the ``(i, l)`` ``cells`` asked.
 
     ``lefts`` has shape ``(m, *batch, n)`` and ``increments`` ``(m, *batch,
     k)``; ``scale`` is the sample-size scale, a number or one per batch
     entry, and ``stochastic`` is 1 for the driver components that carry
-    sampling noise and 0 for time grids.  Returns the ``(m, *batch, n, n)``
-    covariances.  With ``entries``, a list of ``(i, l)`` cells, only those
-    entries and, recursively, the entries they read are solved, each exactly
-    as in the full solve, and every other cell is NaN; the stepping branch
-    below ignores ``entries`` and solves every cell.
+    sampling noise and 0 for time grids.  Returns ``(m, *batch,
+    len(cells))``, column ``c`` the entry ``cells[c]``, ``(i, l)`` or ``(l,
+    i)``.  Only the cells' closure (:func:`_entry_closure`) is solved, each
+    entry once and as in a solve of every cell.
 
     Component ``j`` updates entry ``(i, l)`` by ``sum_r G_j[i, r] V[r, l] +
     G_j[l, r] V[r, i]`` per unit of ``dA^j``.  The Jacobian cells nonzero,
@@ -292,30 +305,34 @@ def _covariances(
     compositions depend only on the row, so a batch entry gets its solo
     covariances bit for bit.  A pattern with a cycle (only a hand-built
     system has one) steps jump by jump instead, ``V_k = V_{k-1} + sum_j (G_j
-    V + V G_j') dA^j_k + n fda fda'``, the whole batch in each step.
+    V + V G_j') dA^j_k + n fda fda'``, the whole batch in each step, and
+    keeps the cells asked of each step.
     """
     n = system.state_dim
     m, batch = increments.shape[0], increments.shape[1:-1]
     scale = np.asarray(scale, dtype=float)
-    out = np.full((m, *batch, n, n), np.nan)
+    out = np.empty((m, *batch, len(cells)))
     with np.errstate(all="ignore"):
 
-        def cells(g):  # (s, r) -> G[..., s, r] where nonzero, or NaN, anywhere
+        def pattern(g):  # (s, r) -> G[..., s, r] where nonzero, or NaN, anywhere
             present = np.argwhere((np.reshape(g, (-1, n, n)) != 0).any(0)).tolist()
             return {(s, r): g[..., s, r].copy() for s, r in present}
 
-        jacobians = [cells(gradient(lefts)) for gradient in system.gradients]
+        jacobians = [pattern(gradient(lefts)) for gradient in system.gradients]
         fda = (system.integrand(lefts) @ (increments * stochastic)[..., None])[..., 0]
         reads = [{r for g in jacobians for s, r in g if s == i} for i in range(n)]
         order = _solving_order(reads)
         if order is None:
-            full = [np.broadcast_to(g(lefts), out.shape) for g in system.gradients]
-            v = np.broadcast_to(v0, out.shape[1:])
+            shape = (m, *batch, n, n)
+            full = [np.broadcast_to(g(lefts), shape) for g in system.gradients]
+            v = np.broadcast_to(v0, shape[1:])
+            rows, cols = np.reshape(np.array(cells, dtype=np.intp), (-1, 2)).T
             for k, f in enumerate(fda):
                 for g, da in zip(full, np.moveaxis(increments[k], -1, 0)):
                     gv = g[k] @ v
                     v = v + (gv + np.swapaxes(gv, -1, -2)) * da[..., None, None]
-                out[k] = v = v + scale[..., None, None] * f[..., None] * f[..., None, :]
+                v = v + scale[..., None, None] * f[..., None] * f[..., None, :]
+                out[k] = v[..., rows, cols]
             return out
         pos = {row: t for t, row in enumerate(order)}
 
@@ -331,14 +348,11 @@ def _covariances(
                 if s == row
             ]
 
-        if entries is None:
-            entries = [(i, l) for i in range(n) for l in range(i + 1)]
-        todo, pairs = list(entries), set()
-        while todo:  # the entries asked for and, recursively, those they read
-            if (e := entry(*todo.pop())) not in pairs:
-                pairs.add(e)
-                todo.extend(o for *_, o in terms(e))
-        entries = sorted(pairs, key=lambda e: (pos[e[0]], pos[e[1]]))
+        asked = [entry(*e) for e in cells]
+        entries = sorted(
+            (entry(*e) for e in _entry_closure(reads, cells)),
+            key=lambda e: (pos[e[0]], pos[e[1]]),
+        )
         last_read = {o: t for t, e in enumerate(entries) for *_, o in terms(e)}
         stages = {}  # entry -> its values before each component, while read
         for t, e in enumerate(entries):
@@ -354,7 +368,7 @@ def _covariances(
             (a, b), (i, l) = maps.pop(), e
             a, b = _prefix((a, b + scale * (fda[..., i] * fda[..., l])), _compose)
             values = np.concatenate([np.full((1, *batch), v0[e]), a * v0[e] + b])
-            out[..., i, l] = out[..., l, i] = values[1:]
+            out[..., [c for c, o in enumerate(asked) if o == e]] = values[1:, ..., None]
             if last_read.get(e, t) > t:
                 stages[e] = [values[:-1]] + [a * values[:-1] + b for a, b in maps[1:]]
             stages = {o: stage for o, stage in stages.items() if last_read[o] > t}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -32,7 +33,9 @@ from .hazards import (
     estimate_driver,
 )
 from .paths import StepPath
-from .plugin import _covariances, _negative_variances, _states, solve_plugin
+from .plugin import (
+    _covariances, _entry_closure, _negative_variances, _states, solve_plugin
+)
 from .systems import SystemKind, driver_slots, make_system
 
 __all__ = [
@@ -637,17 +640,6 @@ def _oracle_increments(hazards, kind, times, start=0.0) -> np.ndarray:
     return increments
 
 
-def _oracle_driver(sc_hazards, kind, horizon, step, start=0.0):
-    """Exact cumulative hazards discretized on a fine grid (with time slots)."""
-    times = _grid_times(horizon, step, start)
-    return StepPath(
-        times=times,
-        increments=_oracle_increments(sc_hazards, kind, times, start),
-        origin_value=np.zeros(len(driver_slots(kind))),
-        horizon=horizon,
-    )
-
-
 def oracle_parameter(
     hazards: Mapping[str, HazardSpec],
     system: SystemKind,
@@ -667,36 +659,43 @@ def oracle_parameter(
     if isinstance(system, str):
         system = SystemKind(name=system)
     horizon = next(iter(hazards.values())).horizon
-    if fine_step is None:
-        fine_step = (horizon - start) / 1e5
-    driver = _oracle_driver(hazards, system, horizon, fine_step, start=start)
-    return solve_plugin(make_system(system), driver, x0_override=x0_override)
+    step = (horizon - start) / 1e5 if fine_step is None else fine_step
+    values = _oracle_values(hazards, system, None, step, start, x0_override)
+    return StepPath.from_values(_grid_times(horizon, step, start), values, horizon)
 
 
-#: Grid rows per piece of the coverage oracle's solve: its working set stays
-#: a few such rows of increments and states whatever the grid.
+#: Grid rows per piece of the oracle's solve: its working set stays a few
+#: such rows of increments and states whatever the grid.
 _ORACLE_ROWS = 1 << 13
 
 
-def _oracle_values(hazards, system: SystemKind, t_grid, fine_step=None):
-    """``oracle_parameter(hazards, system, fine_step).value_at(t_grid)``.
+def _oracle_values(
+    hazards, system: SystemKind, t_grid, fine_step=None, start=0.0, x0=None
+):
+    """``oracle_parameter(hazards, system, fine_step, x0, start)`` at
+    ``t_grid``, or with ``t_grid`` None its values ``(m + 1, n)`` at the
+    start and every grid row.
 
     The oracle is solved ``_ORACLE_ROWS`` rows at a time, each piece from
     the last state of the one before, keeping only the rows ``t_grid``
     reads.  A system without guards is solved only up to the last row read;
     a guarded one to the last grid row, each piece's path checked, so the
-    first guard trip is raised as :func:`oracle_parameter` raises it.  Each
-    row of the row solver is an accumulation along time and a stepped state
-    depends only on the one before, so the pieces give the whole path's
-    values bit for bit.
+    first guard trip is raised.  Each row of the row solver is an
+    accumulation along time and a stepped state depends only on the one
+    before, so the pieces give the whole path's values bit for bit.
     """
     solver = make_system(system)
     horizon = next(iter(hazards.values())).horizon
-    step = horizon / 1e5 if fine_step is None else fine_step
-    times = _grid_times(horizon, step)
-    rows = times.searchsorted(t_grid, side="right")
+    if not 0.0 <= start < horizon:
+        raise ValueError(f"start must lie in [0, {horizon:g}), got {start!r}")
+    x = solver.initial_value if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (solver.state_dim,):
+        raise ValueError(f"initial state must have shape ({solver.state_dim},)")
+    step = (horizon - start) / 1e5 if fine_step is None else fine_step
+    times = _grid_times(horizon, step, start)
+    every = t_grid is None
+    rows = np.arange(times.size + 1) if every else times.searchsorted(t_grid, "right")
     out = np.empty((rows.size, solver.state_dim))
-    x, start = solver.initial_value, 0.0
     last = times.size if solver.guards else int(rows.max())
     for lo in range(0, max(last, 1), _ORACLE_ROWS):
         hi = min(lo + _ORACLE_ROWS, last)
@@ -773,36 +772,19 @@ _CTX: dict = {}
 _STUDY_CELLS = 1 << 19
 
 
-def _solved_entries(system, entries) -> int:
-    """How many covariance entries a solve of the cells ``entries`` solves:
-    those and, recursively, the ones they read (see
-    :func:`~hazard_transform.plugin._covariances`).  Entry ``(i, l)`` reads
-    ``(r, l)`` and ``(i, r)`` for each row ``r`` that row ``i``, or ``l``,
-    reads, so the solve takes every unordered pair of a row that ``i``
-    reaches and one that ``l`` reaches, in any number of reads."""
-    reach = np.eye(system.state_dim, dtype=bool) | system._reads
-    for r in range(system.state_dim):  # Warshall's transitive closure
-        reach |= reach[:, r, None] & reach[None, r]
-    return len({
-        (max(a, b), min(a, b))
-        for i, l in entries
-        for a in np.flatnonzero(reach[i]).tolist()
-        for b in np.flatnonzero(reach[l]).tolist()
-    })
-
-
-def _block_size(sc: Scenario, n: int, grid: int, entries) -> int:
+def _block_size(sc: Scenario, n: int, grid: int, cells) -> int:
     """The most replications one block of the study of ``sc`` at ``n``
     subjects may hold, fixed by the system, ``n``, the ``grid`` time-grid
-    rows of its drivers (0 without a time slot) and the covariance cells
-    ``entries`` its measure asks for: as many as fit in ``_STUDY_CELLS`` at
+    rows of its drivers (0 without a time slot) and the ``a`` covariance
+    ``cells`` its measure asks for: as many as fit in ``_STUDY_CELLS`` at
     ``(16 + c) r`` entries per replication for its ``r`` subject rows
     (draws, dataset, driver and stacked states) and ``1 + k + dim + c`` per
-    grid row (its time, increments and state), where ``c = dim^2 + 4 e + 4``
-    bounds the measured per-row working set of the measure: the covariance
-    array, about four rows of recurrence maps and stages for each of the
-    ``e`` entries the solve takes (:func:`_solved_entries`; none for a
-    measure that reads only the states), and scratch.  A subject is one row,
+    grid row (its time, increments and state), where ``c = a + 4 e + 4``
+    bounds the measured per-row working set of the measure: the cells
+    returned, about four rows of recurrence maps and stages for each of the
+    ``e`` entries of their closure (``plugin._entry_closure`` of the
+    system's ``_reads``), and scratch, and at least 6: the draws and
+    drivers alone peak near 22 entries a subject row.  A subject is one row,
     or with recurrent spells one per expected spell: 1 plus the recurrent
     hazard's cumulative at the horizon, which bounds the mean number of its
     events.  The constants are fitted to ``tracemalloc`` peaks of one block
@@ -810,7 +792,7 @@ def _block_size(sc: Scenario, n: int, grid: int, entries) -> int:
     replication past the cap runs alone."""
     system = make_system(sc.system)
     dim, k = system.state_dim, system.driver_dim
-    solve = dim * dim + 4 * _solved_entries(system, entries) + 4
+    solve = max(len(cells) + 4 * len(_entry_closure(system._reads, cells)) + 4, 6)
     rows = n
     if "recurrent" in sc.hazards:
         rows *= 1.0 + float(sc.hazards["recurrent"].cumulative(sc.horizon))
@@ -933,23 +915,21 @@ class _Stack:
         """Whether each replication has no error so far."""
         return np.array([err is None for err in self.errors])
 
-    def covariances(self, entries=None) -> np.ndarray:
-        """Covariances ``(M, B, n, n)`` at the jumps, solved for the
-        replications without an error and NaN for the others (whose states
-        may divide by zero, and which no measure reads).  With ``entries``,
-        a list of ``(i, l)`` cells, only those and the entries they depend
-        on are solved, and the other cells are NaN (see
-        :func:`~hazard_transform.plugin._covariances`).  A block without
-        errors is solved on views of its arrays, with no copy."""
+    def covariances(self, cells) -> np.ndarray:
+        """Covariances ``(M, B, len(cells))`` at the jumps in the ``(i, l)``
+        ``cells`` (see :func:`~hazard_transform.plugin._covariances`), NaN
+        for the replications with an error (whose states may divide by zero,
+        and which no measure reads).  A block without errors is solved on
+        views of its arrays, with no copy."""
         ok, n, driver = self.ok, self.system.state_dim, self.driver
         clean = ok.all()
         pick = slice(None) if clean else ok
         args = self.states[:-1, pick], driver.increments[:, pick], driver.scale[pick]
         stochastic = np.where(driver.deterministic, 0.0, 1.0)
-        cov = _covariances(self.system, *args, stochastic, np.zeros((n, n)), entries)
+        cov = _covariances(self.system, *args, stochastic, np.zeros((n, n)), cells)
         if clean:
             return cov
-        out = np.full((*driver.increments.shape[:2], n, n), np.nan)
+        out = np.full((*driver.increments.shape[:2], len(cells)), np.nan)
         out[:, ok] = cov
         return out
 
@@ -987,8 +967,7 @@ def _l2_variance(stack):
     # at different n live in comparable units and a large-sample reference is
     # close to the common limit of all of them.  Only the studied variance
     # (and the entries it depends on) is solved.
-    comp = _CTX["component"]
-    diag = stack.covariances(_CTX["entries"])[:, :, comp, comp] / stack.driver.scale
+    diag = stack.covariances(_CTX["entries"])[..., 0] / stack.driver.scale
     return _target_distances(stack, np.vstack([np.zeros((1, diag.shape[1])), diag]), 0)
 
 
@@ -997,8 +976,8 @@ def _covered(stack):
     # every replication with no guard trip and no negative variance.  Only
     # the variances (and the entries they depend on) are solved: the
     # negative-variance check reads every one of them.
-    n, labels, driver = stack.system.state_dim, stack.system.state_labels, stack.driver
-    diag = stack.covariances(_CTX["entries"])[..., range(n), range(n)]
+    labels, driver = stack.system.state_labels, stack.driver
+    diag = stack.covariances(_CTX["entries"])
     found = _negative_variances(driver.times.T, diag, labels, driver.n_jumps)
     stack.errors = [err or neg for err, neg in zip(stack.errors, found)]
     ok = np.flatnonzero(stack.ok)
@@ -1197,7 +1176,7 @@ def coverage_study(
     ``t_grid`` reads.
     """
     scenario = sc.describe()  # a spec without to_config, before any work
-    if not 0.0 < level < 1.0:
+    if not 0.0 < _number(level, "level") < 1.0:
         raise ConfigError("level must be strictly between 0 and 1")
     if _number(n_jobs, "n_jobs", integer=True) < 1:
         raise ConfigError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
@@ -1208,11 +1187,13 @@ def coverage_study(
     horizon = sc.horizon
     if t_grid is None:
         t_grid = np.linspace(0.2 * horizon, 0.8 * horizon, 13)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or not t_grid.size:
-        raise ConfigError(
-            f"t_grid must be a non-empty list of times, got {t_grid.tolist()!r}"
-        )
+    try:
+        times = np.asarray(t_grid, dtype=float)
+    except (TypeError, ValueError):
+        times = np.empty(0)
+    if times.ndim != 1 or not times.size:
+        raise ConfigError(f"t_grid must be a non-empty list of times, got {t_grid!r}")
+    t_grid = times
     outside = t_grid[~((t_grid >= 0.0) & (t_grid <= horizon))]
     if outside.size:
         raise ConfigError(
@@ -1396,8 +1377,10 @@ def bootstrap_covariance(
     (``bootstrap resample <r>: guard violation ...``), so the trip reported
     is the lowest of all ``b``.
     """
-    if b < 2:
-        raise ValueError("bootstrap needs b >= 2 replicates")
+    for name, value, least in (("b", b, 2), ("seed", seed, 0)):
+        integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if not integer or value < least:
+            raise ValueError(f"expected an integer {name} >= {least}, got {value!r}")
     _check_grid_step(grid_step, ds.horizon)
     if isinstance(kind, str):
         kind = SystemKind(name=kind)

@@ -150,14 +150,14 @@ class ParameterSystem:
         return nan, finite, offset
 
     @property
-    def _reads(self) -> np.ndarray:
-        """``(n, n)``: whether row ``i`` reads row ``l`` through a Jacobian
-        cell nonzero, or NaN, at either state of :attr:`_probe`; every cell
-        when the probe raised."""
+    def _reads(self) -> list[set[int]]:
+        """The rows each row reads through a Jacobian cell nonzero, or NaN,
+        at either state of :attr:`_probe`; every row when the probe raised."""
         if self._probe is None:
-            return np.ones((self.state_dim,) * 2, dtype=bool)
+            return [set(range(self.state_dim))] * self.state_dim
         nan, finite, _ = self._probe
-        return ((nan != 0) | (finite != 0)).any(axis=0)
+        cells = ((nan != 0) | (finite != 0)).any(axis=0)
+        return [set(np.flatnonzero(row).tolist()) for row in cells]
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, tuple | None], ...] | None:
@@ -181,7 +181,7 @@ class ParameterSystem:
         cells = (nan != 0) | (finite != 0)
         constant = np.isfinite(nan) & (nan == finite)
         fixed = ~offset & (constant | ~cells).all(axis=(0, 2))
-        reads = [set(np.flatnonzero(row).tolist()) for row in cells.any(axis=0)]
+        reads = self._reads
         order = _solving_order(reads)
         if order is None or any(
             i in r and (r != {i} or not fixed[i]) for i, r in enumerate(reads)

@@ -33,6 +33,7 @@ from hazard_transform import (
     estimate_driver,
     fit_plugin,
     make_system,
+    oracle_parameter,
     parse_dataset,
     simulate_dataset,
     solve_plugin,
@@ -44,7 +45,6 @@ from hazard_transform import (
 from hazard_transform.plugin import _write_fit
 from hazard_transform.simlab import (
     _draws,
-    _oracle_driver,
     _ResampleDrivers,
     _SumHazard,
 )
@@ -521,7 +521,7 @@ def reference_grid(horizon, step, start=0.0):
 )
 def test_oracle_and_time_grid_share_the_grid(horizon, step, start):
     hazards = {"event": LinearHazard(0.5, 0.3, horizon)}
-    oracle = _oracle_driver(hazards, SystemKind("rmst"), horizon, step, start=start)
+    oracle = oracle_parameter(hazards, SystemKind("rmst"), step, start=start)
     np.testing.assert_array_equal(oracle.times, reference_grid(horizon, step, start))
     if start == 0.0:
         grid, _ = time_grid_driver(horizon, step)

@@ -48,7 +48,7 @@ from hazard_transform import (
     solve_variance,
 )
 from hazard_transform.systems import GUARD_EPS, ParameterSystem, _linear
-from hazard_transform.simlab import _draws, _solved_entries
+from hazard_transform.simlab import _draws
 
 from helpers import first_negative_variance, take_subjects
 
@@ -459,11 +459,15 @@ def assert_stacked_covariances_equal_solo(system, drivers, starts, v0):
         lefts[: driver.n_jumps, r] = states[:-1]
         increments[: driver.n_jumps, r] = driver.increments
     scale = np.array([250.0, 40.0, 7.0, 1000.0])[: len(drivers)]
-    stacked = plugin._covariances(system, lefts, increments, scale, np.ones(k), v0)
+    n = system.state_dim
+    cells = [(i, l) for i in range(n) for l in range(n)]
+    stacked = plugin._covariances(
+        system, lefts, increments, scale, np.ones(k), v0, cells
+    )
     for r, driver in enumerate(drivers):
         m = driver.n_jumps
         solo = plugin._covariances(
-            system, lefts[:m, r], driver.increments, scale[r], np.ones(k), v0
+            system, lefts[:m, r], driver.increments, scale[r], np.ones(k), v0, cells
         )
         assert_bitwise(stacked[:m, r], solo)
 
@@ -750,38 +754,50 @@ def entry_closure(system, lefts, asked):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(
-    kind=st.sampled_from(KINDS),
+    kind=st.sampled_from([*KINDS, None]),
     m=st.integers(0, 40),
     batch=st.lists(st.integers(1, 3), max_size=2).map(tuple),
-    asked=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4),
+    asked=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(kind=SystemKind("relative_survival"), m=30, batch=(3,),
          asked=[(0, 0), (1, 1), (2, 2)], seed=3)
 @example(kind=NONLINEAR_KINDS[0], m=25, batch=(2, 2), asked=[(4, 1)], seed=4)
 @example(kind=SCREENING, m=25, batch=(2,), asked=[(3, 3)], seed=5)
+@example(kind=SystemKind("led"), m=20, batch=(2,),
+         asked=[(0, 1), (1, 0), (0, 1), (2, 2)], seed=6)
+@example(kind=SystemKind("rmst"), m=10, batch=(2, 3), asked=[], seed=7)
+@example(kind=None, m=30, batch=(3,), asked=[(1, 0), (0, 1), (1, 1), (1, 1)], seed=8)
+@example(kind=None, m=5, batch=(), asked=[], seed=9)
 def test_asked_entries_are_the_full_solve_and_nothing_else(
     kind, m, batch, asked, seed
 ):
     # A stack of drivers from interior starts (ler's natural one is on its
-    # guard): solving only some entries gives each entry of their closure
-    # the full solve's value bit for bit, leaves every other cell NaN and
-    # runs one outermost scan per solved entry; a study block is charged
-    # for at least that many entries.
-    system = make_system(kind)
+    # guard), or of the cyclic illness-death system (kind None), which
+    # steps: the solve returns one column per cell asked, in order, repeats
+    # and both orientations included, each the full solve's cell bit for
+    # bit.  A pattern with an order runs one outermost scan per entry of
+    # the cells' closure, and a study block is charged for at least that
+    # many entries.
+    system = illness_death() if kind is None else make_system(kind)
     n, k = system.state_dim, system.driver_dim
     rng = np.random.default_rng(seed)
     asked = [(i % n, l % n) for i, l in asked]
-    drivers = [random_driver(kind, m, rng) for _ in np.ndindex(batch)]
-    increments = np.stack([d.increments for d, _ in drivers], axis=1)
-    increments = increments.reshape(m, *batch, k)
-    x0 = np.reshape([interior_x0(system, rng) for _ in drivers], (*batch, n))
+    if kind is None:
+        increments = rng.uniform(0.0, 0.01, size=(m, *batch, k))
+        stochastic = np.ones(k)
+    else:
+        drivers = [random_driver(kind, m, rng) for _ in np.ndindex(batch)]
+        increments = np.stack([d.increments for d, _ in drivers], axis=1)
+        increments = increments.reshape(m, *batch, k)
+        stochastic = np.where(drivers[0][1].deterministic_mask, 0.0, 1.0)
+    x0 = np.reshape([interior_x0(system, rng) for _ in np.ndindex(batch)], (*batch, n))
     lefts = plugin._states(system, increments, x0)[:-1]
     scale = rng.uniform(10.0, 500.0, size=batch)
-    stochastic = np.where(drivers[0][1].deterministic_mask, 0.0, 1.0)
     half = rng.normal(size=(n, n))
     args = system, lefts, increments, scale, stochastic, half @ half.T
-    full = plugin._covariances(*args)
+    every = [(i, l) for i in range(n) for l in range(n)]
+    full = plugin._covariances(*args, every).reshape(m, *batch, n, n)
     outermost, depth = [], [0]
     prefix = plugin._prefix
 
@@ -795,15 +811,14 @@ def test_asked_entries_are_the_full_solve_and_nothing_else(
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(plugin, "_prefix", counted)
-        some = plugin._covariances(*args, entries=asked)
+        some = plugin._covariances(*args, asked)
+    assert some.shape == (m, *batch, len(asked))
+    for c, (i, l) in enumerate(asked):
+        assert_bitwise(some[..., c], full[..., i, l])
     closure = entry_closure(system, lefts, asked)
-    assert sum(outermost) == len(closure) <= _solved_entries(system, asked)
-    solved = np.zeros((n, n), dtype=bool)
-    for i, l in closure:
-        solved[i, l] = solved[l, i] = True
-        assert_bitwise(some[..., i, l], full[..., i, l])
-        assert_bitwise(some[..., l, i], full[..., l, i])
-    assert np.isnan(some[..., ~solved]).all()
+    charged = plugin._entry_closure(system._reads, asked)
+    assert sum(outermost) == (0 if kind is None else len(closure))
+    assert len(closure) <= len(charged)
 
 
 def screening_trips(seed, b=30):

@@ -39,6 +39,7 @@ from hazard_transform import (
     wilson_interval,
     write_study,
 )
+from hazard_transform.hazards import _grid_times
 from hazard_transform.simlab import HazardSpec, _SumHazard
 
 from helpers import BISECT_TOL, bisect_invert, study_tasks
@@ -592,6 +593,15 @@ class TestOracle:
         )
         assert abs(float(path.value_at(1.0)[0]) - math.exp(-1.0)) < 1e-5
 
+    @pytest.mark.parametrize("start", [1.0, 2.0, -0.1])
+    def test_a_start_outside_the_horizon_is_named(self, start):
+        # A start at or past the horizon used to be reported as a bad step,
+        # "step must satisfy 0 < step <= -1".
+        with pytest.raises(ValueError, match=r"^start must lie in \[0, 1\)"):
+            oracle_parameter(
+                {"event": ConstantHazard(1.0, 1.0)}, SystemKind("survival"), start=start
+            )
+
 
 #: One scenario per system without guards (every linear one), horizon 1.5.
 LINEAR_SCENARIOS = {
@@ -672,6 +682,38 @@ def test_guarded_coverage_truth_is_the_oracle_path_bit_for_bit(
         want = path.value_at(np.array(t_grid))[:, comp]
         got = contexts[-1]["oracle_values"]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+ORACLE_CASES = {
+    **LINEAR_SCENARIOS,
+    "screening": (
+        SCREENING,
+        {"positive": ConstantHazard(0.7, 1.5), "negative": ConstantHazard(1.2, 1.5)},
+    ),
+    "ler": (
+        SystemKind("ler"),
+        {"group1": ConstantHazard(1.0, 1.5), "group2": ConstantHazard(0.5, 1.5)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_the_oracle_is_the_plugin_solve_on_the_exact_hazards(name):
+    # Solved in pieces of _ORACLE_ROWS rows (two at this step), the oracle
+    # path is bit for bit solve_plugin on the whole fine-grid driver of the
+    # exact cumulative hazards; ler starts inside, off its guard.
+    kind, hazards = ORACLE_CASES[name]
+    start, x0 = (0.1, [1.0, 1.0, 1.0, 0.1, 0.1]) if name == "ler" else (0.0, None)
+    step = (1.5 - start) / 1e4
+    times = _grid_times(1.5, step, start)
+    assert simlab._ORACLE_ROWS < times.size < 2 * simlab._ORACLE_ROWS
+    increments = simlab._oracle_increments(hazards, kind, times, start)
+    driver = StepPath(times, increments, np.zeros(increments.shape[1]), 1.5)
+    want = solve_plugin(make_system(kind), driver, x0_override=x0)
+    got = oracle_parameter(hazards, kind, step, x0_override=x0, start=start)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.increments.tobytes() == want.increments.tobytes()
+    assert got.origin_value.tobytes() == want.origin_value.tobytes()
 
 
 def test_an_oracle_trip_after_the_last_coverage_time_is_raised(monkeypatch):
@@ -1076,6 +1118,26 @@ class TestStudies:
             else:
                 l2_convergence(sc, [10], n_jobs=n_jobs)
 
+    @pytest.mark.parametrize(
+        "setting,match",
+        [({"level": "0.9"}, "level must be a number"),
+         ({"level": None}, "level must be a number"),
+         ({"t_grid": ["a"]}, "t_grid must be a non-empty list of times"),
+         ({"t_grid": [[0.1], [0.2, 0.3]]}, "t_grid must be a non-empty list")],
+    )
+    def test_bad_level_or_t_grid_rejected_before_any_work(
+        self, setting, match, monkeypatch
+    ):
+        # level="0.9" used to leak a TypeError from the comparison, and
+        # t_grid=["a"] a bare ValueError from the array conversion.
+        def fail(*args, **kwargs):
+            pytest.fail("the study simulated or solved its oracle")
+
+        for name in ("_simulate", "_oracle_values", "oracle_parameter"):
+            monkeypatch.setattr(simlab, name, fail)
+        with pytest.raises(ConfigError, match=match):
+            coverage_study(survival_scenario(10, 1), **setting)
+
     @pytest.mark.parametrize("grid_step", [0, -1, 1.5, float("nan"), "0.1", True])
     @pytest.mark.parametrize("study", ["coverage", "convergence", "bootstrap"])
     def test_bad_grid_step_rejected_before_any_work(
@@ -1225,3 +1287,19 @@ class TestBootstrap:
         ds = simulate_dataset(survival_scenario(10, 41))
         with pytest.raises(ValueError, match="b >= 2"):
             bootstrap_covariance(ds, SystemKind("survival"), b=1, seed=1)
+
+    @pytest.mark.parametrize(
+        "b,seed,match",
+        [(2.5, 1, "b >= 2, got 2.5"), (True, 1, "b >= 2, got True"),
+         (10, -1, "seed >= 0, got -1"), (10, 1.5, "seed >= 0, got 1.5"),
+         (10, None, "seed >= 0, got None")],
+    )
+    def test_bad_b_or_seed_rejected_before_any_work(self, b, seed, match, monkeypatch):
+        # b = 2.5 used to fail with a TypeError after the base fit, and
+        # seed = -1 with NumPy's "expected non-negative integer".
+        ds = simulate_dataset(survival_scenario(10, 41))
+        monkeypatch.setattr(
+            simlab, "estimate_driver", lambda *a, **k: pytest.fail("a driver was built")
+        )
+        with pytest.raises(ValueError, match=re.escape(match)):
+            bootstrap_covariance(ds, SystemKind("survival"), b=b, seed=seed)
