@@ -47,7 +47,8 @@ class EventDataset:
     """Validated event records over a window ``[0, horizon]``, held as columns.
 
     One array entry per spell: ``_subject`` (subjects numbered ``0, 1, ...``
-    in order of first appearance, labelled by :attr:`subject_ids`),
+    in order of first appearance, labelled by :attr:`subject_ids`, which is
+    built on first access when the labels came as a bytes array),
     ``_entry``, ``_exit``, ``_code``, ``_group`` (``_NO_GROUP`` where a spell
     has none) and the ``(spells, p)`` matrix ``_covariates``.  The columns are
     read-only.  ``EventDataset(records, horizon)`` builds them from
@@ -96,8 +97,9 @@ class EventDataset:
 
         ``subject`` holds integer subject indices numbered ``0, 1, ...`` in
         order of first appearance; ``subject_ids`` labels them (default
-        ``s1, s2, ...``).  ``group`` and ``covariates`` default to no group
-        and no covariates.
+        ``s1, s2, ...``).  A NumPy bytes array of ASCII labels is kept as it
+        is and decoded when :attr:`subject_ids` is first read.  ``group`` and
+        ``covariates`` default to no group and no covariates.
         """
         subject = np.asarray(subject, dtype=np.int64)
         # First-appearance numbering: starts at 0, and each new index is one
@@ -138,15 +140,21 @@ class EventDataset:
         ):
             raise ValueError("columns must be one-dimensional and of equal length")
         self.n_subjects = int(self._subject.max()) + 1 if size else 0
+        self._labels = None
         if subject_ids is not None:
             if len(subject_ids) != self.n_subjects:
                 raise ValueError("need one subject id per subject")
-            self.__dict__["subject_ids"] = tuple(subject_ids)
+            if isinstance(subject_ids, np.ndarray) and subject_ids.dtype.kind == "S":
+                self._labels = subject_ids
+            else:
+                self.__dict__["subject_ids"] = tuple(subject_ids)
         self._validate(covariate_mismatch)
 
     def _validate(self, covariate_mismatch):
         if not self.horizon > 0:
             raise DataError("horizon must be positive")
+        if not np.isfinite(self.horizon):
+            raise DataError("horizon must be finite")
         # Row checks in record order: the first offending spell raises, with
         # its checks in this order; entry >= exit is reported after a full
         # pass, listing every offending subject.
@@ -168,12 +176,15 @@ class EventDataset:
             raise DataError(f"subject {sid!r}: {message}")
         bad_order = ~(self._entry < self._exit)
         if bad_order.any():
-            ids = self.subject_ids
-            bad = np.unique(self._subject[bad_order]).tolist()
             raise DataError(
-                "entry_time >= exit_time for subject(s): "
-                + ", ".join(sorted({ids[s] for s in bad}))
+                f"entry_time >= exit_time for subject(s): {self._subjects_of(bad_order)}"
             )
+
+    def _subjects_of(self, spells: np.ndarray) -> str:
+        """The ids of the subjects of the flagged ``spells``, sorted and
+        joined by commas, for an error message."""
+        ids = self.subject_ids
+        return ", ".join(sorted({ids[s] for s in self._subject[spells].tolist()}))
 
     def __len__(self) -> int:
         """Number of spells (records)."""
@@ -188,6 +199,8 @@ class EventDataset:
     @cached_property
     def subject_ids(self) -> tuple:
         """Subject labels in order of first appearance."""
+        if self._labels is not None:
+            return tuple(label.decode("ascii") for label in self._labels.tolist())
         return tuple(f"s{i + 1}" for i in range(self.n_subjects))
 
     @cached_property
@@ -259,7 +272,11 @@ def parse_dataset(source, schema: dict | None = None, horizon: float | None = No
     """Read an :class:`EventDataset` from delimited text.
 
     The whole source is read into memory, then parsed as a file opened with
-    ``newline=""`` would be by :mod:`csv`.
+    ``newline=""`` would be by :mod:`csv`.  A path is read once, as bytes:
+    plain ASCII goes to the NumPy reader as it is, and other bytes are
+    decoded as ``open(source, newline="")`` decodes them.  The subject ids
+    of ASCII text are held as a NumPy bytes array until
+    :attr:`EventDataset.subject_ids` is first read.
 
     Parameters
     ----------
@@ -279,26 +296,31 @@ def parse_dataset(source, schema: dict | None = None, horizon: float | None = No
         with ``entry >= exit`` (listing offending subject ids).
     """
     if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, newline="") as fh:
+        return _parse_text(source.read(), schema, horizon)
+    with open(source, "rb") as fh:
+        text = fh.read()
+    if not text.isascii():  # decoded with open()'s default encoding
+        with io.TextIOWrapper(io.BytesIO(text), newline="") as fh:
             text = fh.read()
     return _parse_text(text, schema, horizon)
 
 
-#: Characters that keep a text off the NumPy reader: NUL, which its ``U``
-#: dtype drops from the end of an id, and the ASCII separators
+#: Characters that keep a text off the NumPy reader: NUL, which its string
+#: dtypes drop from the end of an id, and the ASCII separators
 #: ``\x1c-\x1f``, which it strips from numbers as whitespace but ``float``
-#: and ``int`` reject.
+#: and ``int`` reject, and which ``str.strip`` removes from an id but
+#: ``bytes.strip`` keeps.
 _NOT_BULK = "\x00\x1c\x1d\x1e\x1f"
 
 #: One line with its ending (``\r\n``, ``\r`` or ``\n``), or a last line
-#: without one.
+#: without one; ``_BYTE_LINE`` on bytes.
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+_BYTE_LINE = re.compile(_LINE.pattern.encode())
 
 
-def _parse_text(text: str, schema, horizon, bulk: bool = True):
-    """:func:`parse_dataset` on the source text.
+def _parse_text(text: str | bytes, schema, horizon, bulk: bool = True):
+    """:func:`parse_dataset` on the source text: a ``str``, or ASCII
+    ``bytes``.
 
     Rows are read by ``np.loadtxt`` when the text allows it (see
     :func:`_read_bulk`) and otherwise by the per-row :mod:`csv` loop
@@ -306,8 +328,15 @@ def _parse_text(text: str, schema, horizon, bulk: bool = True):
     ``line N: malformed row`` errors.  ``bulk=False`` forces the loop.
     """
     # Lines split as a file opened with newline="" splits them; a StringIO
-    # would copy the text at four bytes a character.
-    reader = csv.reader(m.group() for m in _LINE.finditer(text))
+    # would copy the text at four bytes a character.  ASCII bytes decode a
+    # line at a time to the same text.
+    if isinstance(text, str):
+        lines = (m.group() for m in _LINE.finditer(text))
+        not_bulk = _NOT_BULK
+    else:
+        lines = (m.group().decode("ascii") for m in _BYTE_LINE.finditer(text))
+        not_bulk = _NOT_BULK.encode()
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -333,9 +362,11 @@ def _parse_text(text: str, schema, horizon, bulk: bool = True):
         bulk
         and reader.line_num == 1
         and text.isascii()
-        and not any(c in text for c in _NOT_BULK)
+        and not any(c in text for c in not_bulk)
     ):
-        parsed = _read_bulk(text, _LINE.match(text).end(), cols, group_col, cov_cols)
+        data = text if isinstance(text, bytes) else text.encode("ascii")
+        start = _BYTE_LINE.match(data).end()
+        parsed = _read_bulk(data, start, cols, group_col, cov_cols)
     if parsed is None:
         parsed = _read_rows(reader, cols, group_col, cov_cols)
     subject, subject_ids, entry, exit_, code, group, covariates = parsed
@@ -363,12 +394,14 @@ def _largest_exit(exit_: np.ndarray) -> float:
     return float(np.nanmax(exit_))
 
 
-def _read_bulk(text: str, start: int, cols, group_col, cov_cols):
-    """Rows of an ASCII text from ``text[start]`` on, by two ``np.loadtxt``
+def _read_bulk(data: bytes, start: int, cols, group_col, cov_cols):
+    """Rows of an ASCII text from ``data[start]`` on, by two ``np.loadtxt``
     passes (numbers, then ids).
 
     NumPy reads the text's bytes: a ``StringIO`` would hold the text again at
-    four bytes a character.
+    four bytes a character.  The ids stay bytes (``S``), a quarter of the
+    size of NumPy's ``U`` strings; the labels come back as that array, in
+    order of first appearance.
 
     Returns None when NumPy rejects the text or warns about it (a short,
     blank or ``,,,`` row, a cell it cannot convert, no rows at all): the
@@ -384,7 +417,6 @@ def _read_bulk(text: str, start: int, cols, group_col, cov_cols):
     names += [f"x{j}" for j in range(len(cov_cols))]
     formats += ["f8"] * len(cov_cols)
     usecols += cov_cols
-    data = text.encode("ascii")
 
     def load(dtype, columns):
         body = io.BytesIO(data)
@@ -407,10 +439,9 @@ def _read_bulk(text: str, start: int, cols, group_col, cov_cols):
         warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
         try:
             numbers = load({"names": names, "formats": formats}, usecols)
-            ids = load(str, cols[0])
+            ids = load("S", cols[0])
         except (ValueError, Warning):
             return None
-    del data  # freed before the id sort, where the parse peaks in memory
     # Subjects numbered in order of first appearance.
     ids = np.char.strip(ids)
     labels, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
@@ -422,7 +453,7 @@ def _read_bulk(text: str, start: int, cols, group_col, cov_cols):
         covariates[:, j] = numbers[f"x{j}"]
     return (
         rank[inverse],
-        tuple(labels[order].tolist()),
+        labels[order],
         numbers["entry"].copy(),
         numbers["exit"].copy(),
         numbers["event"].copy(),

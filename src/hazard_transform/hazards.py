@@ -370,7 +370,8 @@ def aalen_additive(
     inverse), which for an intercept-only design reduces to Nelson-Aalen.
     If the at-risk design drops below full rank (reciprocal condition of the
     normal matrix under ``RANK_RCOND``) the path freezes there; a design that
-    is singular already at the first event is an error.
+    is singular already at the first event is an error, as is a NaN or
+    infinite covariate.
     """
     if len(dataset) == 0:
         raise DataError("dataset has no subjects")
@@ -378,6 +379,11 @@ def aalen_additive(
     k = p + (1 if with_intercept else 0)
     if k == 0:
         raise ValueError("additive regression needs covariates or an intercept")
+    finite = np.isfinite(dataset._covariates).all(axis=1)
+    if not finite.all():
+        raise DataError(
+            f"non-finite covariate for subject(s): {dataset._subjects_of(~finite)}"
+        )
 
     design = np.empty((len(dataset), k))
     if with_intercept:

@@ -251,8 +251,9 @@ def merge_drivers(parts):
 
 
 #: Cells formatted at a time by :func:`_write_table`: enough to spread
-#: NumPy's per-call cost, few enough that the temporaries stay in cache.
-_BLOCK_CELLS = 16384
+#: NumPy's per-call cost, few enough that the formatter's temporaries stay
+#: in cache and below the size of the data being written.
+_BLOCK_CELLS = 8192
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
@@ -471,20 +472,25 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _write_table(path, header, table: np.ndarray, tail=None) -> None:
-    """Write a header and the rows of a float matrix as CSV.
+def _write_table(path, header, rows: int, block, tail=None) -> None:
+    """Write a header and ``rows`` rows of floats as CSV.
 
-    Each float is its shortest round-trip decimal, byte for byte what
-    ``repr`` writes (:func:`_format_cells`), so files are byte-stable and
-    parse back exactly; lines end in ``\\r\\n``.  The bytes are those
-    ``csv.writer`` writes for the same cells.
+    ``block(lo, hi)`` gives rows ``lo`` to ``hi`` as a ``(hi - lo,
+    len(header))`` float matrix.  The rows are asked for, formatted and
+    written in blocks of about ``_BLOCK_CELLS`` cells, so the whole table is
+    never held at once.  Each float is its shortest round-trip decimal, byte
+    for byte what ``repr`` writes (:func:`_format_cells`), so files are
+    byte-stable and parse back exactly; lines end in ``\\r\\n``.  The bytes
+    are those ``csv.writer`` writes for the same cells.  A cell whose bits
+    equal those of the cell above it is formatted once: it copies the cell
+    above (for a block's first row, the previous block's last row).
 
     ``tail=(path, header)`` writes a second CSV in the same pass: each row's
     first cell followed by its last ``len(header) - 1`` cells, taken from
     the cells already formatted for the first file.  On any failure the
     output files are removed.
     """
-    rows, cols = table.shape
+    cols = len(header)
     outputs = [(Path(path), header)]
     keep = None
     if tail is not None:
@@ -493,6 +499,7 @@ def _write_table(path, header, table: np.ndarray, tail=None) -> None:
     separator = np.full(cols, 0x2C << 40, dtype=np.uint64)  # "," after a cell
     separator[-1] = 0x0A0D << 40  # "\r\n" after a row
     step = max(1, _BLOCK_CELLS // cols)
+    above = None
     files = []
     try:
         with ExitStack() as stack:
@@ -500,7 +507,9 @@ def _write_table(path, header, table: np.ndarray, tail=None) -> None:
                 files.append(stack.enter_context(open(p, "wb")))
                 files[-1].write((",".join(head) + "\r\n").encode())
             for lo in range(0, rows, step):
-                cells = _format_cells(table[lo : lo + step]).reshape(-1, cols, 4)
+                values = np.ascontiguousarray(block(lo, min(lo + step, rows)), float)
+                cells = _block_cells(values, above)
+                above = values[-1].copy(), cells[-1].copy()  # frees the block
                 cells[:, :, 3] |= separator
                 files[0].write(cells.tobytes().translate(None, b"\0"))
                 if keep is not None:
@@ -509,6 +518,32 @@ def _write_table(path, header, table: np.ndarray, tail=None) -> None:
         for fh in files:
             Path(fh.name).unlink(missing_ok=True)
         raise
+
+
+def _block_cells(values: np.ndarray, above) -> np.ndarray:
+    """:func:`_format_cells` of a block of rows, shape ``(rows, cols, 4)``.
+
+    A cell whose float64 bits equal those of the cell above it copies that
+    cell's words instead of being formatted again; ``above`` is the previous
+    block's last row and its cells, or None for the first block.
+    """
+    bits = values.view(np.uint64)
+    fresh = np.ones(bits.shape, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=fresh[1:])
+    if above is not None:
+        np.not_equal(bits[0], above[0].view(np.uint64), out=fresh[0])
+    if fresh.all():
+        return _format_cells(values).reshape(*values.shape, 4)
+    # Row 0 holds the cells above the block; each cell is read from the
+    # nearest fresh row at or above its own.
+    cells = np.empty((values.shape[0] + 1, values.shape[1], 4), dtype="<u8")
+    if above is not None:
+        cells[0] = above[1]
+    cells[1:][fresh] = _format_cells(values[fresh])
+    rows = np.arange(1, cells.shape[0])[:, None]
+    source = np.maximum.accumulate(np.where(fresh, rows, 0), axis=0)
+    whole = cells.view("V32")[:, :, 0]  # one item a cell: half the gather's time
+    return whole[source, np.arange(values.shape[1])][:, :, None].view("<u8")
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:
@@ -535,7 +570,8 @@ def write_path(path: StepPath, meta: DriverMeta, base) -> None:
     _write_table(
         base.with_suffix(".csv"),
         ["time"] + [f"d{j + 1}" for j in range(path.dimension)],
-        np.column_stack([path.times, path.increments]),
+        path.n_jumps,
+        lambda lo, hi: np.column_stack([path.times[lo:hi], path.increments[lo:hi]]),
     )
     sidecar = {
         "scale_n": meta.scale_n,

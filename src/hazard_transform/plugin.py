@@ -494,16 +494,25 @@ def _write_fit(fit: PluginFit, band: ConfidenceBand, base, band_path=None) -> No
         + [f"V_{i + 1}{j + 1}" for i, j in zip(rows, cols)]
         + [c for i in range(n) for c in (f"lo_{i + 1}", f"hi_{i + 1}")]
     )
-    table = np.column_stack(
-        [
-            band.times,
-            band.point,
-            np.concatenate([fit.v0[None, :, :], fit.cov_path])[:, rows, cols],
-            np.stack([band.lower, band.upper], axis=2).reshape(-1, 2 * n),
-        ]
-    )
+
+    def block(lo, hi):
+        # Row 0 is the initial covariance, row i > 0 the path's row i - 1.
+        cov = fit.cov_path[max(lo, 1) - 1 : hi - 1]
+        if lo == 0:
+            cov = np.concatenate([fit.v0[None, :, :], cov])
+        return np.column_stack(
+            [
+                band.times[lo:hi],
+                band.point[lo:hi],
+                cov[:, rows, cols],
+                np.stack([band.lower[lo:hi], band.upper[lo:hi]], axis=2).reshape(
+                    hi - lo, 2 * n
+                ),
+            ]
+        )
+
     tail = None if band_path is None else (band_path, header[:1] + header[-2 * n :])
-    _write_table(base.with_suffix(".csv"), header, table, tail=tail)
+    _write_table(base.with_suffix(".csv"), header, band.times.size, block, tail=tail)
     metadata = {
         "scale_n": fit.scale_n,
         "state_labels": list(fit.state_labels),

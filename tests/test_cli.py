@@ -491,6 +491,28 @@ def test_two_group_study_with_one_subject_is_a_config_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("system", ["survival", "rmst"])
+def test_an_infinite_exit_time_is_a_data_error_before_any_output(
+    tmp_path, system, capsys
+):
+    # The default horizon is the largest exit time.  At inf, survival wrote
+    # "horizon": Infinity to fit.json (not RFC 8259 JSON) and rmst failed
+    # with "cannot convert float NaN to integer".
+    from hazard_transform import cli
+
+    data = tmp_path / "d.csv"
+    data.write_text("id,entry,exit,event\na,0,1,1\nb,0,inf,0\n")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([
+            "estimate", "--system", system, "--data", str(data),
+            "--out", str(tmp_path / "o"),
+        ])
+    assert exit_.value.code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err == {"type": "DataError", "message": "horizon must be finite"}
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("grid_step", [-1, 0, 2.5])
 def test_bad_grid_step_is_a_config_error_before_the_driver(
     tmp_path, grid_step, monkeypatch, capsys

@@ -8,10 +8,16 @@ from hazard_transform import (
     DataError,
     EventDataset,
     EventRecord,
+    SystemKind,
+    confidence_band,
+    estimate_driver,
+    fit_plugin,
+    make_system,
     nelson_aalen,
     parse_dataset,
     write_dataset,
 )
+from hazard_transform.plugin import _write_fit
 
 
 def make_dataset(rows, horizon=None, **kwargs):
@@ -71,6 +77,25 @@ class TestParsing:
         write_dataset(ds, tmp_path / "rt.csv")
         back = parse_dataset(tmp_path / "rt.csv", horizon=1.0)
         assert back.records == ds.records
+
+    @pytest.mark.parametrize(
+        "kind", [SystemKind("survival"), SystemKind("cumulative_incidence", n_causes=2)],
+        ids=["survival", "cumulative_incidence"],
+    )
+    def test_ids_stay_an_array_through_an_estimate(self, tmp_path, kind):
+        # The estimate never reads the ids: they are decoded only when asked.
+        # Thirteen subjects with two consecutive spells each.
+        rows = [(f"p{k}", 0.0, 1.0 + 0.05 * k, k % 3) for k in range(13)]
+        rows += [(f"p{k}", 1.0 + 0.05 * k, 2.0, (k + 1) % 3) for k in range(13)]
+        write_dataset(make_dataset(rows), tmp_path / "d.csv")
+        ds = parse_dataset(tmp_path / "d.csv")
+        driver, meta = estimate_driver(ds, kind)
+        fit = fit_plugin(make_system(kind), driver, meta)
+        _write_fit(fit, confidence_band(fit, 0.9), tmp_path / "fit",
+                   band_path=tmp_path / "band.csv")
+        assert "subject_ids" not in ds.__dict__
+        assert ds.subject_ids == tuple(f"p{i}" for i in range(13))
+        assert all(type(sid) is str for sid in ds.subject_ids)
 
 
 class TestValidation:

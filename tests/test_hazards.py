@@ -165,6 +165,23 @@ class TestAalenAdditive:
         np.testing.assert_array_equal(path.times, [0.2])
         assert meta.truncation_time == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("with_intercept", [True, False])
+    def test_a_non_finite_covariate_is_a_data_error_naming_its_subjects(
+        self, with_intercept
+    ):
+        # Unchecked, a NaN reached the SVD and NumPy raised LinAlgError.
+        records = (
+            EventRecord("a", 0.0, 0.2, 1, covariates=(1.0, 0.0)),
+            EventRecord("d", 0.0, 0.3, 1, covariates=(float("inf"), 0.0)),
+            EventRecord("b", 0.0, 0.5, 1, covariates=(0.0, float("nan"))),
+            EventRecord("c", 0.0, 0.8, 0, covariates=(0.5, 1.0)),
+            EventRecord("b", 0.5, 0.9, 1, covariates=(0.0, float("nan"))),
+        )
+        ds = EventDataset(records=records, horizon=1.0)
+        with pytest.raises(DataError) as info:
+            aalen_additive(ds, cause=1, with_intercept=with_intercept)
+        assert str(info.value) == "non-finite covariate for subject(s): b, d"
+
 
 class TestTimeGrid:
     def test_value_is_last_grid_point_not_exceeding_t(self):

@@ -209,6 +209,12 @@ def parse_outcome(parse):
 def test_bulk_parse_equals_the_row_loop(text):
     got = parse_outcome(lambda: parse_dataset(StringIO(text)))
     want = parse_outcome(lambda: events._parse_text(text, None, None, bulk=False))
+    assert_same_outcome(got, want)
+
+
+def assert_same_outcome(got, want):
+    """Two :func:`parse_outcome` results agree: the same error, or columns
+    of equal dtypes and values, equal ids and an equal horizon."""
     if isinstance(want, str):
         assert got == want
         return
@@ -217,6 +223,56 @@ def test_bulk_parse_equals_the_row_loop(text):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
     assert got[1:] == want[1:]
+    assert all(type(sid) is str for sid in got[1])
+
+
+@PROPERTY
+@given(rendered_datasets())
+def test_a_file_parses_as_its_text_and_as_the_row_loop(text):
+    # A path is read as bytes; a stream as str.  Both must give the loop's
+    # dataset, with ids that are str (not bytes or np.str_).
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        from_file = parse_outcome(lambda: parse_dataset(path))
+    loop = parse_outcome(lambda: events._parse_text(text, None, None, bulk=False))
+    assert_same_outcome(from_file, loop)
+    assert_same_outcome(parse_outcome(lambda: parse_dataset(StringIO(text))), loop)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_file_of_padded_and_quoted_ids_reads_as_its_text(tmp_path, monkeypatch, eol):
+    lines = [
+        "id,entry,exit,event",
+        " a ,0.0,1.5,1",
+        '"b,1",0.0,2.0,0',
+        '"c""2",0.5,1.0,1',
+        " a ,1.5,2.5,1",
+    ]
+    text = eol.join(lines) + eol
+    (tmp_path / "d.csv").write_bytes(text.encode("ascii"))
+    loop = events._parse_text(text, None, None, bulk=False)
+    if eol != "\r":  # NumPy reads no line that ends in a lone carriage return
+
+        def no_loop(*args):
+            raise AssertionError("the row loop read a text NumPy can read")
+
+        monkeypatch.setattr(events, "_read_rows", no_loop)
+    for ds in (parse_dataset(tmp_path / "d.csv"), parse_dataset(StringIO(text))):
+        for a, b in zip(columns(ds), columns(loop), strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert ds.subject_ids == loop.subject_ids == ("a", "b,1", 'c"2')
+        assert all(type(sid) is str for sid in ds.subject_ids)
+
+
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_a_file_of_ids_padded_with_a_separator_reads_as_the_loop(tmp_path, sep):
+    # ``str.strip`` removes the ASCII separators from an id and ``bytes.strip``
+    # keeps them, so such a text must stay off the bytes reader.
+    text = f"id,entry,exit,event\n{sep}a{sep},0.0,1.0,1\nb,0.0,2.0,0\n"
+    (tmp_path / "d.csv").write_bytes(text.encode("ascii"))
+    assert parse_dataset(tmp_path / "d.csv").subject_ids == ("a", "b")
 
 
 def test_bulk_reader_takes_plain_quoted_and_padded_rows(monkeypatch):
@@ -227,17 +283,20 @@ def test_bulk_reader_takes_plain_quoted_and_padded_rows(monkeypatch):
         '\r\n'
         '"a,1",1.5,2.0, +2,2,nan\r\n'
     )
-    loop = events._parse_text(text, None, None, bulk=False)
+    # An infinite horizon is refused, so the window is given; the ``inf``
+    # exit still has to read the same both ways.
+    loop = events._parse_text(text, None, 3.0, bulk=False)
 
     def no_loop(*args):
         raise AssertionError("the row loop read a text NumPy can read")
 
     monkeypatch.setattr(events, "_read_rows", no_loop)
-    bulk = events._parse_text(text, None, None)
+    bulk = events._parse_text(text, None, 3.0)
     for a, b in zip(columns(bulk), columns(loop), strict=True):
         np.testing.assert_array_equal(a, b)
+    assert bulk._exit.tolist() == loop._exit.tolist() == [1.5, float("inf"), 2.0]
     assert bulk.subject_ids == loop.subject_ids == ("a,1", 'b"2')
-    assert repr(bulk.horizon) == repr(loop.horizon) == "inf"
+    assert repr(bulk.horizon) == repr(loop.horizon) == "3.0"
 
 
 @pytest.mark.parametrize(
@@ -255,6 +314,18 @@ def test_default_horizon_is_python_max(exits, message):
         with pytest.raises(DataError) as info:
             events._parse_text(text, None, None, bulk=bulk)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "exit_, horizon",
+    [("inf", None), ("1.0", float("inf")), ("inf", float("inf"))],
+    ids=["default", "given", "both"],
+)
+def test_an_infinite_horizon_is_refused(exit_, horizon):
+    text = f"id,entry,exit,event\na,0.0,0.5,1\nb,0.0,{exit_},0\n"
+    for bulk in (True, False):
+        with pytest.raises(DataError, match="^horizon must be finite$"):
+            events._parse_text(text, None, horizon, bulk=bulk)
 
 
 def drivers(ds):

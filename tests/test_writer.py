@@ -3,15 +3,17 @@
 ``paths._format_cells`` renders floats in ``uint64`` lanes; the tests hold
 it to ``repr`` cell by cell, on random bit patterns, on the edges of every
 branch (powers of two, the switch to exponent notation, subnormals) and on
-Hypothesis floats.  ``_write_table`` formats a table in blocks of
-``_BLOCK_CELLS`` cells; the tests force small blocks and compare the files
-with ``csv.writer`` over ``repr``.
+Hypothesis floats.  ``_write_table`` asks for, formats and writes a table
+in blocks of ``_BLOCK_CELLS`` cells, formatting a cell that repeats the one
+above it only once; the tests force small blocks and compare the files with
+``csv.writer`` over ``repr``, and bound the writer's memory.
 """
 
 import csv
 import os
 import signal
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,8 @@ from hazard_transform import (
     simulate_dataset,
 )
 from hazard_transform import paths
-from hazard_transform.plugin import _write_fit
+from hazard_transform.paths import StepPath
+from hazard_transform.plugin import ConfidenceBand, PluginFit, _write_fit
 
 SPECIAL = [-0.0, float("nan"), float("inf"), -float("inf"), 1e16, 5e-324, 0.0, 1e-4, 1e-5]
 
@@ -119,7 +122,7 @@ def write(tmp_path, table, tail, name="out"):
     header = [f"c{j}" for j in range(table.shape[1])]
     target = tmp_path / f"{name}.csv"
     band = (tmp_path / f"{name}_tail.csv", header[:1] + header[-2:]) if tail else None
-    paths._write_table(target, header, table, tail=band)
+    paths._write_table(target, header, len(table), lambda lo, hi: table[lo:hi], tail=band)
     return [target.read_bytes()] + ([band[0].read_bytes()] if tail else [])
 
 
@@ -183,6 +186,84 @@ def test_fit_and_band_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
         _write_fit(fit, band, base / "fit", band_path=base / "band.csv")
         files[cells] = [(base / f).read_bytes() for f in ("fit.csv", "fit.json", "band.csv")]
     assert files[1] == files[100] == files[paths._BLOCK_CELLS]
+
+
+def repeated_cells(rows, seed=0):
+    """A 7-column table built to repeat cells down its columns."""
+    rng = np.random.default_rng(seed)
+    nan = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                   dtype=np.uint64).view(np.float64)  # nan, -nan, a signalling nan
+    table = np.empty((rows, 7))
+    table[:, 0] = 0.1  # constant across every block
+    table[:, 1] = np.repeat(rng.normal(size=rows), 4)[:rows]  # runs that cross blocks
+    table[:, 2] = np.resize([-0.0, 0.0, 0.0, -0.0, -0.0], rows)  # signed zeros
+    table[:, 3] = np.resize(nan[[0, 0, 1, 1, 2, 0]], rows)  # runs of nan
+    table[:, 4] = np.resize([np.inf, np.inf, -np.inf, 5e-324, 5e-324, 1e16], rows)
+    table[:, 5] = rng.normal(size=rows)  # nothing repeats
+    table[:, 6] = np.where(np.arange(rows) % 3 == 0, 1e-5, table[:, 5])
+    return table
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["fit", "fit+tail"])
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 12], ids=lambda r: f"{r}rows")
+def test_repeated_cells_write_the_csv_writer_bytes(tmp_path, monkeypatch, rows, tail):
+    # Blocks of three rows: one row, part of a block, one block, a block and
+    # a bit, and four whole blocks.
+    table = repeated_cells(rows)
+    serial = write(tmp_path, table, tail, name="serial")
+    monkeypatch.setattr(paths, "_BLOCK_CELLS", 3 * table.shape[1])
+    real = paths._format_cells
+    formatted_cells = []
+
+    def format_cells(values):
+        formatted_cells.append(values.size)
+        return real(values)
+
+    monkeypatch.setattr(paths, "_format_cells", format_cells)
+    split = write(tmp_path, table, tail)
+    assert split == serial == csv_writer_bytes(tmp_path, table, tail)
+    # Only a cell whose bits differ from those of the cell above is formatted.
+    bits = table.view(np.uint64)
+    assert sum(formatted_cells) == table.shape[1] + np.count_nonzero(bits[1:] != bits[:-1])
+
+
+def large_fit(rows, n=5, seed=0):
+    """A fit of ``rows`` rows and ``n`` states whose arrays are read-only
+    views of a few columns, so that the test holds little memory.  The
+    first 2,000 rows never repeat a cell; later rows come in runs of 100."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(rows)
+    u[2000:] = np.repeat(rng.random(rows // 100 + 1), 100)[: rows - 2000]
+    times = np.arange(1, rows) / rows
+
+    def wide(column, *shape):
+        return np.broadcast_to(column.reshape(-1, *[1] * len(shape)), (column.size, *shape))
+
+    state = StepPath(times=times, increments=wide(np.zeros(rows - 1), n),
+                     origin_value=np.zeros(n), horizon=1.0)
+    fit = PluginFit(state_path=state, cov_path=wide(u[1:] / 7, n, n), v0=np.eye(n),
+                    scale_n=rows, state_labels=tuple(f"x{i}" for i in range(n)))
+    band = ConfidenceBand(times=np.r_[0.0, times], point=wide(u, n), lower=wide(u - 1, n),
+                          upper=wide(u + 1, n), level=0.9)
+    return fit, band
+
+
+def test_the_fit_writer_holds_one_block_not_the_table(tmp_path):
+    # The writer's peak above its inputs: formatted blocks of ``_BLOCK_CELLS``
+    # cells, not a copy of a table that grows with the rows (a 200,000-row
+    # table of 31 columns alone is 47 MiB).
+    paths._format_tables()  # built once per process, on first use
+    peaks = {}
+    for rows in (20_000, 200_000):
+        fit, band = large_fit(rows)
+        tracemalloc.start()
+        try:
+            _write_fit(fit, band, tmp_path / "fit", band_path=tmp_path / "band.csv")
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "fit.csv").read_bytes().count(b"\n") == rows + 1
+    assert max(peaks.values()) < 6 * 2**20, peaks
 
 
 @pytest.mark.parametrize("tail", [False, True], ids=["fit", "fit+tail"])
